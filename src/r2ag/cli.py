@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .concept_linker import link_concepts, load_corpus
-from .embeddings import load_embeddings, pseudo_embeddings
+from .embeddings import group_vectors, load_embeddings, pseudo_embeddings
 from .errors import (
     DataFormatError,
     EndpointError,
@@ -77,7 +77,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="r2ag", description=__doc__)
     parser.add_argument("--config", help="JSON config file with flat dotted keys")
     parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="concurrent endpoint requests in generate")
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -226,9 +227,16 @@ def _load_generated(path) -> list[dict]:
 
 def _table_for_checkpoint(opts: _Options, kg, params):
     emb = opts.get("embeddings")
-    if emb:
-        return load_embeddings(emb, kg)
-    return pseudo_embeddings(kg, params.d, params.seed)
+    if not emb:
+        return pseudo_embeddings(kg, params.d, params.seed)
+    table = load_embeddings(emb, kg)
+    if table.dim != params.d:
+        raise DataFormatError(
+            f"embedding dimension {table.dim} does not match the checkpoint's "
+            f"dimension {params.d}",
+            path=emb,
+        )
+    return table
 
 
 def cmd_synth(args, opts: _Options) -> int:
@@ -271,7 +279,7 @@ def cmd_validate(args, opts: _Options) -> int:
     emb = opts.get("embeddings")
     if emb:
         table = load_embeddings(emb, kg)
-        print(f"embeddings: dim={table.dim}, rows={len(table.vectors)}")
+        print(f"embeddings: dim={table.dim}, rows={len(table.ids)}")
     corpus = opts.get("corpus")
     if corpus:
         patients = load_corpus(corpus)
@@ -326,11 +334,11 @@ def _retrieval_setup(args, opts: _Options):
     params = load_checkpoint(opts.require("checkpoint"))
     corpus = load_corpus(opts.require("corpus"))
     table = _table_for_checkpoint(opts, kg, params)
-    return kg, params, corpus, table
+    return kg, params, corpus, table, group_vectors(kg, table)
 
 
 def cmd_retrieve(args, opts: _Options) -> int:
-    kg, params, corpus, table = _retrieval_setup(args, opts)
+    kg, params, corpus, table, gv = _retrieval_setup(args, opts)
     out = opts.require("out")
     max_steps = int(opts.get("max_steps"))
     sample = bool(opts.get("sample"))
@@ -346,7 +354,7 @@ def cmd_retrieve(args, opts: _Options) -> int:
         try:
             paths = retrieve_for_patient(
                 params, patient, kg, table,
-                max_steps=max_steps, greedy=not sample, rng=rng,
+                max_steps=max_steps, greedy=not sample, rng=rng, gv=gv,
             )
         except UnlinkableInputError:
             if only is not None:
@@ -362,7 +370,7 @@ def cmd_retrieve(args, opts: _Options) -> int:
 
 
 def cmd_generate(args, opts: _Options) -> int:
-    kg, params, corpus, table = _retrieval_setup(args, opts)
+    kg, params, corpus, table, gv = _retrieval_setup(args, opts)
     out = opts.require("out")
     max_steps = int(opts.get("max_steps"))
     stub = bool(opts.get("stub"))
@@ -386,7 +394,9 @@ def cmd_generate(args, opts: _Options) -> int:
     skipped = 0
     for patient in corpus:
         try:
-            paths = retrieve_for_patient(params, patient, kg, table, max_steps=max_steps)
+            paths = retrieve_for_patient(
+                params, patient, kg, table, max_steps=max_steps, gv=gv
+            )
         except UnlinkableInputError:
             skipped += 1
             logger.warning("skipping unlinkable patient %s", patient.id)
@@ -427,7 +437,7 @@ def cmd_eval(args, opts: _Options) -> int:
     patients = load_corpus(opts.require("corpus"))
     out_dir = Path(opts.require("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate_corpus(generated, patients, kg, jobs=args.jobs)
+    report = evaluate_corpus(generated, patients, kg)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")

@@ -22,12 +22,24 @@ _DIM_RE = re.compile(r"^dim=(\d+)$")
 
 @dataclass
 class EmbeddingTable:
+    """Unit-norm concept vectors as one ``(n, d)`` matrix.
+
+    ``ids[r]`` names row ``r``. A table built for a graph keeps the graph's
+    concepts first, in its int order (row ``i`` is ``kg.ids[i]``), so graph
+    ints index the matrix directly; rows for ids outside the graph follow.
+    """
+
     dim: int
-    vectors: dict[str, np.ndarray]
+    ids: tuple[str, ...]
+    matrix: np.ndarray  # (len(ids), dim)
+
+    def __post_init__(self):
+        self.row: dict[str, int] = {cid: r for r, cid in enumerate(self.ids)}
+        self.norms = np.linalg.norm(self.matrix, axis=1)
 
     def vec(self, cid: str) -> np.ndarray:
         try:
-            return self.vectors[cid]
+            return self.matrix[self.row[cid]]
         except KeyError:
             raise KeyError(f"no embedding for concept {cid!r}") from None
 
@@ -52,7 +64,10 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
     if dim < 1:
         raise DataFormatError("dimension must be positive", path=path, line=1)
 
-    vectors: dict[str, np.ndarray] = {}
+    matrix = np.empty((len(kg.ids), dim), dtype=np.float64)
+    seen: set[str] = set()
+    extra_ids: list[str] = []
+    extra_rows: list[np.ndarray] = []
     for no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -60,7 +75,7 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
         if len(parts) != 2 or not parts[0]:
             raise DataFormatError("expected 'id\\t<floats>'", path=path, line=no)
         cid, blob = parts
-        if cid in vectors:
+        if cid in seen:
             raise DataFormatError(f"duplicate embedding row for {cid!r}", path=path, line=no)
         fields = blob.split()
         if len(fields) != dim:
@@ -78,16 +93,24 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise DataFormatError("zero vector cannot be normalized", path=path, line=no)
-        vectors[cid] = v / norm
+        seen.add(cid)
+        i = kg.index.get(cid)
+        if i is None:
+            extra_ids.append(cid)
+            extra_rows.append(v / norm)
+        else:
+            matrix[i] = v / norm
 
-    missing = [cid for cid in sorted(kg.concepts) if cid not in vectors]
+    missing = [cid for cid in kg.ids if cid not in seen]
     if missing:
         raise DataFormatError(
             f"embeddings missing for {len(missing)} graph concept(s), "
             f"first missing: {missing[0]!r}",
             path=path,
         )
-    return EmbeddingTable(dim, vectors)
+    if extra_rows:
+        matrix = np.vstack([matrix, *extra_rows])
+    return EmbeddingTable(dim, kg.ids + tuple(extra_ids), matrix)
 
 
 def _hash_rng(*parts: str) -> np.random.Generator:
@@ -115,13 +138,13 @@ def pseudo_embeddings(kg: KnowledgeGraph, d: int, seed: int) -> EmbeddingTable:
     for gid in kg.all_groups():
         raw = _hash_rng(str(seed), "group-bias", gid).standard_normal(d)
         bias[gid] = raw / np.linalg.norm(raw)
-    vectors: dict[str, np.ndarray] = {}
-    for cid in sorted(kg.concepts):
+    matrix = np.empty((len(kg.ids), d), dtype=np.float64)
+    for i, cid in enumerate(kg.ids):
         group = kg.concepts[cid].group
         raw = _hash_rng(str(seed), "concept", cid, group).standard_normal(d)
         v = _GROUP_BIAS_WEIGHT * bias[group] + raw / np.linalg.norm(raw)
-        vectors[cid] = v / np.linalg.norm(v)
-    return EmbeddingTable(d, vectors)
+        matrix[i] = v / np.linalg.norm(v)
+    return EmbeddingTable(d, kg.ids, matrix)
 
 
 def avg_embedding(table: EmbeddingTable, concepts) -> np.ndarray:
@@ -133,27 +156,49 @@ def avg_embedding(table: EmbeddingTable, concepts) -> np.ndarray:
     ids = sorted(concepts)
     if not ids:
         raise ValueError("cannot average an empty concept set")
-    acc = np.zeros(table.dim, dtype=np.float64)
-    for cid in ids:
-        acc += table.vec(cid)
-    return acc / len(ids)
+    try:
+        rows = [table.row[cid] for cid in ids]
+    except KeyError as exc:
+        raise KeyError(f"no embedding for concept {exc.args[0]!r}") from None
+    return table.matrix[rows].sum(axis=0) / len(ids)
 
 
 def cosine(u, v) -> float:
     """Cosine similarity in [-1, 1]; zero-norm inputs return 0.0.
 
     Returning 0.0 for degenerate vectors avoids NaN propagation in
-    synthetic fixtures where averages can cancel exactly.
+    synthetic fixtures where averages can cancel exactly. Each input is
+    first divided by its largest magnitude, so squaring inside the norm
+    neither underflows nor overflows for very small or very large vectors.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    su = float(np.max(np.abs(u), initial=0.0))
+    sv = float(np.max(np.abs(v), initial=0.0))
+    if su == 0.0 or sv == 0.0:
+        return 0.0
+    u = u / su
+    v = v / sv
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def cosines(table: EmbeddingTable, rows, X: np.ndarray) -> np.ndarray:
+    """Cosine of table rows ``rows`` against each column of ``X`` (d, k).
+
+    One matrix product; the same clipping and zero-norm rule as ``cosine``.
+    Returns a ``(len(rows), k)`` array.
+    """
+    dots = table.matrix[rows] @ X
+    den = table.norms[rows][:, None] * np.linalg.norm(X, axis=0)
+    out = np.zeros_like(dots)
+    np.divide(dots, den, out=out, where=den != 0.0)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def group_vector(kg: KnowledgeGraph, table: EmbeddingTable, gid: str) -> np.ndarray:

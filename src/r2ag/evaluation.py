@@ -284,7 +284,6 @@ def evaluate_corpus(
     generated: list[dict],
     patients: list[PatientInput],
     kg: KnowledgeGraph,
-    jobs: int = 1,
 ) -> EvalReport:
     """Macro-average metric rows for every generated record.
 
@@ -312,13 +311,7 @@ def evaluate_corpus(
         pe.id = patient.id
         return pe
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one, generated))
-    else:
-        results = [_one(rec) for rec in generated]
+    results = [_one(rec) for rec in generated]
 
     per_patient = [pe for pe in results if pe is not None]
     skipped_patients = len(results) - len(per_patient)

@@ -127,6 +127,9 @@ def build_ground_truth(
 
 
 def patient_context(patient_text: str, kg: KnowledgeGraph, table: EmbeddingTable) -> PatientContext:
+    # the env indexes table rows with graph ints (see EmbeddingTable)
+    if table.ids[: len(kg.ids)] != kg.ids:
+        raise ValueError("embedding table rows do not follow the graph's concept order")
     ks = link_concepts(patient_text, kg)
     if not ks:
         raise UnlinkableInputError("no keyword concepts linked from input text")

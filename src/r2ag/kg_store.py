@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataFormatError
 
 CONCEPTS_HEADER = "id\tname\tgroup"
@@ -43,7 +45,15 @@ class RelationEdge:
 
 
 class KnowledgeGraph:
-    """Concept map, deduplicated edge list and derived adjacency indexes."""
+    """Concept map, deduplicated edge list and derived adjacency indexes.
+
+    Concepts are numbered once, in sorted-id order: ``ids[i]`` is concept
+    ``i`` and ``index`` maps back. Forward neighbours are stored in CSR
+    form, one slice per (source concept, destination group) pair: slot
+    ``i * len(groups) + g`` spans ``indptr[slot]:indptr[slot + 1]`` of
+    ``indices`` (destination ints) and ``labels`` (relation labels), in
+    sorted (label, id) order.
+    """
 
     def __init__(self, concepts: dict[str, Concept], edges: list[RelationEdge]):
         self.concepts = dict(concepts)
@@ -56,21 +66,31 @@ class KnowledgeGraph:
             nbrs.sort()
         self.adjacency = adjacency
 
+        self.ids: tuple[str, ...] = tuple(sorted(self.concepts))
+        self.index: dict[str, int] = {cid: i for i, cid in enumerate(self.ids)}
         members: dict[str, list[str]] = {}
-        for cid in sorted(self.concepts):
+        for cid in self.ids:
             members.setdefault(self.concepts[cid].group, []).append(cid)
         self.groups: dict[str, tuple[str, ...]] = {
             g: tuple(ids) for g, ids in sorted(members.items())
         }
+        self.group_index: dict[str, int] = {g: k for k, g in enumerate(self.groups)}
 
-        # per-concept neighbors bucketed by the destination's group
-        nbr_by_group: dict[str, dict[str, list[tuple[str, str]]]] = {}
+        n_groups = len(self.groups)
+        group_at = [self.group_index[self.concepts[cid].group] for cid in self.ids]
+        slots: list[tuple[int, str, int]] = []  # (slot, label, dst) per edge
         for cid, nbrs in adjacency.items():
-            per: dict[str, list[tuple[str, str]]] = {}
+            base = self.index[cid] * n_groups
             for label, dst in nbrs:
-                per.setdefault(self.concepts[dst].group, []).append((label, dst))
-            nbr_by_group[cid] = per
-        self._nbr_by_group = nbr_by_group
+                d = self.index[dst]
+                slots.append((base + group_at[d], label, d))
+        slots.sort()
+        self.indptr = np.searchsorted(
+            np.array([s for s, _, _ in slots], dtype=np.int64),
+            np.arange(len(self.ids) * n_groups + 1),
+        )
+        self.indices = np.array([d for _, _, d in slots], dtype=np.int64)
+        self.labels: list[str] = [label for _, label, _ in slots]
 
     def __contains__(self, cid: str) -> bool:
         return cid in self.concepts
@@ -84,16 +104,19 @@ class KnowledgeGraph:
     def all_groups(self) -> list[str]:
         return list(self.groups)
 
-    def concepts_in_group(self, gid: str) -> set[str]:
-        if gid not in self.groups:
-            raise KeyError(f"unknown semantic group {gid!r}")
-        return set(self.groups[gid])
-
     def group_members(self, gid: str) -> tuple[str, ...]:
-        """Sorted member ids; deterministic counterpart of concepts_in_group."""
+        """Sorted member ids of group ``gid``."""
         if gid not in self.groups:
             raise KeyError(f"unknown semantic group {gid!r}")
         return self.groups[gid]
+
+    def neighbor_slice(self, i: int, gid: str) -> tuple[int, int]:
+        """CSR bounds of concept ``i``'s forward neighbours in group ``gid``."""
+        g = self.group_index.get(gid)
+        if g is None:
+            return 0, 0
+        slot = i * len(self.groups) + g
+        return int(self.indptr[slot]), int(self.indptr[slot + 1])
 
     def neighbors_in_group(self, cid: str, gid: str) -> list[tuple[str, str]]:
         """Forward neighbors of ``cid`` inside group ``gid``.
@@ -102,7 +125,8 @@ class KnowledgeGraph:
         order.
         """
         self._concept(cid)
-        return list(self._nbr_by_group[cid].get(gid, ()))
+        lo, hi = self.neighbor_slice(self.index[cid], gid)
+        return [(self.labels[k], self.ids[self.indices[k]]) for k in range(lo, hi)]
 
     def _concept(self, cid: str) -> Concept:
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concept_linker import KeywordSet
-from .embeddings import EmbeddingTable, GroupVectorIndex, avg_embedding, cosine
+from .embeddings import EmbeddingTable, GroupVectorIndex, avg_embedding, cosines
 from .kg_store import KnowledgeGraph
 
 GROUP_LEAP = "group leap"
@@ -147,24 +147,17 @@ def connect(
     if pool is None:
         pool = candidate_pool(rs, kg, k_next)
     leaps: list[str | None] = [None] * len(rs.paths)
-    if not pool:
+    live = [idx for idx, frozen in enumerate(rs.frozen) if not frozen]
+    if not pool or not live:
         return leaps
-    cand_vecs = [(cid, table.vec(cid)) for cid in pool]
-    appended: list[str] = []
-    for idx, path in enumerate(rs.paths):
-        if rs.frozen[idx]:
-            continue
-        pavg = avg_embedding(table, path.distinct_concepts())
-        best_cid = None
-        best_score = -np.inf
-        for cid, vec in cand_vecs:
-            score = cosine(vec, pavg)
-            if score > best_score:
-                best_cid, best_score = cid, score
-        path.steps.append(PathStep(GROUP_LEAP, best_cid))
-        leaps[idx] = best_cid
-        appended.append(best_cid)
-    rs.explored.update(appended)
+    pavgs = np.stack(
+        [avg_embedding(table, rs.paths[idx].distinct_concepts()) for idx in live], axis=1
+    )
+    scores = cosines(table, [table.row[cid] for cid in pool], pavgs)
+    for idx, best in zip(live, np.argmax(scores, axis=0).tolist()):
+        rs.paths[idx].steps.append(PathStep(GROUP_LEAP, pool[best]))
+        leaps[idx] = pool[best]
+    rs.explored.update(leaps[idx] for idx in live)
     return leaps
 
 
@@ -180,23 +173,34 @@ def retrieve(
     ties -> smallest (label, id). A path whose tail has no neighbors in the
     current group freezes permanently.
     """
+    live: list[tuple[int, int, int]] = []  # (path index, CSR bounds)
     for idx, path in enumerate(rs.paths):
         if rs.frozen[idx]:
             continue
-        nbrs = kg.neighbors_in_group(path.tail(), rs.current_group)
-        if not nbrs:
+        lo, hi = kg.neighbor_slice(kg.index[path.tail()], rs.current_group)
+        if lo == hi:
             rs.frozen[idx] = True
-            continue
-        pavg = avg_embedding(table, path.distinct_concepts())
-        best = None
-        best_score = -np.inf
-        for label, cid in nbrs:  # sorted, so first strict max = smallest tie
-            vec = table.vec(cid)
-            score = 0.5 * (cosine(vec, sq_avg) + cosine(vec, pavg))
-            if score > best_score:
-                best, best_score = (label, cid), score
-        path.steps.append(PathStep(best[0], best[1]))
-        rs.explored.add(best[1])
+        else:
+            live.append((idx, lo, hi))
+    if not live:
+        return
+    # one product scores every live path's neighbours against the keyword
+    # average (column 0) and every path average (column p)
+    X = np.column_stack(
+        [sq_avg]
+        + [avg_embedding(table, rs.paths[idx].distinct_concepts()) for idx, _, _ in live]
+    )
+    cos = cosines(table, np.concatenate([kg.indices[lo:hi] for _, lo, hi in live]), X)
+    start = 0
+    for p, (idx, lo, hi) in enumerate(live, start=1):
+        seg = cos[start : start + hi - lo]
+        start += hi - lo
+        # the slice is in sorted (label, id) order and argmax takes the
+        # first maximum, so ties go to the smallest (label, id)
+        k = lo + int(np.argmax(0.5 * (seg[:, 0] + seg[:, p])))
+        cid = kg.ids[kg.indices[k]]
+        rs.paths[idx].steps.append(PathStep(kg.labels[k], cid))
+        rs.explored.add(cid)
 
 
 def step(

@@ -39,8 +39,12 @@ def tiny_table(tiny_kg):
 
 
 def direct_table(vectors: dict[str, list[float]]) -> EmbeddingTable:
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim, {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()})
+    """Table with the given (not re-normalized) rows in sorted-id order,
+    which is a graph's int order when the ids are that graph's concepts."""
+    ids = tuple(sorted(vectors))
+    return EmbeddingTable(
+        len(vectors[ids[0]]), ids, np.array([vectors[k] for k in ids], dtype=np.float64)
+    )
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from r2ag.cli import main
 from r2ag.policy_net import init_params, load_checkpoint
@@ -203,22 +204,27 @@ def test_retrieve_sampled_mode_is_seed_deterministic(tmp_path):
     assert (run / "s1.jsonl").read_bytes() == (run / "s2.jsonl").read_bytes()
 
 
-def test_file_embeddings_through_train_and_retrieve(tmp_path):
-    data = _synth(tmp_path)
-    # build an embedding file covering every concept in the synth graph
+def _embedding_file(tmp_path, data, dim):
+    """Random unit vectors for every concept in the synth graph."""
     ids = [
         line.split("\t")[0]
         for line in (data / "concepts.tsv").read_text().splitlines()[1:]
         if line
     ]
     rng = np.random.default_rng(0)
-    emb = tmp_path / "emb.tsv"
+    emb = tmp_path / f"emb{dim}.tsv"
     with open(emb, "w") as fh:
-        fh.write("dim=8\n")
+        fh.write(f"dim={dim}\n")
         for cid in ids:
-            vec = rng.standard_normal(8)
+            vec = rng.standard_normal(dim)
             vec /= np.linalg.norm(vec)
             fh.write(cid + "\t" + " ".join(repr(float(x)) for x in vec) + "\n")
+    return emb
+
+
+def test_file_embeddings_through_train_and_retrieve(tmp_path):
+    data = _synth(tmp_path)
+    emb = _embedding_file(tmp_path, data, 8)
     run = tmp_path / "run"
     assert main(
         ["--seed", "3", "train"] + _kg_args(data)
@@ -232,6 +238,24 @@ def test_file_embeddings_through_train_and_retrieve(tmp_path):
            "--out", str(run / "paths.jsonl"), "--embeddings", str(emb)]
     ) == 0
     assert (run / "paths.jsonl").read_text().strip()
+
+
+@pytest.mark.parametrize("command", ["retrieve", "generate"])
+def test_embedding_dimension_mismatch_with_checkpoint_exits_2(tmp_path, capsys, command):
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data)  # an 8-d checkpoint
+    emb = _embedding_file(tmp_path, data, 16)
+    rc = main(
+        ["--seed", "3", command] + _kg_args(data)
+        + ["--checkpoint", str(run / "checkpoint.json"),
+           "--corpus", str(data / "patients.jsonl"),
+           "--out", str(run / "out.jsonl"), "--embeddings", str(emb)]
+        + (["--stub"] if command == "generate" else [])
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "embedding dimension 16" in err and "dimension 8" in err
+    assert not (run / "out.jsonl").exists()
 
 
 def test_generate_max_paths_truncates_records(tmp_path):

@@ -87,14 +87,14 @@ def test_pseudo_embeddings_deterministic(two_group_kg):
     t1 = pseudo_embeddings(two_group_kg, 8, seed=3)
     t2 = pseudo_embeddings(two_group_kg, 8, seed=3)
     assert t1.dim == t2.dim
-    for cid in t1.vectors:
+    for cid in t1.ids:
         assert np.array_equal(t1.vec(cid), t2.vec(cid))
 
 
 def test_pseudo_embeddings_seed_changes_vectors(two_group_kg):
     t1 = pseudo_embeddings(two_group_kg, 8, seed=3)
     t2 = pseudo_embeddings(two_group_kg, 8, seed=4)
-    assert any(not np.array_equal(t1.vec(c), t2.vec(c)) for c in t1.vectors)
+    assert any(not np.array_equal(t1.vec(c), t2.vec(c)) for c in t1.ids)
 
 
 def test_pseudo_embeddings_unit_norm(two_group_kg):

@@ -77,7 +77,7 @@ def test_unknown_ids_raise_keyerror(tiny_kg):
     with pytest.raises(KeyError):
         tiny_kg.neighbors_in_group("ZZ", "Anatomy")
     with pytest.raises(KeyError):
-        tiny_kg.concepts_in_group("NoSuchGroup")
+        tiny_kg.group_members("NoSuchGroup")
 
 
 def test_neighbors_empty_without_out_edges(tiny_kg):
@@ -108,20 +108,20 @@ def test_neighbors_match_edge_list_scan():
 
 def test_group_partition_roundtrip(tiny_kg):
     for cid in tiny_kg.concepts:
-        assert cid in tiny_kg.concepts_in_group(tiny_kg.group_of(cid))
+        assert cid in tiny_kg.group_members(tiny_kg.group_of(cid))
 
 
 def test_groups_cover_all_concepts(tiny_kg):
     union = set()
     for gid in tiny_kg.all_groups():
-        union |= tiny_kg.concepts_in_group(gid)
+        union |= set(tiny_kg.group_members(gid))
     assert union == set(tiny_kg.concepts)
 
 
 def test_groups_pairwise_disjoint():
     rng = np.random.default_rng(9)
     kg = random_kg(rng, n_groups=4, per_group=8, p_intra=0.3, p_cross=0.1)
-    groups = [kg.concepts_in_group(g) for g in kg.all_groups()]
+    groups = [set(kg.group_members(g)) for g in kg.all_groups()]
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
             assert groups[i] & groups[j] == set()

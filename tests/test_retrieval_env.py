@@ -13,9 +13,15 @@ from helpers import (
     oracle_retrieve_choice,
 )
 
-from r2ag.embeddings import avg_embedding, group_vectors, pseudo_embeddings
+from r2ag.embeddings import (
+    avg_embedding,
+    group_vectors,
+    load_embeddings,
+    pseudo_embeddings,
+)
 from r2ag.retrieval_env import (
     GROUP_LEAP,
+    PathStep,
     action_space,
     candidate_pool,
     connect,
@@ -261,3 +267,94 @@ def test_path_dump_shape(env_kg, env_table):
     d = rs.paths[0].to_dict()
     assert d["origin"] == "A0"
     assert d["steps"][0] == {"label": "r1", "concept": "A1"}
+
+
+# exact ties: identical candidate vectors must score identically in the
+# batched product, so the first maximum in sorted order wins
+
+
+@pytest.mark.parametrize("tied", [(0, 1), (2, 7), (5, 8), (3, 11)])
+def test_retrieve_exact_tie_goes_to_smallest_label_then_id(tied):
+    # O has 12 neighbours in GB; two of them share the best vector
+    rng = np.random.default_rng(sum(tied))
+    nbrs = [(f"r{k // 4}", f"N{k:02d}") for k in range(12)]  # sorted (label, id)
+    vecs = {"O": [1.0, 0.0, 0.0, 0.0], "P": [0.9, 0.1, 0.0, 0.0]}
+    for k, (_, cid) in enumerate(nbrs):
+        vecs[cid] = [0.0, *rng.uniform(-1, 1, 3)]
+    best = [1.0, 0.3, -0.2, 0.1]
+    for k in tied:
+        vecs[nbrs[k][1]] = list(best)
+    concepts = [("O", "o", "GB"), ("P", "p", "GA")]
+    concepts += [(cid, cid.lower(), "GB") for _, cid in nbrs]
+    edges = [("O", label, cid) for label, cid in reversed(nbrs)]
+    edges += [("N00", "q", "N05"), ("N00", "q", "N06")]
+    kg = make_kg(concepts, edges)
+    table = direct_table(vecs)
+    # N00's path is scored in the same product, ahead of O's
+    ks = ks_of(kg, ["N00", "O"])
+    rs = init_rollout(ks, kg, "GB", "GA", max_steps=2)
+    sq = _sq_avg(table, ks)
+    before = copy.deepcopy(rs.paths)
+    retrieve(rs, kg, table, sq)
+    assert rs.frozen == [False, False]
+    for prior, path in zip(before, rs.paths):
+        got = (path.steps[-1].label, path.steps[-1].concept)
+        assert got == oracle_retrieve_choice(
+            table, prior, kg.neighbors_in_group(prior.origin, "GB"), sq
+        )
+    assert rs.paths[1].steps[-1] == PathStep(*nbrs[tied[0]])
+
+
+@pytest.mark.parametrize("tied", [(0, 1), (1, 6), (4, 9)])
+def test_connect_exact_tie_goes_to_smallest_id(tied):
+    rng = np.random.default_rng(10 + sum(tied))
+    pool_ids = [f"B{k:02d}" for k in range(10)]
+    vecs = {"A0": [1.0, 0.5, 0.0], "A1": [0.2, 1.0, 0.3]}
+    for cid in pool_ids:
+        vecs[cid] = [-1.0, *rng.uniform(-1, 1, 2)]
+    for k in tied:
+        vecs[pool_ids[k]] = [1.0, 0.7, 0.1]
+    concepts = [("A0", "a0", "GA"), ("A1", "a1", "GA")]
+    concepts += [(cid, cid.lower(), "GB") for cid in pool_ids]
+    kg = make_kg(concepts, [])
+    table = direct_table(vecs)
+    rs = init_rollout(ks_of(kg, ["A0", "A1", *pool_ids]), kg, "GA", "GB", max_steps=1)
+    pool = candidate_pool(rs, kg, "GB")
+    assert pool == pool_ids
+    before = copy.deepcopy(rs.paths)
+    leaps = connect(rs, kg, table, "GB", pool)
+    assert leaps[0] == pool_ids[tied[0]]
+    for prior, leap in zip(before, leaps):
+        assert leap == oracle_connect_choice(table, prior, pool)
+
+
+def test_file_table_with_extra_rows_scores_like_one_without(tmp_path, env_kg):
+    rng = np.random.default_rng(4)
+    rows = {cid: rng.standard_normal(8) for cid in env_kg.ids}
+    extra = {"AAA": rng.standard_normal(8), "ZZZ": rng.standard_normal(8)}
+
+    def write(name, items):
+        path = tmp_path / name
+        path.write_text(
+            "dim=8\n"
+            + "".join(f"{cid}\t{' '.join(repr(float(x)) for x in v)}\n" for cid, v in items)
+        )
+        return load_embeddings(path, env_kg)
+
+    plain = write("plain.tsv", sorted(rows.items()))
+    # extra ids first in the file, graph rows in reverse order
+    padded = write("padded.tsv", [*extra.items(), *reversed(sorted(rows.items()))])
+    n = len(env_kg.ids)
+    assert padded.ids == env_kg.ids + ("AAA", "ZZZ")
+    assert np.array_equal(padded.matrix[:n], plain.matrix)
+    assert np.array_equal(padded.vec("AAA"), extra["AAA"] / np.linalg.norm(extra["AAA"]))
+
+    def run(table):
+        ks = ks_of(env_kg, ["A0", "A2", "B0", "B3"])
+        rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=6)
+        sq = _sq_avg(table, ks)
+        for a in ["GA", "GB", "GB", "GA", "GB", "GA"]:
+            step(rs, a, env_kg, table, sq)
+        return rs.paths
+
+    assert run(padded) == run(plain)
