@@ -9,6 +9,7 @@ files carry no timestamps, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -53,21 +54,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# dataclass fields whose option has a shorter name
+_OPTION_NAME = {"timeout_s": "timeout", "max_retries": "retries"}
+
+
+def _field_defaults(cls) -> dict:
+    """Field defaults of dataclass ``cls`` keyed by option name; its
+    ``seed`` comes from --seed instead."""
+    return {
+        _OPTION_NAME.get(f.name, f.name): f.default
+        for f in dataclasses.fields(cls)
+        if f.name != "seed"
+    }
+
+
+_TRAIN_DEFAULTS = _field_defaults(TrainConfig)
+
 DEFAULTS: dict[str, dict] = {
-    "synth": {
-        "groups": 15, "concepts_per_group": 50, "p_intra": 0.08, "p_cross": 0.01,
-        "patients": 50, "keywords_per_patient": 8, "gt_per_patient": 10, "skew": 0.9,
-    },
+    "synth": _field_defaults(SynthSpec),
     "validate": {},
-    "train": {
-        "embed_dim": 32, "epochs": 1, "max_steps": 5, "gamma": 0.1,
-        "reward_weight": 10.0, "group_size": 4, "lr": 1e-3,
-    },
-    "retrieve": {"max_steps": 5, "sample": False},
+    "train": {**_TRAIN_DEFAULTS, "embed_dim": 32},
+    "retrieve": {"max_steps": _TRAIN_DEFAULTS["max_steps"], "sample": False},
     "generate": {
-        "max_steps": 5, "stub": False, "endpoint": "", "model": "local-model",
-        "temperature": 0.0, "max_tokens": 512, "timeout": 30.0, "retries": 2,
-        "auth_env": "R2AG_API_KEY", "max_paths": None, "prompt_template": None,
+        **_field_defaults(GeneratorConfig),
+        "max_steps": _TRAIN_DEFAULTS["max_steps"], "stub": False,
+        "max_paths": None, "prompt_template": None,
     },
     "eval": {},
 }
@@ -353,8 +364,8 @@ def cmd_retrieve(args, opts: _Options) -> int:
     for patient in corpus:
         try:
             paths = retrieve_for_patient(
-                params, patient, kg, table,
-                max_steps=max_steps, greedy=not sample, rng=rng, gv=gv,
+                params, patient, kg, table, gv,
+                max_steps=max_steps, greedy=not sample, rng=rng,
             )
         except UnlinkableInputError:
             if only is not None:
@@ -394,9 +405,7 @@ def cmd_generate(args, opts: _Options) -> int:
     skipped = 0
     for patient in corpus:
         try:
-            paths = retrieve_for_patient(
-                params, patient, kg, table, max_steps=max_steps, gv=gv
-            )
+            paths = retrieve_for_patient(params, patient, kg, table, gv, max_steps=max_steps)
         except UnlinkableInputError:
             skipped += 1
             logger.warning("skipping unlinkable patient %s", patient.id)
@@ -483,6 +492,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
         config = _load_config(args.config)
         opts = _Options(args, config, args.command)
         return _HANDLERS[args.command](args, opts)

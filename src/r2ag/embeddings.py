@@ -201,28 +201,13 @@ def cosines(table: EmbeddingTable, rows, X: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0, out=out)
 
 
-def group_vector(kg: KnowledgeGraph, table: EmbeddingTable, gid: str) -> np.ndarray:
-    """[mean-pool || max-pool] over the group's member vectors (length 2d)."""
-    members = kg.group_members(gid)
-    if not members:
-        raise ValueError(f"group {gid!r} has no members")
-    rows = np.stack([table.vec(cid) for cid in members])
-    return np.concatenate([rows.mean(axis=0), rows.max(axis=0)])
+def group_vectors(kg: KnowledgeGraph, table: EmbeddingTable) -> np.ndarray:
+    """[mean-pool || max-pool] over each group's member vectors.
 
-
-@dataclass
-class GroupVectorIndex:
-    """All group vectors stacked for fast action-matrix assembly."""
-
-    groups: tuple[str, ...]
-    matrix: np.ndarray  # (n_groups, 2d), row order matches `groups`
-    row: dict[str, int]
-
-    def vec(self, gid: str) -> np.ndarray:
-        return self.matrix[self.row[gid]]
-
-
-def group_vectors(kg: KnowledgeGraph, table: EmbeddingTable) -> GroupVectorIndex:
-    groups = tuple(kg.all_groups())
-    matrix = np.stack([group_vector(kg, table, g) for g in groups])
-    return GroupVectorIndex(groups, matrix, {g: i for i, g in enumerate(groups)})
+    One row per group in ``kg.group_index`` order: shape ``(n_groups, 2d)``.
+    """
+    pooled = []
+    for members in kg.groups.values():
+        rows = np.stack([table.vec(cid) for cid in members])
+        pooled.append(np.concatenate([rows.mean(axis=0), rows.max(axis=0)]))
+    return np.stack(pooled)

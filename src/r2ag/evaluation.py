@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .concept_linker import PatientInput, link_concepts
 from .errors import DataFormatError
@@ -158,17 +158,6 @@ class CeMacro:
     rows: int = 0
     skipped: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "jaccard": self.jaccard,
-            "hamming_loss": self.hamming_loss,
-            "rows": self.rows,
-            "skipped": self.skipped,
-        }
-
 
 @dataclass
 class NlgMacro:
@@ -178,16 +167,6 @@ class NlgMacro:
     bleu1: float = 0.0
     bleu2: float = 0.0
     rows: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "rouge1": self.rouge1,
-            "rouge2": self.rouge2,
-            "rougeL": self.rougeL,
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "rows": self.rows,
-        }
 
 
 @dataclass
@@ -208,8 +187,8 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "ce": {"ngram": self.ce_ngram.to_dict(), "concept": self.ce_concept.to_dict()},
-            "nlg": self.nlg.to_dict(),
+            "ce": {"ngram": asdict(self.ce_ngram), "concept": asdict(self.ce_concept)},
+            "nlg": asdict(self.nlg),
             "patients": len(self.per_patient),
             "skipped_patients": self.skipped_patients,
         }

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 import requests
 
 from .concept_linker import PatientInput
-from .embeddings import EmbeddingTable, group_vectors
+from .embeddings import EmbeddingTable
 from .errors import (
     DataFormatError,
     EndpointNetworkError,
@@ -27,7 +26,7 @@ from .errors import (
     EndpointStatusError,
     EndpointTimeoutError,
 )
-from .gro_trainer import PatientContext, patient_context, run_rollout
+from .gro_trainer import patient_context, run_rollout
 from .kg_store import KnowledgeGraph
 from .policy_net import PolicyParams, greedy_action, sample_action
 from .retrieval_env import ReasoningPath
@@ -74,6 +73,7 @@ class PromptBundle:
     patient_text: str
     path_block: str  # one rendered line per path; "" when retrieval is off
     instruction: str
+    concept_names: tuple[str, ...]  # path concept names, deduped in path order
 
     def user_message(self) -> str:
         parts = ["Pre-admission information:", self.patient_text.strip(), ""]
@@ -123,11 +123,13 @@ def build_prompt_bundle(
     tpl = template or DEFAULT_TEMPLATE
     use = select_paths(paths, max_paths)
     block = render_paths(use, kg) if use else ""
+    names = dict.fromkeys(kg.name_of(st.concept) for path in use for st in path.steps)
     return PromptBundle(
         system=tpl["system"],
         patient_text=patient.pre_admission,
         path_block=block,
         instruction=tpl["instruction"],
+        concept_names=tuple(names),
     )
 
 
@@ -150,17 +152,16 @@ def retrieve_for_patient(
     patient: PatientInput,
     kg: KnowledgeGraph,
     table: EmbeddingTable,
+    gv: np.ndarray,
     max_steps: int = 5,
     greedy: bool = True,
     rng: np.random.Generator | None = None,
-    gv=None,
-    ctx: PatientContext | None = None,
 ) -> list[ReasoningPath]:
-    """One inference rollout (greedy by default; sampled behind a flag)."""
-    if ctx is None:
-        ctx = patient_context(patient.pre_admission, kg, table)
-    if gv is None:
-        gv = group_vectors(kg, table)
+    """One inference rollout (greedy by default; sampled behind a flag).
+
+    ``gv`` is ``group_vectors(kg, table)``, built once per table.
+    """
+    ctx = patient_context(patient.pre_admission, kg, table)
     if greedy:
         select = greedy_action
     else:
@@ -171,34 +172,14 @@ def retrieve_for_patient(
     return rec.paths
 
 
-_SEGMENT_SPLIT_RE = re.compile(r" --.+?--> ")
-_NAME_RE = re.compile(r"^(.*) \[[^\]]+\]$")
-
-
-def path_concept_names(path_block: str) -> list[str]:
-    """Concept names appearing in a rendered block, deduped in order."""
-    names: list[str] = []
-    seen: set[str] = set()
-    for line in path_block.splitlines():
-        for segment in _SEGMENT_SPLIT_RE.split(line):
-            m = _NAME_RE.match(segment.strip())
-            if m:
-                name = m.group(1)
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
-    return names
-
-
 def stub_generate(bundle: PromptBundle) -> str:
     """Offline test double: echo path concept names and the first sentence."""
-    names = path_concept_names(bundle.path_block)
     first = bundle.patient_text.split(".")[0].strip()
     parts = ["Discharge summary."]
     if first:
         parts.append(f"Admission noted: {first}.")
-    if names:
-        parts.append("Hospital course addressed " + ", ".join(names) + ".")
+    if bundle.concept_names:
+        parts.append("Hospital course addressed " + ", ".join(bundle.concept_names) + ".")
     return " ".join(parts)
 
 

@@ -25,7 +25,7 @@ from .concept_linker import (
     link_concepts,
     scarce_group,
 )
-from .embeddings import EmbeddingTable, GroupVectorIndex, avg_embedding, cosine, group_vectors
+from .embeddings import EmbeddingTable, avg_embedding, cosine, group_vectors
 from .errors import MissingReferenceError, NoTrainablePatientsError, UnlinkableInputError
 from .kg_store import KnowledgeGraph
 from .policy_net import (
@@ -40,7 +40,7 @@ from .policy_net import (
 from .retrieval_env import (
     ReasoningPath,
     RolloutState,
-    action_space,
+    action_matrix,
     group_state,
     init_rollout,
     raw_concept_avg,
@@ -146,19 +146,26 @@ def run_rollout(
     ctx: PatientContext,
     kg: KnowledgeGraph,
     table: EmbeddingTable,
-    gv: GroupVectorIndex,
+    gv: np.ndarray,
     max_steps: int,
     select,
 ) -> RolloutRecord:
-    """Drive one rollout; ``select(dist) -> action index`` picks each group."""
+    """Drive one rollout; ``select(dist) -> action index`` picks each group.
+
+    ``gv`` is ``group_vectors(kg, table)``; action ``a`` is group
+    ``kg.all_groups()[a]``.
+    """
     rs = init_rollout(ctx.keyword_set, kg, ctx.k_init, ctx.k_scarce, max_steps)
+    groups = kg.all_groups()
     actions: list[int] = []
     caches: list[ForwardCache] = []
     for _ in range(max_steps):
-        space = action_space(rs, gv)
-        cache = forward(params, group_state(rs, gv), raw_concept_avg(rs, table), space.matrix)
+        cache = forward(
+            params, group_state(rs, kg, gv), raw_concept_avg(rs, table),
+            action_matrix(rs, kg, gv),
+        )
         a = select(cache.dist)
-        step(rs, space.groups[a], kg, table, ctx.sq_avg)
+        step(rs, groups[a], kg, table, ctx.sq_avg)
         actions.append(a)
         caches.append(cache)
     return RolloutRecord(actions, caches, rs.paths, rs)
@@ -211,7 +218,7 @@ def train_patient(
     table: EmbeddingTable,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    gv: GroupVectorIndex | None = None,
+    gv: np.ndarray,
     keep_records: bool = False,
 ) -> PatientUpdate:
     """Sample G rollouts for one patient and accumulate the policy gradient."""
@@ -219,8 +226,6 @@ def train_patient(
         raise MissingReferenceError(f"patient {patient.id!r} has no reference text")
     ctx = patient_context(patient.pre_admission, kg, table)
     gt = build_ground_truth(patient.reference, kg, table)
-    if gv is None:
-        gv = group_vectors(kg, table)
 
     records = [
         run_rollout(

@@ -45,26 +45,21 @@ class RelationEdge:
 
 
 class KnowledgeGraph:
-    """Concept map, deduplicated edge list and derived adjacency indexes.
+    """Concept map, deduplicated edge list and the CSR neighbour index.
 
     Concepts are numbered once, in sorted-id order: ``ids[i]`` is concept
     ``i`` and ``index`` maps back. Forward neighbours are stored in CSR
     form, one slice per (source concept, destination group) pair: slot
     ``i * len(groups) + g`` spans ``indptr[slot]:indptr[slot + 1]`` of
     ``indices`` (destination ints) and ``labels`` (relation labels), in
-    sorted (label, id) order.
+    sorted (label, id) order. Slots of one source are adjacent, so with
+    ``G = len(groups)`` concept ``i``'s neighbours in every group span
+    ``indptr[i * G]:indptr[(i + 1) * G]``.
     """
 
     def __init__(self, concepts: dict[str, Concept], edges: list[RelationEdge]):
         self.concepts = dict(concepts)
         self.edges = list(edges)
-
-        adjacency: dict[str, list[tuple[str, str]]] = {c: [] for c in self.concepts}
-        for e in self.edges:
-            adjacency[e.src].append((e.label, e.dst))
-        for nbrs in adjacency.values():
-            nbrs.sort()
-        self.adjacency = adjacency
 
         self.ids: tuple[str, ...] = tuple(sorted(self.concepts))
         self.index: dict[str, int] = {cid: i for i, cid in enumerate(self.ids)}
@@ -79,11 +74,9 @@ class KnowledgeGraph:
         n_groups = len(self.groups)
         group_at = [self.group_index[self.concepts[cid].group] for cid in self.ids]
         slots: list[tuple[int, str, int]] = []  # (slot, label, dst) per edge
-        for cid, nbrs in adjacency.items():
-            base = self.index[cid] * n_groups
-            for label, dst in nbrs:
-                d = self.index[dst]
-                slots.append((base + group_at[d], label, d))
+        for e in self.edges:
+            d = self.index[e.dst]
+            slots.append((self.index[e.src] * n_groups + group_at[d], e.label, d))
         slots.sort()
         self.indptr = np.searchsorted(
             np.array([s for s, _, _ in slots], dtype=np.int64),

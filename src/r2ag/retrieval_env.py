@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concept_linker import KeywordSet
-from .embeddings import EmbeddingTable, GroupVectorIndex, avg_embedding, cosines
+from .embeddings import EmbeddingTable, avg_embedding, cosines
 from .kg_store import KnowledgeGraph
 
 GROUP_LEAP = "group leap"
@@ -67,14 +67,6 @@ class RolloutState:
     frozen: list[bool] = field(default_factory=list)
 
 
-@dataclass
-class ActionSpace:
-    """All groups in fixed order with rows [current-group || candidate]."""
-
-    groups: tuple[str, ...]
-    matrix: np.ndarray  # (n_groups, 4d)
-
-
 def init_rollout(
     ks: KeywordSet,
     kg: KnowledgeGraph,
@@ -104,15 +96,18 @@ def init_rollout(
     )
 
 
-def action_space(rs: RolloutState, gv: GroupVectorIndex) -> ActionSpace:
-    cur = gv.vec(rs.current_group)
-    tiled = np.broadcast_to(cur, gv.matrix.shape)
-    return ActionSpace(gv.groups, np.concatenate([tiled, gv.matrix], axis=1))
+def action_matrix(rs: RolloutState, kg: KnowledgeGraph, gv: np.ndarray) -> np.ndarray:
+    """Rows [current-group vector || candidate-group vector], one per group
+    in ``kg.group_index`` order; ``gv`` is ``group_vectors(kg, table)``."""
+    cur = gv[kg.group_index[rs.current_group]]
+    return np.concatenate([np.broadcast_to(cur, gv.shape), gv], axis=1)
 
 
-def group_state(rs: RolloutState, gv: GroupVectorIndex) -> np.ndarray:
+def group_state(rs: RolloutState, kg: KnowledgeGraph, gv: np.ndarray) -> np.ndarray:
     """[current-group vector || scarce-group vector], length 4d."""
-    return np.concatenate([gv.vec(rs.current_group), gv.vec(rs.scarce_group)])
+    return np.concatenate(
+        [gv[kg.group_index[rs.current_group]], gv[kg.group_index[rs.scarce_group]]]
+    )
 
 
 def raw_concept_avg(rs: RolloutState, table: EmbeddingTable) -> np.ndarray:

@@ -153,19 +153,18 @@ def gen_kg(spec: SynthSpec, out_dir) -> tuple[Path, Path]:
 
 
 def _bfs(kg: KnowledgeGraph, starts, depth: int) -> set[str]:
-    seen = set(starts)
-    frontier = set(starts)
+    """Ids within ``depth`` forward hops of ``starts``, walked over the CSR."""
+    # plain lists: per-node NumPy slices cost more than one conversion
+    bounds = kg.indptr[:: len(kg.groups)].tolist()
+    nbrs = kg.indices.tolist()
+    seen = {kg.index[cid] for cid in starts}
+    frontier = seen
     for _ in range(depth):
-        nxt: set[str] = set()
-        for cid in frontier:
-            for _, dst in kg.adjacency[cid]:
-                if dst not in seen:
-                    seen.add(dst)
-                    nxt.add(dst)
-        frontier = nxt
+        frontier = {d for i in frontier for d in nbrs[bounds[i] : bounds[i + 1]]} - seen
         if not frontier:
             break
-    return seen
+        seen |= frontier
+    return {kg.ids[i] for i in seen}
 
 
 def _sample(rng: np.random.Generator, pool: list[str], k: int) -> list[str]:

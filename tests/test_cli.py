@@ -132,6 +132,15 @@ def test_unknown_command_exits_1():
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_1(tmp_path, capsys, jobs):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    assert main(["--jobs", jobs, "validate"] + _kg_args(data)) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--jobs" in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(
         ["validate", "--concepts", str(tmp_path / "nope.tsv"),

@@ -203,8 +203,8 @@ def test_evaluate_corpus_macro_permutation_invariant():
     ]
     r1 = evaluate_corpus(generated, patients, kg)
     r2 = evaluate_corpus(list(reversed(generated)), patients, kg)
-    assert r1.ce_ngram.to_dict() == r2.ce_ngram.to_dict()
-    assert r1.nlg.to_dict() == r2.nlg.to_dict()
+    assert r1.ce_ngram == r2.ce_ngram
+    assert r1.nlg == r2.nlg
 
 
 def test_evaluate_corpus_id_mismatch():

@@ -6,7 +6,7 @@ import pytest
 from helpers import MockEndpoint, make_kg
 
 from r2ag.concept_linker import PatientInput
-from r2ag.embeddings import pseudo_embeddings
+from r2ag.embeddings import group_vectors, pseudo_embeddings
 from r2ag.errors import (
     EndpointNetworkError,
     EndpointResponseError,
@@ -20,7 +20,6 @@ from r2ag.generation import (
     PromptBundle,
     build_prompt_bundle,
     generate,
-    path_concept_names,
     render_paths,
     retrieve_for_patient,
     stub_generate,
@@ -121,13 +120,32 @@ def test_custom_template_file_overrides_default(render_kg, tmp_path):
         load_template(bad)
 
 
-def test_path_concept_names_parses_rendered_block(render_kg):
+def test_bundle_concept_names_deduped_in_path_order(render_kg):
     paths = [
         _mk_path("A1", (GROUP_LEAP, "D1"), ("causes", "D2")),
         _mk_path("D1"),
     ]
-    block = render_paths(paths, render_kg)
-    assert path_concept_names(block) == ["aspirin", "chest pain", "cough"]
+    bundle = build_prompt_bundle(PatientInput("P", "Text."), paths, render_kg)
+    assert bundle.concept_names == ("aspirin", "chest pain", "cough")
+    assert build_prompt_bundle(PatientInput("P", "Text."), [], render_kg).concept_names == ()
+
+
+def test_stub_echoes_names_that_look_like_rendered_syntax():
+    # a name holding an arrow or a bracket tag is echoed whole, not split
+    kg = make_kg(
+        [("A1", "left --x--> right", "Drugs"), ("D1", "pain [acute]", "Disorders")],
+        [("A1", "causes", "D1")],
+    )
+    bundle = build_prompt_bundle(
+        PatientInput("P", "Seen today."), [_mk_path("A1", ("causes", "D1"))], kg
+    )
+    assert bundle.path_block == (
+        "left --x--> right [Drugs] --causes--> pain [acute] [Disorders]"
+    )
+    assert stub_generate(bundle) == (
+        "Discharge summary. Admission noted: Seen today. "
+        "Hospital course addressed left --x--> right, pain [acute]."
+    )
 
 
 def test_stub_contains_every_path_concept_name(render_kg):
@@ -165,13 +183,13 @@ def inference_setup(tiny_kg):
 
     params = init_params(8, seed=3)
     patient = PatientInput("P", "cough and chest pain with fatigue")
-    return params, patient, tiny_kg, table
+    return params, patient, tiny_kg, table, group_vectors(tiny_kg, table)
 
 
 def test_retrieve_for_patient_deterministic(inference_setup):
-    params, patient, kg, table = inference_setup
-    a = retrieve_for_patient(params, patient, kg, table, max_steps=4)
-    b = retrieve_for_patient(params, patient, kg, table, max_steps=4)
+    params, patient, kg, table, gv = inference_setup
+    a = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
+    b = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
     assert a == b
     assert len(a) == 3  # one path per keyword in the dominant group
 
@@ -180,8 +198,8 @@ def test_retrieve_for_patient_golden_trace(inference_setup):
     # hand-checked: every hop below is the tail's only Disorders neighbor,
     # D4 has none (freezes immediately), and leaps to Anatomy degenerate
     # because no keyword or path concept lies there
-    params, patient, kg, table = inference_setup
-    paths = retrieve_for_patient(params, patient, kg, table, max_steps=4)
+    params, patient, kg, table, gv = inference_setup
+    paths = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
     assert [p.to_dict() for p in paths] == [
         {"origin": "D3", "steps": [{"label": "finding_of", "concept": "D4"}]},
         {"origin": "D1", "steps": [
@@ -193,8 +211,8 @@ def test_retrieve_for_patient_golden_trace(inference_setup):
 
 
 def test_retrieve_for_patient_paths_are_valid(inference_setup):
-    params, patient, kg, table = inference_setup
-    paths = retrieve_for_patient(params, patient, kg, table, max_steps=4)
+    params, patient, kg, table, gv = inference_setup
+    paths = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
     edge_set = {(e.src, e.label, e.dst) for e in kg.edges}
     for path in paths:
         assert path.steps[0].label is None
@@ -206,27 +224,28 @@ def test_retrieve_for_patient_paths_are_valid(inference_setup):
 
 
 def test_retrieve_for_patient_unlinkable_raises(inference_setup):
-    params, _, kg, table = inference_setup
+    params, _, kg, table, gv = inference_setup
     with pytest.raises(UnlinkableInputError):
         retrieve_for_patient(
-            params, PatientInput("P", "nothing matches here"), kg, table
+            params, PatientInput("P", "nothing matches here"), kg, table, gv
         )
 
 
 def test_retrieve_for_patient_sampled_mode(inference_setup):
-    params, patient, kg, table = inference_setup
+    params, patient, kg, table, gv = inference_setup
     rng = np.random.default_rng(0)
     paths = retrieve_for_patient(
-        params, patient, kg, table, max_steps=4, greedy=False, rng=rng
+        params, patient, kg, table, gv, max_steps=4, greedy=False, rng=rng
     )
     assert paths
     with pytest.raises(ValueError):
-        retrieve_for_patient(params, patient, kg, table, greedy=False, rng=None)
+        retrieve_for_patient(params, patient, kg, table, gv, greedy=False, rng=None)
 
 
 def _bundle():
     return PromptBundle(
-        system="sys", patient_text="Patient text.", path_block="", instruction="write"
+        system="sys", patient_text="Patient text.", path_block="", instruction="write",
+        concept_names=(),
     )
 
 

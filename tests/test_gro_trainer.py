@@ -240,7 +240,8 @@ def test_train_patient_gamma_zero_uses_only_final_step(
     params = init_params(trainer_table.dim, seed=5)
     rng = np.random.default_rng(7)
     upd = train_patient(
-        params, trainer_patient, trainer_kg, trainer_table, cfg, rng, keep_records=True
+        params, trainer_patient, trainer_kg, trainer_table, cfg, rng,
+        group_vectors(trainer_kg, trainer_table), keep_records=True,
     )
     from r2ag.policy_net import GradientBundle, logprob_backward
 
@@ -310,7 +311,7 @@ def test_train_patient_requires_reference(trainer_kg, trainer_table):
     with pytest.raises(MissingReferenceError):
         train_patient(
             init_params(trainer_table.dim, 0), patient, trainer_kg, trainer_table,
-            cfg, np.random.default_rng(0),
+            cfg, np.random.default_rng(0), group_vectors(trainer_kg, trainer_table),
         )
 
 
@@ -320,7 +321,7 @@ def test_train_patient_requires_keywords(trainer_kg, trainer_table):
     with pytest.raises(UnlinkableInputError):
         train_patient(
             init_params(trainer_table.dim, 0), patient, trainer_kg, trainer_table,
-            cfg, np.random.default_rng(0),
+            cfg, np.random.default_rng(0), group_vectors(trainer_kg, trainer_table),
         )
 
 

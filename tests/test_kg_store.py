@@ -127,13 +127,22 @@ def test_groups_pairwise_disjoint():
             assert groups[i] & groups[j] == set()
 
 
-def test_adjacency_flattens_back_to_edge_list(tiny_kg):
-    flattened = sorted(
-        (src, label, dst)
-        for src, nbrs in tiny_kg.adjacency.items()
-        for label, dst in nbrs
-    )
-    assert flattened == sorted((e.src, e.label, e.dst) for e in tiny_kg.edges)
+def test_csr_slices_flatten_back_to_edge_list(tiny_kg):
+    rng = np.random.default_rng(5)
+    random_graph = random_kg(rng, n_groups=4, per_group=10, p_intra=0.3, p_cross=0.05)
+    for kg in (tiny_kg, random_graph):
+        n_groups = len(kg.groups)
+        flattened = []
+        for i, src in enumerate(kg.ids):
+            for g, gid in enumerate(kg.groups):
+                lo, hi = int(kg.indptr[i * n_groups + g]), int(kg.indptr[i * n_groups + g + 1])
+                assert kg.neighbor_slice(i, gid) == (lo, hi)
+                block = [(kg.labels[k], kg.ids[kg.indices[k]]) for k in range(lo, hi)]
+                assert block == sorted(block)
+                assert all(kg.group_of(dst) == gid for _, dst in block)
+                flattened.extend((src, label, dst) for label, dst in block)
+        assert len(flattened) == len(kg.edges)
+        assert sorted(flattened) == sorted((e.src, e.label, e.dst) for e in kg.edges)
 
 
 def test_load_is_deterministic(write_kg):
@@ -148,7 +157,10 @@ def test_load_is_deterministic(write_kg):
     assert list(kg1.concepts) == list(kg2.concepts)
     assert kg1.edges == kg2.edges
     assert kg1.groups == kg2.groups
-    assert kg1.adjacency == kg2.adjacency
+    assert kg1.ids == kg2.ids
+    assert np.array_equal(kg1.indptr, kg2.indptr)
+    assert np.array_equal(kg1.indices, kg2.indices)
+    assert kg1.labels == kg2.labels
 
 
 def test_normalize_name():

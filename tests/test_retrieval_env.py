@@ -22,7 +22,7 @@ from r2ag.embeddings import (
 from r2ag.retrieval_env import (
     GROUP_LEAP,
     PathStep,
-    action_space,
+    action_matrix,
     candidate_pool,
     connect,
     group_state,
@@ -89,7 +89,7 @@ def test_group_state_identical_halves_when_scarce_is_current():
     gv = group_vectors(kg, table)
     ks = ks_of(kg, ["P"])
     rs = init_rollout(ks, kg, "X", "X", max_steps=1)
-    s = group_state(rs, gv)
+    s = group_state(rs, kg, gv)
     assert np.array_equal(s[:4], s[4:])
 
 
@@ -99,7 +99,7 @@ def test_group_state_manual_concatenation():
     gv = group_vectors(kg, table)
     ks = ks_of(kg, ["P"])
     rs = init_rollout(ks, kg, "X", "Y", max_steps=1)
-    s = group_state(rs, gv)
+    s = group_state(rs, kg, gv)
     # groups are singletons: group vec = [member || member]
     assert np.allclose(s, [1, 0, 1, 0, 0, 1, 0, 1])
     assert s.shape == (8,)
@@ -222,16 +222,16 @@ def test_full_episode_explored_equals_union(env_kg, env_table):
         step(rs, "GA", env_kg, env_table, sq)
 
 
-def test_action_space_covers_all_groups(env_kg, env_table):
+def test_action_matrix_covers_all_groups(env_kg, env_table):
     gv = group_vectors(env_kg, env_table)
     ks = ks_of(env_kg, ["A0"])
     rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    space = action_space(rs, gv)
-    assert space.groups == ("GA", "GB", "GZ")
-    assert space.matrix.shape == (3, 4 * env_table.dim)
-    for i, gid in enumerate(space.groups):
-        assert np.array_equal(space.matrix[i, : 2 * env_table.dim], gv.vec("GA"))
-        assert np.array_equal(space.matrix[i, 2 * env_table.dim :], gv.vec(gid))
+    actions = action_matrix(rs, env_kg, gv)
+    assert env_kg.all_groups() == ["GA", "GB", "GZ"]
+    assert actions.shape == (3, 4 * env_table.dim)
+    for i, gid in enumerate(env_kg.all_groups()):
+        assert np.array_equal(actions[i, : 2 * env_table.dim], gv[env_kg.group_index["GA"]])
+        assert np.array_equal(actions[i, 2 * env_table.dim :], gv[env_kg.group_index[gid]])
 
 
 def test_rollout_is_deterministic(env_kg, env_table):

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+
+from helpers import random_kg
 
 from r2ag.concept_linker import initial_group, link_concepts, load_corpus
 from r2ag.kg_store import load_kg
-from r2ag.synthetic_data import REACH_HOPS, SynthSpec, gen_corpus, gen_kg
+from r2ag.synthetic_data import REACH_HOPS, SynthSpec, _bfs, gen_corpus, gen_kg
 
 
 SMALL = dict(
@@ -159,3 +162,16 @@ def test_corpus_rejects_mismatched_graph(tmp_path):
     other = SynthSpec(**{**SMALL, "groups": 5, "seed": 0})
     with pytest.raises(ValueError, match="groups"):
         gen_corpus(other, kg, tmp_path / "x.jsonl")
+
+
+def test_bfs_matches_brute_force_reach():
+    # reach after h hops = reach after h-1 hops plus every edge target
+    # leaving it, recomputed from the raw edge list
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        kg = random_kg(rng, n_groups=3, per_group=12, p_intra=0.08, p_cross=0.02)
+        starts = rng.choice(kg.ids, size=3, replace=False).tolist()
+        reach = set(starts)
+        for depth in range(6):
+            assert _bfs(kg, starts, depth) == reach
+            reach |= {e.dst for e in kg.edges if e.src in reach}
