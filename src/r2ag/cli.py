@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic_file import atomic_open
 from .concept_linker import link_concepts, load_corpus
 from .embeddings import group_vectors, load_embeddings, pseudo_embeddings
 from .errors import (
@@ -50,6 +51,25 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting, and records the value type of
+    each option it declares and the parser of each subcommand."""
+
+    def __init__(self, *args, **kwargs):
+        self.option_types: dict[str, type] = {}
+        self.commands: dict[str, _Parser] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        # a store_true switch has const True and no type; others parse text
+        self.option_types[action.dest] = bool if action.const is True else action.type or str
+        return action
+
+    def add_subparsers(self, **kwargs):
+        sub = super().add_subparsers(**kwargs)
+        self.commands = sub.choices
+        return sub
+
     def error(self, message):  # argparse would exit(2); we want exit(1)
         raise UsageError(message)
 
@@ -180,25 +200,48 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _cast_config(key: str, value, typ: type, path):
+    """``value`` of config ``key`` as option type ``typ``. A number may also
+    come as the text a flag would carry; an int never from a fractional
+    float; a switch or a string only from itself."""
+    if typ in (bool, str):
+        if isinstance(value, typ):
+            return value
+    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        if not (typ is int and isinstance(value, float) and not value.is_integer()):
+            try:
+                return typ(value)
+            except ValueError:
+                pass
+    raise DataFormatError(
+        f"config key {key!r} has value {value!r}, expected {typ.__name__}", path=path
+    )
+
+
 class _Options:
-    """Flag > config["cmd.key"] > default."""
+    """Flag > config["cmd.key"] > default.
 
-    def __init__(self, args: argparse.Namespace, config: dict, command: str):
+    Config values for the command's options are cast once, here, to the
+    option's type; a null value leaves the option unset.
+    """
+
+    def __init__(self, args: argparse.Namespace, config: dict, command: str,
+                 types: dict[str, type], config_path=None):
         self._args = vars(args)
-        self._config = config
-        self._command = command
         self._defaults = DEFAULTS[command]
+        self._config = {}
+        for key, value in config.items():
+            cmd, _, name = key.partition(".")
+            if cmd == command and name in types and value is not None:
+                self._config[name] = _cast_config(key, value, types[name], config_path)
 
-    def get(self, name, default=None):
+    def get(self, name):
         flag = self._args.get(name)
         if flag is not None:
             return flag
-        key = f"{self._command}.{name}"
-        if key in self._config:
-            return self._config[key]
-        if name in self._defaults:
-            return self._defaults[name]
-        return default
+        if name in self._config:
+            return self._config[name]
+        return self._defaults.get(name)
 
     def require(self, name):
         value = self.get(name)
@@ -209,7 +252,7 @@ class _Options:
 
 
 def _write_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
 
@@ -253,14 +296,14 @@ def _table_for_checkpoint(opts: _Options, kg, params):
 def cmd_synth(args, opts: _Options) -> int:
     out_dir = Path(opts.require("out_dir"))
     spec = SynthSpec(
-        groups=int(opts.get("groups")),
-        concepts_per_group=int(opts.get("concepts_per_group")),
-        p_intra=float(opts.get("p_intra")),
-        p_cross=float(opts.get("p_cross")),
-        patients=int(opts.get("patients")),
-        keywords_per_patient=int(opts.get("keywords_per_patient")),
-        gt_per_patient=int(opts.get("gt_per_patient")),
-        skew=float(opts.get("skew")),
+        groups=opts.get("groups"),
+        concepts_per_group=opts.get("concepts_per_group"),
+        p_intra=opts.get("p_intra"),
+        p_cross=opts.get("p_cross"),
+        patients=opts.get("patients"),
+        keywords_per_patient=opts.get("keywords_per_patient"),
+        gt_per_patient=opts.get("gt_per_patient"),
+        skew=opts.get("skew"),
         seed=args.seed,
     )
     try:
@@ -312,14 +355,14 @@ def cmd_train(args, opts: _Options) -> int:
     if emb:
         table = load_embeddings(emb, kg)
     else:
-        table = pseudo_embeddings(kg, int(opts.get("embed_dim")), args.seed)
+        table = pseudo_embeddings(kg, opts.get("embed_dim"), args.seed)
     cfg = TrainConfig(
-        max_steps=int(opts.get("max_steps")),
-        gamma=float(opts.get("gamma")),
-        reward_weight=float(opts.get("reward_weight")),
-        group_size=int(opts.get("group_size")),
-        lr=float(opts.get("lr")),
-        epochs=int(opts.get("epochs")),
+        max_steps=opts.get("max_steps"),
+        gamma=opts.get("gamma"),
+        reward_weight=opts.get("reward_weight"),
+        group_size=opts.get("group_size"),
+        lr=opts.get("lr"),
+        epochs=opts.get("epochs"),
         seed=args.seed,
     )
     try:
@@ -351,8 +394,8 @@ def _retrieval_setup(args, opts: _Options):
 def cmd_retrieve(args, opts: _Options) -> int:
     kg, params, corpus, table, gv = _retrieval_setup(args, opts)
     out = opts.require("out")
-    max_steps = int(opts.get("max_steps"))
-    sample = bool(opts.get("sample"))
+    max_steps = opts.get("max_steps")
+    sample = opts.get("sample")
     rng = np.random.default_rng([args.seed, 2]) if sample else None
     only = opts.get("patient")
     if only is not None:
@@ -383,8 +426,8 @@ def cmd_retrieve(args, opts: _Options) -> int:
 def cmd_generate(args, opts: _Options) -> int:
     kg, params, corpus, table, gv = _retrieval_setup(args, opts)
     out = opts.require("out")
-    max_steps = int(opts.get("max_steps"))
-    stub = bool(opts.get("stub"))
+    max_steps = opts.get("max_steps")
+    stub = opts.get("stub")
     endpoint = opts.get("endpoint")
     if not stub and not endpoint:
         raise UsageError("choose --stub or provide --endpoint")
@@ -393,12 +436,12 @@ def cmd_generate(args, opts: _Options) -> int:
     max_paths = opts.get("max_paths")
     gen_cfg = GeneratorConfig(
         endpoint=endpoint or "",
-        model=str(opts.get("model")),
-        temperature=float(opts.get("temperature")),
-        max_tokens=int(opts.get("max_tokens")),
-        auth_env=str(opts.get("auth_env")),
-        timeout_s=float(opts.get("timeout")),
-        max_retries=int(opts.get("retries")),
+        model=opts.get("model"),
+        temperature=opts.get("temperature"),
+        max_tokens=opts.get("max_tokens"),
+        auth_env=opts.get("auth_env"),
+        timeout_s=opts.get("timeout"),
+        max_retries=opts.get("retries"),
     )
 
     prepared = []
@@ -411,7 +454,7 @@ def cmd_generate(args, opts: _Options) -> int:
             logger.warning("skipping unlinkable patient %s", patient.id)
             continue
         # the dumped record carries exactly the paths the prompt saw
-        paths = select_paths(paths, int(max_paths) if max_paths is not None else None)
+        paths = select_paths(paths, max_paths)
         bundle = build_prompt_bundle(patient, paths, kg, template=template)
         prepared.append((patient, paths, bundle))
 
@@ -495,7 +538,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         config = _load_config(args.config)
-        opts = _Options(args, config, args.command)
+        opts = _Options(args, config, args.command,
+                        parser.commands[args.command].option_types, args.config)
         return _HANDLERS[args.command](args, opts)
     except UsageError as exc:
         print(f"r2ag: usage error: {exc}", file=sys.stderr)

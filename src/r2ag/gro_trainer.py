@@ -34,7 +34,7 @@ from .policy_net import (
     PolicyParams,
     forward,
     init_params,
-    logprob_backward,
+    logprob_backward_batch,
     sample_action,
 )
 from .retrieval_env import (
@@ -259,18 +259,23 @@ def accumulate_gradient(
 
     Steps are indexed 1..T, so the weight of step index j (0-based) is
     gamma^(T-1-j); with gamma = 0 only the final step contributes (0^0 = 1).
+    Steps of weight exactly 0 are dropped; the rest go to one batched
+    backward call.
     """
-    grad = GradientBundle.zeros(params)
-    n = len(records)
+    caches: list[ForwardCache] = []
+    actions: list[int] = []
+    weights: list[float] = []
     for rec, rel in zip(records, relative):
         T = len(rec.actions)
         for j, (cache, a) in enumerate(zip(rec.caches, rec.actions)):
             weight = (gamma ** (T - 1 - j)) * float(rel)
             if weight == 0.0:
                 continue
-            grad.add_scaled(logprob_backward(params, cache, a), weight)
-    grad.scale(1.0 / n)
-    return grad
+            caches.append(cache)
+            actions.append(a)
+            weights.append(weight)
+    scale = 1.0 / len(records)
+    return logprob_backward_batch(params, caches, actions, np.asarray(weights) * scale)
 
 
 def train(

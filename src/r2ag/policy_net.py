@@ -5,7 +5,8 @@ it with the group state, pushes the result through W2 . ReLU(W1 . x), and
 scores each candidate action by dot product with its action embedding. The
 backward pass returns exact gradients of log pi(action) with respect to
 W1, W2 and M, suitable for REINFORCE-style updates without an autodiff
-framework.
+framework; a weighted sum over many steps is one matrix product per
+parameter.
 
 Shapes for embedding dimension d: the group state is 4d, the projected
 concept state is d, so W1 is (4d, 5d), W2 is (4d, 4d) and M is (d, d);
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic_file import atomic_open
 from .errors import DataFormatError
 
 CHECKPOINT_VERSION = 1
@@ -58,16 +60,6 @@ class GradientBundle:
             np.zeros_like(params.W2),
             np.zeros_like(params.M),
         )
-
-    def add_scaled(self, other: "GradientBundle", scale: float) -> None:
-        self.dW1 += scale * other.dW1
-        self.dW2 += scale * other.dW2
-        self.dM += scale * other.dM
-
-    def scale(self, factor: float) -> None:
-        self.dW1 *= factor
-        self.dW2 *= factor
-        self.dM *= factor
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -136,40 +128,70 @@ def logprob_backward(
 ) -> GradientBundle:
     """Exact gradient of log dist[action] with respect to W1, W2, M.
 
-    The ReLU subgradient at exactly zero is taken as zero.
+    The one-step, weight-1 case of ``logprob_backward_batch``.
+    """
+    return logprob_backward_batch(params, [cache], [action], [1.0])
+
+
+def logprob_backward_batch(
+    params: PolicyParams,
+    caches: list[ForwardCache],
+    actions: list[int],
+    weights: np.ndarray | list[float],
+) -> GradientBundle:
+    """sum_k weights[k] * gradient of log dist_k[actions[k]], for K cached steps.
+
+    The K steps are stacked as rows (dz, a1, dh1, x, c_avg), so each
+    parameter gradient is one weighted matrix product over them:
+    dW2 = (w dZ)^T A1, dW1 = (w dH1)^T X and dM = (w dX[:, 4d:])^T C.
+    K = 0 gives zeros. The ReLU subgradient at exactly zero is taken as zero.
     """
     d = params.d
-    if cache.x.shape != (5 * d,) or cache.actions.shape[1] != 4 * d:
-        raise ValueError("cache does not match parameter shapes")
-    n = cache.dist.shape[0]
-    if not (0 <= action < n):
-        raise ValueError(f"action index {action} out of range for {n} actions")
-
-    dlogits = -cache.dist.copy()
-    dlogits[action] += 1.0
-    dz = cache.actions.T @ dlogits
-    dW2 = np.outer(dz, cache.a1)
-    da1 = params.W2.T @ dz
-    dh1 = da1 * (cache.h1 > 0.0)
-    dW1 = np.outer(dh1, cache.x)
-    dx = params.W1.T @ dh1
-    dM = np.outer(dx[4 * d :], cache.c_avg)
+    k = len(caches)
+    if len(actions) != k or len(weights) != k:
+        raise ValueError("need one action and one weight per cached step")
+    if k == 0:
+        return GradientBundle.zeros(params)
+    dZ = np.empty((k, 4 * d))
+    for row, (cache, action) in enumerate(zip(caches, actions)):
+        if cache.x.shape != (5 * d,) or cache.actions.shape[1] != 4 * d:
+            raise ValueError("cache does not match parameter shapes")
+        n = cache.dist.shape[0]
+        if not (0 <= action < n):
+            raise ValueError(f"action index {action} out of range for {n} actions")
+        dlogits = -cache.dist
+        dlogits[action] += 1.0
+        dZ[row] = cache.actions.T @ dlogits
+    w = np.asarray(weights, dtype=np.float64)[:, None]
+    X = np.stack([c.x for c in caches])
+    H1 = np.stack([c.h1 for c in caches])
+    A1 = np.stack([c.a1 for c in caches])
+    C = np.stack([c.c_avg for c in caches])
+    dW2 = (w * dZ).T @ A1
+    dH1 = (dZ @ params.W2) * (H1 > 0.0)
+    dW1 = (w * dH1).T @ X
+    dM = (w * (dH1 @ params.W1[:, 4 * d :])).T @ C
     return GradientBundle(dW1, dW2, dM)
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:
-    """Write {version, d, seed, W1, W2, M} as JSON; floats round-trip exactly."""
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "d": params.d,
-        "seed": params.seed,
-        "W1": params.W1.tolist(),
-        "W2": params.W2.tolist(),
-        "M": params.M.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    """Write {version, d, seed, W1, W2, M} as JSON; floats round-trip exactly.
+
+    The bytes are those of ``json.dump`` of the whole payload, but each
+    matrix row goes through the C encoder on its own, so the nested float
+    lists are never built. The file is replaced atomically.
+    """
+    header = {"version": CHECKPOINT_VERSION, "d": params.d, "seed": params.seed}
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(header)[:-1])
+        for name in ("W1", "W2", "M"):
+            fh.write(f', "{name}": [')
+            for i, row in enumerate(getattr(params, name)):
+                if i:
+                    fh.write(", ")
+                fh.write(json.dumps(row.tolist()))
+            fh.write("]")
+        fh.write("}\n")
 
 
 def load_checkpoint(path) -> PolicyParams:

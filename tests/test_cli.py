@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from r2ag.cli import main
+from r2ag.cli import DEFAULTS, _write_jsonl, build_parser, main
 from r2ag.policy_net import init_params, load_checkpoint
 
 SMALL_SYNTH = [
@@ -198,6 +198,76 @@ def test_config_file_supplies_options_and_flags_win(tmp_path):
     ) == 0
     b = load_checkpoint(tmp_path / "runB" / "checkpoint.json")
     assert not np.array_equal(b.W1, init_params(8, seed=3).W1)
+
+
+@pytest.mark.parametrize("command, key, value, expected", [
+    ("synth", "synth.groups", "many", "int"),
+    ("synth", "synth.groups", 2.5, "int"),
+    ("train", "train.lr", "fast", "float"),
+    ("train", "train.lr", True, "float"),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, key, value, expected):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    rc = main(["--config", str(cfg_path), command, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert f"config key {key!r} has value {value!r}, expected {expected}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_are_cast_to_option_types(tmp_path):
+    data = _synth(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "synth.groups": "4", "synth.concepts_per_group": 12.0, "synth.patients": 5,
+        "train.lr": "0", "train.epochs": 1.0, "train.embed_dim": "8",
+        "train.max_steps": None,
+    }))
+    assert main(["--config", str(cfg_path), "synth", "--out-dir", str(tmp_path / "d")]) == 0
+    assert len((tmp_path / "d" / "patients.jsonl").read_text().splitlines()) == 5
+    assert main(
+        ["--config", str(cfg_path), "--seed", "3", "train"] + _kg_args(data)
+        + ["--corpus", str(data / "patients.jsonl"), "--out-dir", str(tmp_path / "run")]
+    ) == 0
+    ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.json")
+    assert np.array_equal(ckpt.W1, init_params(8, seed=3).W1)
+
+
+def test_option_defaults_have_the_option_types():
+    parser = build_parser()
+    for command, defaults in DEFAULTS.items():
+        types = parser.commands[command].option_types
+        for name, default in defaults.items():
+            if default is not None:
+                assert types[name] is type(default), (command, name)
+
+
+def test_jsonl_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.jsonl"
+    _write_jsonl(path, [{"id": "old"}])
+    before = path.read_bytes()
+    real, calls = json.dumps, []
+
+    def dumps(obj, *args, **kwargs):
+        calls.append(obj)
+        if len(calls) > 3:
+            raise RuntimeError("encoder failed")
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    records = [{"id": str(i)} for i in range(10)]
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        _write_jsonl(path, records)
+    assert len(calls) == 4
+    assert path.read_bytes() == before
+    with pytest.raises(RuntimeError):
+        _write_jsonl(tmp_path / "new.jsonl", records)
+    assert [f.name for f in tmp_path.iterdir()] == ["out.jsonl"]
+    monkeypatch.undo()
+    _write_jsonl(path, records)
+    assert path.read_text() == "".join(json.dumps(r) + "\n" for r in records)
 
 
 def test_retrieve_sampled_mode_is_seed_deterministic(tmp_path):

@@ -26,7 +26,7 @@ from r2ag.gro_trainer import (
     train,
     train_patient,
 )
-from r2ag.policy_net import init_params
+from r2ag.policy_net import init_params, logprob_backward, sample_action
 from r2ag.retrieval_env import PathStep, ReasoningPath
 
 
@@ -243,19 +243,73 @@ def test_train_patient_gamma_zero_uses_only_final_step(
         params, trainer_patient, trainer_kg, trainer_table, cfg, rng,
         group_vectors(trainer_kg, trainer_table), keep_records=True,
     )
-    from r2ag.policy_net import GradientBundle, logprob_backward
-
-    expected = GradientBundle.zeros(params)
-    for rec in upd.records:
-        expected.add_scaled(
-            logprob_backward(params, rec.caches[-1], rec.actions[-1]), rec.relative
-        )
-    expected.scale(1.0 / cfg.group_size)
-    assert np.allclose(upd.grad.dW1, expected.dW1, atol=1e-15)
-    assert np.allclose(upd.grad.dW2, expected.dW2, atol=1e-15)
-    assert np.allclose(upd.grad.dM, expected.dM, atol=1e-15)
+    finals = [
+        (rec.relative, logprob_backward(params, rec.caches[-1], rec.actions[-1]))
+        for rec in upd.records
+    ]
+    for name in ("dW1", "dW2", "dM"):
+        expected = sum(rel * getattr(g, name) for rel, g in finals) / cfg.group_size
+        assert np.allclose(getattr(upd.grad, name), expected, atol=1e-15)
     for rec in upd.records:
         assert 0.0 < rec.relative < 1.0
+
+
+def _sampled_records(kg, table, patient, params, G, T, seed):
+    gv = group_vectors(kg, table)
+    ctx = _context(kg, table, patient)
+    rng = np.random.default_rng(seed)
+    return [
+        run_rollout(params, ctx, kg, table, gv, T, lambda dist: sample_action(dist, rng))
+        for _ in range(G)
+    ]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("G", [2, 4])
+@pytest.mark.parametrize("T", [1, 3, 5])
+def test_batched_gradient_equals_sum_of_single_step_backwards(
+    trainer_kg, trainer_table, trainer_patient, gamma, G, T
+):
+    params = init_params(trainer_table.dim, seed=11)
+    records = _sampled_records(trainer_kg, trainer_table, trainer_patient, params, G, T, 3)
+    rel = relative_rewards(np.random.default_rng(G * 10 + T).uniform(0.0, 5.0, size=G))
+    batched = accumulate_gradient(params, records, rel, gamma)
+    for name in ("dW1", "dW2", "dM"):
+        expected = np.zeros_like(getattr(batched, name))
+        for rec, rel_i in zip(records, rel):
+            for j, (cache, a) in enumerate(zip(rec.caches, rec.actions)):
+                g = getattr(logprob_backward(params, cache, a), name)
+                expected += (gamma ** (T - 1 - j)) * rel_i * g
+        expected /= G
+        assert np.abs(expected).max() > 0.0
+        np.testing.assert_allclose(getattr(batched, name), expected, rtol=1e-12)
+
+
+def test_gradient_with_every_step_dropped_is_exactly_zero(
+    trainer_kg, trainer_table, trainer_patient
+):
+    params = init_params(trainer_table.dim, seed=11)
+    records = _sampled_records(trainer_kg, trainer_table, trainer_patient, params, 3, 3, 4)
+    grad = accumulate_gradient(params, records, np.zeros(3), 0.5)
+    for name, shape in (("dW1", params.W1.shape), ("dW2", params.W2.shape),
+                        ("dM", params.M.shape)):
+        arr = getattr(grad, name)
+        assert arr.shape == shape
+        assert np.all(arr == 0.0)
+
+
+def test_accumulate_gradient_rejects_mismatched_cache_and_bad_action(
+    trainer_kg, trainer_table, trainer_patient
+):
+    params = init_params(trainer_table.dim, seed=11)
+    records = _sampled_records(trainer_kg, trainer_table, trainer_patient, params, 2, 2, 5)
+    rel = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="cache does not match"):
+        accumulate_gradient(init_params(trainer_table.dim + 1, seed=0), records, rel, 0.5)
+    n_actions = records[1].caches[0].dist.shape[0]
+    records[1].actions[0] = n_actions
+    with pytest.raises(ValueError, match="out of range"):
+        accumulate_gradient(params, records, rel, 0.5)
 
 
 def test_train_patient_gradient_matches_finite_differences(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -10,12 +11,12 @@ from helpers import fd_logprob_grads, max_rel_err
 
 from r2ag.errors import DataFormatError
 from r2ag.policy_net import (
-    GradientBundle,
     forward,
     greedy_action,
     init_params,
     load_checkpoint,
     logprob_backward,
+    logprob_backward_batch,
     sample_action,
     save_checkpoint,
 )
@@ -190,12 +191,33 @@ def test_backward_rejects_mismatched_cache():
 
 
 def test_gradient_bundle_accumulation():
+    # a weighted batch of steps accumulates the weighted single-step gradients
+    rng = np.random.default_rng(21)
     p = init_params(3, seed=0)
-    acc = GradientBundle.zeros(p)
-    one = GradientBundle(np.ones_like(p.W1), np.ones_like(p.W2), np.ones_like(p.M))
-    acc.add_scaled(one, 2.0)
-    acc.scale(0.5)
-    assert np.allclose(acc.dW1, 1.0)
+    caches = [forward(p, *_random_state(rng, 3, 4)) for _ in range(2)]
+    singles = [logprob_backward(p, c, a) for c, a in zip(caches, (1, 3))]
+    acc = logprob_backward_batch(p, caches + caches[:1], [1, 3, 1], [2.0, -0.5, 0.25])
+    for name in ("dW1", "dW2", "dM"):
+        expected = 2.25 * getattr(singles[0], name) - 0.5 * getattr(singles[1], name)
+        assert np.allclose(getattr(acc, name), expected, rtol=1e-12, atol=1e-15)
+
+
+def test_batch_backward_with_no_steps_is_zeros():
+    p = init_params(3, seed=0)
+    g = logprob_backward_batch(p, [], [], [])
+    assert g.dW1.shape == p.W1.shape and g.dW2.shape == p.W2.shape
+    assert g.dM.shape == p.M.shape
+    assert not g.dW1.any() and not g.dW2.any() and not g.dM.any()
+
+
+def test_batch_backward_needs_one_action_and_weight_per_step():
+    rng = np.random.default_rng(0)
+    p = init_params(3, seed=0)
+    cache = forward(p, *_random_state(rng, 3, 2))
+    with pytest.raises(ValueError, match="one action and one weight"):
+        logprob_backward_batch(p, [cache], [0, 1], [1.0])
+    with pytest.raises(ValueError, match="one action and one weight"):
+        logprob_backward_batch(p, [cache], [0], [])
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
@@ -211,6 +233,64 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     path2 = tmp_path / "ckpt2.json"
     save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _json_dump_bytes(p) -> bytes:
+    """The checkpoint as one ``json.dump`` of the whole payload writes it."""
+    payload = {
+        "version": 1, "d": p.d, "seed": p.seed,
+        "W1": p.W1.tolist(), "W2": p.W2.tolist(), "M": p.M.tolist(),
+    }
+    buf = io.StringIO()
+    json.dump(payload, buf)
+    return (buf.getvalue() + "\n").encode("utf-8")
+
+
+def test_checkpoint_bytes_equal_json_dump_of_payload(tmp_path):
+    p = init_params(2, seed=5)
+    p.W1[0, :4] = [-0.0, 5e-324, 1e300, -1e300]
+    p.W2[1, 2] = -5e-324
+    p.M[1, 1] = -0.0
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(p, path)
+    assert path.read_bytes() == _json_dump_bytes(p)
+    loaded = load_checkpoint(path)
+    assert math.copysign(1.0, loaded.W1[0, 0]) == -1.0
+    assert loaded.W1[0, 1] == 5e-324 and loaded.W1[0, 2] == 1e300
+    for d in (3, 6):
+        q = init_params(d, seed=d)
+        save_checkpoint(q, path)
+        assert path.read_bytes() == _json_dump_bytes(q)
+
+
+def _failing_dumps(monkeypatch, after: int):
+    """Make ``json.dumps`` raise on its call number ``after + 1``."""
+    real = json.dumps
+    calls = []
+
+    def dumps(obj, *args, **kwargs):
+        calls.append(1)
+        if len(calls) > after:
+            raise RuntimeError("encoder failed")
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    return calls
+
+
+def test_checkpoint_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(4, seed=1), path)
+    before = path.read_bytes()
+    calls = _failing_dumps(monkeypatch, after=5)  # the header and four rows
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        save_checkpoint(init_params(4, seed=2), path)
+    assert len(calls) == 6
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
+    with pytest.raises(RuntimeError):
+        save_checkpoint(init_params(4, seed=2), tmp_path / "new.json")
+    assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 def test_checkpoint_rejects_bad_version(tmp_path):
