@@ -333,7 +333,7 @@ def cmd_validate(args, opts: _Options) -> int:
     emb = opts.get("embeddings")
     if emb:
         table = load_embeddings(emb, kg)
-        print(f"embeddings: dim={table.dim}, rows={len(table.ids)}")
+        print(f"embeddings: dim={table.dim}, rows={len(table.matrix)}")
     corpus = opts.get("corpus")
     if corpus:
         patients = load_corpus(corpus)
@@ -417,7 +417,7 @@ def cmd_retrieve(args, opts: _Options) -> int:
             logger.warning("skipping unlinkable patient %s", patient.id)
             continue
         for path in paths:
-            records.append({"patient": patient.id} | path.to_dict())
+            records.append({"patient": patient.id} | path.to_dict(kg))
     _write_jsonl(out, records)
     print(f"wrote {len(records)} paths for {len(corpus) - skipped} patients to {out}")
     return 0
@@ -474,7 +474,7 @@ def cmd_generate(args, opts: _Options) -> int:
         {
             "id": patient.id,
             "generated": text,
-            "paths": [p.to_dict() for p in paths],
+            "paths": [p.to_dict(kg) for p in paths],
         }
         for (patient, paths, _), text in zip(prepared, texts)
     ]
@@ -490,10 +490,10 @@ def cmd_eval(args, opts: _Options) -> int:
     out_dir = Path(opts.require("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate_corpus(generated, patients, kg)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "report.json") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    with open(out_dir / "per_patient.csv", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "per_patient.csv") as fh:
         for row in report.csv_rows():
             fh.write(",".join(row) + "\n")
     for label, ce in (("ngram", report.ce_ngram), ("concept", report.ce_concept)):

@@ -22,33 +22,22 @@ _DIM_RE = re.compile(r"^dim=(\d+)$")
 
 @dataclass
 class EmbeddingTable:
-    """Unit-norm concept vectors as one ``(n, d)`` matrix.
-
-    ``ids[r]`` names row ``r``. A table built for a graph keeps the graph's
-    concepts first, in its int order (row ``i`` is ``kg.ids[i]``), so graph
-    ints index the matrix directly; rows for ids outside the graph follow.
-    """
+    """Unit-norm concept vectors as one ``(n, d)`` matrix in a graph's int
+    order: row ``i`` is concept ``kg.ids[i]``, so graph ints index it."""
 
     dim: int
-    ids: tuple[str, ...]
-    matrix: np.ndarray  # (len(ids), dim)
+    matrix: np.ndarray  # (len(kg.ids), dim)
 
     def __post_init__(self):
-        self.row: dict[str, int] = {cid: r for r, cid in enumerate(self.ids)}
         self.norms = np.linalg.norm(self.matrix, axis=1)
-
-    def vec(self, cid: str) -> np.ndarray:
-        try:
-            return self.matrix[self.row[cid]]
-        except KeyError:
-            raise KeyError(f"no embedding for concept {cid!r}") from None
 
 
 def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
     """Load ``dim=<d>`` header plus one ``id\\tf1 f2 ... fd`` row per concept.
 
     Vectors are re-normalized to unit norm. Every graph concept must be
-    covered; rows for ids outside the graph are kept untouched.
+    covered; rows for ids outside the graph are checked like the rest and
+    then dropped.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -66,8 +55,6 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
 
     matrix = np.empty((len(kg.ids), dim), dtype=np.float64)
     seen: set[str] = set()
-    extra_ids: list[str] = []
-    extra_rows: list[np.ndarray] = []
     for no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -95,10 +82,7 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
             raise DataFormatError("zero vector cannot be normalized", path=path, line=no)
         seen.add(cid)
         i = kg.index.get(cid)
-        if i is None:
-            extra_ids.append(cid)
-            extra_rows.append(v / norm)
-        else:
+        if i is not None:
             matrix[i] = v / norm
 
     missing = [cid for cid in kg.ids if cid not in seen]
@@ -108,9 +92,7 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
             f"first missing: {missing[0]!r}",
             path=path,
         )
-    if extra_rows:
-        matrix = np.vstack([matrix, *extra_rows])
-    return EmbeddingTable(dim, kg.ids + tuple(extra_ids), matrix)
+    return EmbeddingTable(dim, matrix)
 
 
 def _hash_rng(*parts: str) -> np.random.Generator:
@@ -144,23 +126,20 @@ def pseudo_embeddings(kg: KnowledgeGraph, d: int, seed: int) -> EmbeddingTable:
         raw = _hash_rng(str(seed), "concept", cid, group).standard_normal(d)
         v = _GROUP_BIAS_WEIGHT * bias[group] + raw / np.linalg.norm(raw)
         matrix[i] = v / np.linalg.norm(v)
-    return EmbeddingTable(d, kg.ids, matrix)
+    return EmbeddingTable(d, matrix)
 
 
 def avg_embedding(table: EmbeddingTable, concepts) -> np.ndarray:
-    """Arithmetic mean of the concept vectors; not re-normalized.
+    """Arithmetic mean of the vectors of graph ints ``concepts``; not
+    re-normalized.
 
-    Summation runs in sorted-id order so the result is reproducible for
-    any iterable of ids.
+    Summation runs in ascending-int (sorted-id) order so the result is
+    reproducible for any iterable of ints.
     """
-    ids = sorted(concepts)
-    if not ids:
+    rows = sorted(concepts)
+    if not rows:
         raise ValueError("cannot average an empty concept set")
-    try:
-        rows = [table.row[cid] for cid in ids]
-    except KeyError as exc:
-        raise KeyError(f"no embedding for concept {exc.args[0]!r}") from None
-    return table.matrix[rows].sum(axis=0) / len(ids)
+    return table.matrix[rows].sum(axis=0) / len(rows)
 
 
 def cosine(u, v) -> float:
@@ -206,8 +185,9 @@ def group_vectors(kg: KnowledgeGraph, table: EmbeddingTable) -> np.ndarray:
 
     One row per group in ``kg.group_index`` order: shape ``(n_groups, 2d)``.
     """
+    group_at = np.asarray(kg.group_at)
     pooled = []
-    for members in kg.groups.values():
-        rows = np.stack([table.vec(cid) for cid in members])
+    for g in range(len(kg.groups)):
+        rows = table.matrix[group_at == g]  # members in ascending-int order
         pooled.append(np.concatenate([rows.mean(axis=0), rows.max(axis=0)]))
     return np.stack(pooled)

@@ -91,9 +91,8 @@ def render_paths(paths: list[ReasoningPath], kg: KnowledgeGraph) -> str:
     for path in paths:
         pieces = []
         for i, step in enumerate(path.steps):
-            name = kg.name_of(step.concept)
-            group = kg.group_of(step.concept)
-            seg = f"{name} [{group}]"
+            concept = kg.concepts[kg.ids[step.concept]]
+            seg = f"{concept.name} [{concept.group}]"
             if i == 0:
                 pieces.append(seg)
             else:
@@ -105,7 +104,8 @@ def render_paths(paths: list[ReasoningPath], kg: KnowledgeGraph) -> str:
 def select_paths(
     paths: list[ReasoningPath], max_paths: int | None
 ) -> list[ReasoningPath]:
-    """Truncate to ``max_paths`` keeping the smallest origin ids."""
+    """Truncate to ``max_paths`` keeping the smallest origin ints, which are
+    the smallest origin ids."""
     use = list(paths)
     if max_paths is not None and len(use) > max_paths:
         use = sorted(use, key=lambda p: p.origin)[:max_paths]
@@ -116,14 +116,14 @@ def build_prompt_bundle(
     patient: PatientInput,
     paths: list[ReasoningPath],
     kg: KnowledgeGraph,
-    max_paths: int | None = None,
     template: dict | None = None,
 ) -> PromptBundle:
-    """Assemble the prompt; ``max_paths`` keeps the smallest origin ids."""
+    """Assemble the prompt from every path in ``paths``."""
     tpl = template or DEFAULT_TEMPLATE
-    use = select_paths(paths, max_paths)
-    block = render_paths(use, kg) if use else ""
-    names = dict.fromkeys(kg.name_of(st.concept) for path in use for st in path.steps)
+    block = render_paths(paths, kg) if paths else ""
+    names = dict.fromkeys(
+        kg.name_of(kg.ids[st.concept]) for path in paths for st in path.steps
+    )
     return PromptBundle(
         system=tpl["system"],
         patient_text=patient.pre_admission,

@@ -14,12 +14,11 @@ Updates are plain gradient ascent after every patient.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .concept_linker import (
-    KeywordSet,
     PatientInput,
     initial_group,
     link_concepts,
@@ -75,7 +74,7 @@ class TrainConfig:
 
 @dataclass
 class GroundTruthConcepts:
-    concepts: set[str]
+    concepts: set[int]  # graph ints
     avg_vec: np.ndarray | None  # None when the set is empty
 
 
@@ -91,11 +90,11 @@ class RolloutRecord:
 
 @dataclass
 class PatientContext:
-    """Per-patient quantities shared by all rollouts."""
+    """Per-patient quantities shared by all rollouts, in graph ints."""
 
-    keyword_set: KeywordSet
-    k_init: str
-    k_scarce: str
+    keywords: list[int]  # linked keyword concepts, in match order
+    k_init: int
+    k_scarce: int
     sq_avg: np.ndarray
 
 
@@ -104,7 +103,7 @@ class PatientUpdate:
     grad: GradientBundle
     rewards: list[float]
     relative: list[float]
-    records: list[RolloutRecord] = field(default_factory=list)
+    records: list[RolloutRecord]
 
 
 @dataclass
@@ -119,25 +118,29 @@ def build_ground_truth(
     reference: str, kg: KnowledgeGraph, table: EmbeddingTable
 ) -> GroundTruthConcepts:
     ks = link_concepts(reference, kg)
-    ids = set(ks.concept_ids())
-    if not ids:
+    concepts = {kg.index[cid] for cid in ks.concept_ids()}
+    if not concepts:
         logger.warning("reference text linked to no concepts; rewards will be 0")
         return GroundTruthConcepts(set(), None)
-    return GroundTruthConcepts(ids, avg_embedding(table, ids))
+    return GroundTruthConcepts(concepts, avg_embedding(table, concepts))
 
 
 def patient_context(patient_text: str, kg: KnowledgeGraph, table: EmbeddingTable) -> PatientContext:
     # the env indexes table rows with graph ints (see EmbeddingTable)
-    if table.ids[: len(kg.ids)] != kg.ids:
-        raise ValueError("embedding table rows do not follow the graph's concept order")
+    if len(table.matrix) != len(kg.ids):
+        raise ValueError(
+            f"embedding table has {len(table.matrix)} rows, the graph "
+            f"{len(kg.ids)} concepts"
+        )
     ks = link_concepts(patient_text, kg)
     if not ks:
         raise UnlinkableInputError("no keyword concepts linked from input text")
+    keywords = [kg.index[cid] for cid in ks.concept_ids()]
     return PatientContext(
-        keyword_set=ks,
-        k_init=initial_group(ks),
-        k_scarce=scarce_group(ks, kg),
-        sq_avg=avg_embedding(table, ks.concept_ids()),
+        keywords=keywords,
+        k_init=kg.group_index[initial_group(ks)],
+        k_scarce=kg.group_index[scarce_group(ks, kg)],
+        sq_avg=avg_embedding(table, keywords),
     )
 
 
@@ -152,20 +155,17 @@ def run_rollout(
 ) -> RolloutRecord:
     """Drive one rollout; ``select(dist) -> action index`` picks each group.
 
-    ``gv`` is ``group_vectors(kg, table)``; action ``a`` is group
-    ``kg.all_groups()[a]``.
+    ``gv`` is ``group_vectors(kg, table)``; action ``a`` is group int ``a``.
     """
-    rs = init_rollout(ctx.keyword_set, kg, ctx.k_init, ctx.k_scarce, max_steps)
-    groups = kg.all_groups()
+    rs = init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps)
     actions: list[int] = []
     caches: list[ForwardCache] = []
     for _ in range(max_steps):
         cache = forward(
-            params, group_state(rs, kg, gv), raw_concept_avg(rs, table),
-            action_matrix(rs, kg, gv),
+            params, group_state(rs, gv), raw_concept_avg(rs, table), action_matrix(rs, gv)
         )
         a = select(cache.dist)
-        step(rs, groups[a], kg, table, ctx.sq_avg)
+        step(rs, a, kg, table, ctx.sq_avg)
         actions.append(a)
         caches.append(cache)
     return RolloutRecord(actions, caches, rs.paths, rs)
@@ -183,7 +183,7 @@ def path_reward(
         raise ValueError("path has no concepts")
     if not gt.concepts:
         return 0.0
-    hits = sum(1 for cid in distinct if cid in gt.concepts)
+    hits = sum(1 for c in distinct if c in gt.concepts)
     return hits + reward_weight * cosine(avg_embedding(table, distinct), gt.avg_vec)
 
 
@@ -219,7 +219,6 @@ def train_patient(
     cfg: TrainConfig,
     rng: np.random.Generator,
     gv: np.ndarray,
-    keep_records: bool = False,
 ) -> PatientUpdate:
     """Sample G rollouts for one patient and accumulate the policy gradient."""
     if patient.reference is None:
@@ -245,7 +244,7 @@ def train_patient(
         grad=grad,
         rewards=rewards,
         relative=[float(x) for x in relative],
-        records=records if keep_records else [],
+        records=records,
     )
 
 

@@ -48,13 +48,15 @@ class KnowledgeGraph:
     """Concept map, deduplicated edge list and the CSR neighbour index.
 
     Concepts are numbered once, in sorted-id order: ``ids[i]`` is concept
-    ``i`` and ``index`` maps back. Forward neighbours are stored in CSR
-    form, one slice per (source concept, destination group) pair: slot
-    ``i * len(groups) + g`` spans ``indptr[slot]:indptr[slot + 1]`` of
-    ``indices`` (destination ints) and ``labels`` (relation labels), in
-    sorted (label, id) order. Slots of one source are adjacent, so with
-    ``G = len(groups)`` concept ``i``'s neighbours in every group span
-    ``indptr[i * G]:indptr[(i + 1) * G]``.
+    ``i`` and ``index`` maps back, so the smallest int is the smallest id.
+    Groups are numbered in sorted order too (``group_index``), and
+    ``group_at[i]`` is the group int of concept ``i``. Forward neighbours
+    are stored in CSR form, one slice per (source concept, destination
+    group) pair: slot ``i * len(groups) + g`` spans
+    ``indptr[slot]:indptr[slot + 1]`` of ``indices`` (destination ints) and
+    ``labels`` (relation labels), in sorted (label, id) order. Slots of one
+    source are adjacent, so with ``G = len(groups)`` concept ``i``'s
+    neighbours in every group span ``indptr[i * G]:indptr[(i + 1) * G]``.
     """
 
     def __init__(self, concepts: dict[str, Concept], edges: list[RelationEdge]):
@@ -72,11 +74,13 @@ class KnowledgeGraph:
         self.group_index: dict[str, int] = {g: k for k, g in enumerate(self.groups)}
 
         n_groups = len(self.groups)
-        group_at = [self.group_index[self.concepts[cid].group] for cid in self.ids]
+        self.group_at: tuple[int, ...] = tuple(
+            self.group_index[self.concepts[cid].group] for cid in self.ids
+        )
         slots: list[tuple[int, str, int]] = []  # (slot, label, dst) per edge
         for e in self.edges:
             d = self.index[e.dst]
-            slots.append((self.index[e.src] * n_groups + group_at[d], e.label, d))
+            slots.append((self.index[e.src] * n_groups + self.group_at[d], e.label, d))
         slots.sort()
         self.indptr = np.searchsorted(
             np.array([s for s, _, _ in slots], dtype=np.int64),
@@ -103,11 +107,8 @@ class KnowledgeGraph:
             raise KeyError(f"unknown semantic group {gid!r}")
         return self.groups[gid]
 
-    def neighbor_slice(self, i: int, gid: str) -> tuple[int, int]:
-        """CSR bounds of concept ``i``'s forward neighbours in group ``gid``."""
-        g = self.group_index.get(gid)
-        if g is None:
-            return 0, 0
+    def neighbor_slice(self, i: int, g: int) -> tuple[int, int]:
+        """CSR bounds of concept ``i``'s forward neighbours in group ``g``."""
         slot = i * len(self.groups) + g
         return int(self.indptr[slot]), int(self.indptr[slot + 1])
 
@@ -118,7 +119,10 @@ class KnowledgeGraph:
         order.
         """
         self._concept(cid)
-        lo, hi = self.neighbor_slice(self.index[cid], gid)
+        g = self.group_index.get(gid)
+        if g is None:
+            return []
+        lo, hi = self.neighbor_slice(self.index[cid], g)
         return [(self.labels[k], self.ids[self.indices[k]]) for k in range(lo, hi)]
 
     def _concept(self, cid: str) -> Concept:

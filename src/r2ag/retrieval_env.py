@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concept_linker import KeywordSet
 from .embeddings import EmbeddingTable, avg_embedding, cosines
 from .kg_store import KnowledgeGraph
 
@@ -23,69 +22,74 @@ GROUP_LEAP = "group leap"
 
 @dataclass(frozen=True)
 class PathStep:
-    """One path element: incoming edge label (None at the origin) + concept."""
+    """One path element: incoming edge label (None at the origin) + concept int."""
 
     label: str | None
-    concept: str
+    concept: int
 
 
 @dataclass
 class ReasoningPath:
-    origin: str
+    origin: int
     steps: list[PathStep]
 
-    def tail(self) -> str:
+    def tail(self) -> int:
         return self.steps[-1].concept
 
-    def distinct_concepts(self) -> list[str]:
-        seen: set[str] = set()
-        out: list[str] = []
+    def distinct_concepts(self) -> list[int]:
+        seen: set[int] = set()
+        out: list[int] = []
         for step in self.steps:
             if step.concept not in seen:
                 seen.add(step.concept)
                 out.append(step.concept)
         return out
 
-    def to_dict(self) -> dict:
+    def to_dict(self, kg: KnowledgeGraph) -> dict:
+        """The path with concept ids in place of graph ints."""
         return {
-            "origin": self.origin,
-            "steps": [{"label": s.label, "concept": s.concept} for s in self.steps[1:]],
+            "origin": kg.ids[self.origin],
+            "steps": [
+                {"label": s.label, "concept": kg.ids[s.concept]} for s in self.steps[1:]
+            ],
         }
 
 
 @dataclass
 class RolloutState:
+    """Rollout state in graph ints: concepts index ``kg.ids`` and groups
+    index ``kg.all_groups()``."""
+
     t: int
     max_steps: int
-    init_group: str
-    scarce_group: str
-    current_group: str
-    prev_group: str
-    keywords: list[str]  # every linked keyword concept, in match order
-    explored: set[str]
+    scarce_group: int
+    current_group: int
+    prev_group: int
+    keywords: list[int]  # every linked keyword concept, in match order
+    explored: set[int]
     paths: list[ReasoningPath]
     frozen: list[bool] = field(default_factory=list)
 
 
 def init_rollout(
-    ks: KeywordSet,
+    keywords: list[int],
     kg: KnowledgeGraph,
-    k_init: str,
-    k_scarce: str,
+    k_init: int,
+    k_scarce: int,
     max_steps: int,
 ) -> RolloutState:
     """Seed one path per keyword whose concept lies in the initial group."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    keywords = ks.concept_ids()
-    origins = [cid for cid in keywords if kg.group_of(cid) == k_init]
+    origins = [c for c in keywords if kg.group_at[c] == k_init]
     if not origins:
-        raise ValueError(f"no keyword concept lies in initial group {k_init!r}")
-    paths = [ReasoningPath(cid, [PathStep(None, cid)]) for cid in origins]
+        raise ValueError(
+            f"no keyword concept lies in initial group {kg.all_groups()[k_init]!r}"
+        )
+    paths = [ReasoningPath(c, [PathStep(None, c)]) for c in origins]
     return RolloutState(
         t=0,
         max_steps=max_steps,
-        init_group=k_init,
         scarce_group=k_scarce,
         current_group=k_init,
         prev_group=k_init,
@@ -96,18 +100,16 @@ def init_rollout(
     )
 
 
-def action_matrix(rs: RolloutState, kg: KnowledgeGraph, gv: np.ndarray) -> np.ndarray:
+def action_matrix(rs: RolloutState, gv: np.ndarray) -> np.ndarray:
     """Rows [current-group vector || candidate-group vector], one per group
-    in ``kg.group_index`` order; ``gv`` is ``group_vectors(kg, table)``."""
-    cur = gv[kg.group_index[rs.current_group]]
+    int; ``gv`` is ``group_vectors(kg, table)``."""
+    cur = gv[rs.current_group]
     return np.concatenate([np.broadcast_to(cur, gv.shape), gv], axis=1)
 
 
-def group_state(rs: RolloutState, kg: KnowledgeGraph, gv: np.ndarray) -> np.ndarray:
+def group_state(rs: RolloutState, gv: np.ndarray) -> np.ndarray:
     """[current-group vector || scarce-group vector], length 4d."""
-    return np.concatenate(
-        [gv[kg.group_index[rs.current_group]], gv[kg.group_index[rs.scarce_group]]]
-    )
+    return np.concatenate([gv[rs.current_group], gv[rs.scarce_group]])
 
 
 def raw_concept_avg(rs: RolloutState, table: EmbeddingTable) -> np.ndarray:
@@ -115,14 +117,11 @@ def raw_concept_avg(rs: RolloutState, table: EmbeddingTable) -> np.ndarray:
     return avg_embedding(table, rs.explored)
 
 
-def candidate_pool(rs: RolloutState, kg: KnowledgeGraph, k_next: str) -> list[str]:
+def candidate_pool(rs: RolloutState, kg: KnowledgeGraph, k_next: int) -> list[int]:
     """Leap candidates in k_next: on-path concepts plus unexplored keywords."""
-    pool = {cid for cid in rs.explored if kg.group_of(cid) == k_next}
-    pool.update(
-        cid
-        for cid in rs.keywords
-        if cid not in rs.explored and kg.group_of(cid) == k_next
-    )
+    group_at = kg.group_at
+    pool = {c for c in rs.explored if group_at[c] == k_next}
+    pool.update(c for c in rs.keywords if c not in rs.explored and group_at[c] == k_next)
     return sorted(pool)
 
 
@@ -130,25 +129,25 @@ def connect(
     rs: RolloutState,
     kg: KnowledgeGraph,
     table: EmbeddingTable,
-    k_next: str,
-    pool: list[str] | None = None,
-) -> list[str | None]:
+    k_next: int,
+    pool: list[int] | None = None,
+) -> list[int | None]:
     """Append a leap step to every live path; returns per-path leap concepts.
 
     Each path leaps to the pool concept with the highest cosine similarity
-    to that path's own average embedding (ties -> smallest id). An empty
-    pool leaves every path untouched.
+    to that path's own average embedding (ties -> smallest int, which is the
+    smallest id). An empty pool leaves every path untouched.
     """
     if pool is None:
         pool = candidate_pool(rs, kg, k_next)
-    leaps: list[str | None] = [None] * len(rs.paths)
+    leaps: list[int | None] = [None] * len(rs.paths)
     live = [idx for idx, frozen in enumerate(rs.frozen) if not frozen]
     if not pool or not live:
         return leaps
     pavgs = np.stack(
         [avg_embedding(table, rs.paths[idx].distinct_concepts()) for idx in live], axis=1
     )
-    scores = cosines(table, [table.row[cid] for cid in pool], pavgs)
+    scores = cosines(table, pool, pavgs)
     for idx, best in zip(live, np.argmax(scores, axis=0).tolist()):
         rs.paths[idx].steps.append(PathStep(GROUP_LEAP, pool[best]))
         leaps[idx] = pool[best]
@@ -172,7 +171,7 @@ def retrieve(
     for idx, path in enumerate(rs.paths):
         if rs.frozen[idx]:
             continue
-        lo, hi = kg.neighbor_slice(kg.index[path.tail()], rs.current_group)
+        lo, hi = kg.neighbor_slice(path.tail(), rs.current_group)
         if lo == hi:
             rs.frozen[idx] = True
         else:
@@ -193,19 +192,19 @@ def retrieve(
         # the slice is in sorted (label, id) order and argmax takes the
         # first maximum, so ties go to the smallest (label, id)
         k = lo + int(np.argmax(0.5 * (seg[:, 0] + seg[:, p])))
-        cid = kg.ids[kg.indices[k]]
-        rs.paths[idx].steps.append(PathStep(kg.labels[k], cid))
-        rs.explored.add(cid)
+        c = int(kg.indices[k])
+        rs.paths[idx].steps.append(PathStep(kg.labels[k], c))
+        rs.explored.add(c)
 
 
 def step(
     rs: RolloutState,
-    k_next: str,
+    a: int,
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     sq_avg: np.ndarray,
 ) -> RolloutState:
-    """Apply one environment step for the chosen group action.
+    """Apply one environment step for group action ``a``.
 
     A leap to a group with an empty candidate pool degrades to a stay; the
     group trajectory then keeps the current group for this step.
@@ -214,11 +213,11 @@ def step(
         raise ValueError("rollout already finished")
     prev = rs.current_group
     effective = prev
-    if k_next != prev:
-        pool = candidate_pool(rs, kg, k_next)
+    if a != prev:
+        pool = candidate_pool(rs, kg, a)
         if pool:
-            connect(rs, kg, table, k_next, pool)
-            effective = k_next
+            connect(rs, kg, table, a, pool)
+            effective = a
     rs.prev_group = prev
     rs.current_group = effective
     retrieve(rs, kg, table, sq_avg)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic_file import atomic_open
 from .evaluation import STOPWORDS
 from .kg_store import CONCEPTS_HEADER, RELATIONS_HEADER, KnowledgeGraph
 
@@ -141,11 +142,11 @@ def gen_kg(spec: SynthSpec, out_dir) -> tuple[Path, Path]:
 
     concepts_path = out_dir / "concepts.tsv"
     relations_path = out_dir / "relations.tsv"
-    with open(concepts_path, "w", encoding="utf-8") as fh:
+    with atomic_open(concepts_path) as fh:
         fh.write(CONCEPTS_HEADER + "\n")
         for cid, name, gname in concept_rows:
             fh.write(f"{cid}\t{name}\t{gname}\n")
-    with open(relations_path, "w", encoding="utf-8") as fh:
+    with atomic_open(relations_path) as fh:
         fh.write(RELATIONS_HEADER + "\n")
         for src, label, dst in edges:
             fh.write(f"{src}\t{label}\t{dst}\n")
@@ -254,7 +255,7 @@ def gen_corpus(spec: SynthSpec, kg: KnowledgeGraph, out_path) -> Path:
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_open(out_path) as fh:
         for i in range(spec.patients):
             dominant = groups[int(rng.integers(len(groups)))]
             dom_members = list(kg.group_members(dominant))

@@ -41,9 +41,9 @@ def tiny_table(tiny_kg):
 def direct_table(vectors: dict[str, list[float]]) -> EmbeddingTable:
     """Table with the given (not re-normalized) rows in sorted-id order,
     which is a graph's int order when the ids are that graph's concepts."""
-    ids = tuple(sorted(vectors))
+    ids = sorted(vectors)
     return EmbeddingTable(
-        len(vectors[ids[0]]), ids, np.array([vectors[k] for k in ids], dtype=np.float64)
+        len(vectors[ids[0]]), np.array([vectors[k] for k in ids], dtype=np.float64)
     )
 
 

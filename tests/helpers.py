@@ -30,6 +30,18 @@ def make_kg(concept_rows, edge_rows) -> KnowledgeGraph:
     return KnowledgeGraph(concepts, edges)
 
 
+def ints(kg: KnowledgeGraph, ids) -> list[int]:
+    """Graph ints of concept ids ``ids``, in the given order."""
+    return [kg.index[cid] for cid in ids]
+
+
+def int_neighbors(kg: KnowledgeGraph, c: int, g: int) -> list[tuple[str, int]]:
+    """``neighbors_in_group`` of concept int ``c`` in group int ``g``, as
+    (label, concept int) pairs."""
+    nbrs = kg.neighbors_in_group(kg.ids[c], kg.all_groups()[g])
+    return [(label, kg.index[cid]) for label, cid in nbrs]
+
+
 def ks_of(kg: KnowledgeGraph, ids) -> KeywordSet:
     """KeywordSet over the given concept ids, as if linked from text."""
     ks = KeywordSet()
@@ -74,14 +86,16 @@ def oracle_cosine(u, v) -> float:
     return num / (nu * nv)
 
 
-def oracle_avg(table, ids):
-    ids = sorted(ids)
+def oracle_avg(table, concepts):
+    """Mean of the table rows of graph ints ``concepts``, summed in
+    ascending order."""
+    concepts = sorted(concepts)
     acc = [0.0] * table.dim
-    for cid in ids:
-        vec = table.vec(cid)
+    for c in concepts:
+        vec = table.matrix[c]
         for k in range(table.dim):
             acc[k] += float(vec[k])
-    return [x / len(ids) for x in acc]
+    return [x / len(concepts) for x in acc]
 
 
 def oracle_path_avg(table, path):
@@ -94,25 +108,26 @@ def oracle_path_avg(table, path):
 
 
 def oracle_connect_choice(table, path, pool):
-    """Brute-force leap choice: max cosine to the path average, smallest id."""
+    """Brute-force leap choice: max cosine to the path average, smallest int."""
     pavg = oracle_path_avg(table, path)
     best, best_score = None, -math.inf
-    for cid in sorted(pool):
-        score = oracle_cosine(table.vec(cid), pavg)
+    for c in sorted(pool):
+        score = oracle_cosine(table.matrix[c], pavg)
         if score > best_score:
-            best, best_score = cid, score
+            best, best_score = c, score
     return best
 
 
 def oracle_retrieve_choice(table, path, neighbors, sq_avg):
-    """Brute-force within-group choice over sorted (label, id) neighbors."""
+    """Brute-force within-group choice over sorted (label, concept int)
+    neighbors."""
     pavg = oracle_path_avg(table, path)
     best, best_score = None, -math.inf
-    for label, cid in sorted(neighbors):
-        vec = table.vec(cid)
+    for label, c in sorted(neighbors):
+        vec = table.matrix[c]
         score = 0.5 * (oracle_cosine(vec, sq_avg) + oracle_cosine(vec, pavg))
         if score > best_score:
-            best, best_score = (label, cid), score
+            best, best_score = (label, c), score
     return best
 
 

@@ -16,6 +16,8 @@ import pytest
 
 from helpers import (
     fd_logprob_grads,
+    int_neighbors,
+    ints,
     ks_of,
     max_rel_err,
     oracle_connect_choice,
@@ -124,11 +126,12 @@ def test_criterion_3_retrieval_oracle_equivalence():
         n_kw = int(rng.integers(3, 8))
         keywords = [ids[i] for i in rng.permutation(len(ids))[:n_kw]]
         ks = ks_of(kg, keywords)
-        rs = init_rollout(ks, kg, initial_group(ks), scarce_group(ks, kg), 5)
-        sq = avg_embedding(table, keywords)
-        groups = kg.all_groups()
+        k_init = kg.group_index[initial_group(ks)]
+        k_scarce = kg.group_index[scarce_group(ks, kg)]
+        rs = init_rollout(ints(kg, keywords), kg, k_init, k_scarce, 5)
+        sq = avg_embedding(table, ints(kg, keywords))
         for _ in range(5):
-            action = groups[int(rng.integers(len(groups)))]
+            action = int(rng.integers(len(kg.groups)))
             prior_paths = copy.deepcopy(rs.paths)
             prior_frozen = list(rs.frozen)
             current = rs.current_group
@@ -146,12 +149,12 @@ def test_criterion_3_retrieval_oracle_equivalence():
                     expected.append(
                         PathStep(GROUP_LEAP, oracle_connect_choice(table, old, pool))
                     )
-                nbrs = kg.neighbors_in_group(expected[-1].concept, effective)
+                nbrs = int_neighbors(kg, expected[-1].concept, effective)
                 if nbrs:
                     comparisons += 1
                     probe = ReasoningPath(old.origin, list(expected))
-                    label, cid = oracle_retrieve_choice(table, probe, nbrs, sq)
-                    expected.append(PathStep(label, cid))
+                    label, c = oracle_retrieve_choice(table, probe, nbrs, sq)
+                    expected.append(PathStep(label, c))
                 if new.steps != expected:
                     mismatches += 1
         graphs += 1

@@ -270,6 +270,39 @@ def test_jsonl_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
     assert path.read_text() == "".join(json.dumps(r) + "\n" for r in records)
 
 
+def test_report_write_that_fails_keeps_previous_report(tmp_path, monkeypatch):
+    data = _synth(tmp_path)
+    patients = [json.loads(l) for l in (data / "patients.jsonl").read_text().splitlines()]
+    out = tmp_path / "eval"
+
+    def evaluate(text_of):
+        generated = tmp_path / "generated.jsonl"
+        generated.write_text("".join(
+            json.dumps({"id": p["id"], "generated": text_of(p)}) + "\n" for p in patients
+        ))
+        return main(
+            ["eval"] + _kg_args(data)
+            + ["--generated", str(generated), "--corpus", str(data / "patients.jsonl"),
+               "--out-dir", str(out)]
+        )
+
+    assert evaluate(lambda p: p["reference"]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    real = json.dump
+
+    def dump(obj, fh, **kwargs):
+        fh.write('{"ce": ')  # part of the report reaches the file, then it fails
+        raise RuntimeError("encoder failed")
+
+    monkeypatch.setattr(json, "dump", dump)
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        evaluate(lambda p: p["pre_admission"])
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    monkeypatch.setattr(json, "dump", real)
+    assert evaluate(lambda p: p["pre_admission"]) == 0
+    assert (out / "report.json").read_bytes() != before["report.json"]
+
+
 def test_retrieve_sampled_mode_is_seed_deterministic(tmp_path):
     data = _synth(tmp_path)
     run = _train(tmp_path, data)

@@ -43,8 +43,26 @@ def test_load_small_table(tmp_path, two_group_kg):
     table = load_embeddings(path, two_group_kg)
     assert table.dim == 4
     # re-normalized on load
-    assert np.allclose(table.vec("C2"), [0, 1, 0, 0])
-    assert abs(np.linalg.norm(table.vec("C3")) - 1.0) < 1e-6
+    assert np.allclose(table.matrix[two_group_kg.index["C2"]], [0, 1, 0, 0])
+    assert abs(np.linalg.norm(table.matrix[two_group_kg.index["C3"]]) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "extra, match",
+    [
+        ([("X9", ["one", 0, 0, 0])], "bad float"),
+        ([("X9", [1, 0, 0])], "dimension mismatch"),
+        ([("X9", [1, 0, 0, 0]), ("X9", [0, 1, 0, 0])], "duplicate"),
+        ([("X9", ["inf", 0, 0, 0])], "non-finite"),
+        ([("X9", [0, 0, 0, 0])], "zero vector"),
+    ],
+)
+def test_load_checks_rows_outside_the_graph(tmp_path, two_group_kg, extra, match):
+    # X9 is not a graph concept: its rows are checked before they are dropped
+    rows = [("C1", [1, 0, 0, 0]), ("C2", [0, 1, 0, 0]), ("C3", [0, 0, 1, 0])]
+    path = _write_embeddings(tmp_path, 4, rows + extra)
+    with pytest.raises(DataFormatError, match=match):
+        load_embeddings(path, two_group_kg)
 
 
 def test_load_rejects_dimension_mismatch(tmp_path, two_group_kg):
@@ -86,20 +104,20 @@ def test_pseudo_embeddings_deterministic(two_group_kg):
     t1 = pseudo_embeddings(two_group_kg, 8, seed=3)
     t2 = pseudo_embeddings(two_group_kg, 8, seed=3)
     assert t1.dim == t2.dim
-    for cid in t1.ids:
-        assert np.array_equal(t1.vec(cid), t2.vec(cid))
+    assert np.array_equal(t1.matrix, t2.matrix)
 
 
 def test_pseudo_embeddings_seed_changes_vectors(two_group_kg):
     t1 = pseudo_embeddings(two_group_kg, 8, seed=3)
     t2 = pseudo_embeddings(two_group_kg, 8, seed=4)
-    assert any(not np.array_equal(t1.vec(c), t2.vec(c)) for c in t1.ids)
+    assert any(not np.array_equal(r1, r2) for r1, r2 in zip(t1.matrix, t2.matrix))
 
 
 def test_pseudo_embeddings_unit_norm(two_group_kg):
     table = pseudo_embeddings(two_group_kg, 16, seed=0)
-    for cid in two_group_kg.concepts:
-        assert abs(np.linalg.norm(table.vec(cid)) - 1.0) < 1e-9
+    assert table.matrix.shape == (len(two_group_kg.ids), 16)
+    for row in table.matrix:
+        assert abs(np.linalg.norm(row) - 1.0) < 1e-9
 
 
 def test_pseudo_embeddings_rejects_tiny_dim(two_group_kg):
@@ -110,8 +128,8 @@ def test_pseudo_embeddings_rejects_tiny_dim(two_group_kg):
 def test_pseudo_embeddings_at_production_dimension(two_group_kg):
     table = pseudo_embeddings(two_group_kg, 768, seed=0)
     assert table.dim == 768
-    assert table.vec("C1").shape == (768,)
-    assert abs(np.linalg.norm(table.vec("C1")) - 1.0) < 1e-9
+    assert table.matrix[0].shape == (768,)
+    assert abs(np.linalg.norm(table.matrix[0]) - 1.0) < 1e-9
 
 
 def test_pseudo_group_structure_beats_cross_group():
@@ -125,7 +143,7 @@ def test_pseudo_group_structure_beats_cross_group():
     ids = sorted(kg.concepts)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            sim = oracle_cosine(table.vec(a), table.vec(b))
+            sim = oracle_cosine(table.matrix[kg.index[a]], table.matrix[kg.index[b]])
             if kg.group_of(a) == kg.group_of(b):
                 within.append(sim)
             else:
@@ -135,19 +153,19 @@ def test_pseudo_group_structure_beats_cross_group():
 
 def test_avg_singleton():
     table = direct_table({"A": [0.6, 0.8]})
-    assert np.allclose(avg_embedding(table, {"A"}), [0.6, 0.8])
+    assert np.allclose(avg_embedding(table, {0}), [0.6, 0.8])
 
 
 def test_avg_opposite_vectors_cancel():
     table = direct_table({"A": [1.0, 0.0], "B": [-1.0, 0.0]})
-    assert np.array_equal(avg_embedding(table, {"A", "B"}), [0.0, 0.0])
+    assert np.array_equal(avg_embedding(table, {0, 1}), [0.0, 0.0])
 
 
 def test_avg_matches_independent_summation():
     rng = np.random.default_rng(12)
     vecs = {f"C{i}": rng.standard_normal(5).tolist() for i in range(3)}
     table = direct_table(vecs)
-    got = avg_embedding(table, set(vecs))
+    got = avg_embedding(table, {2, 0, 1})
     expected = [
         sum(vecs[c][k] for c in sorted(vecs)) / 3 for k in range(5)
     ]
@@ -229,5 +247,5 @@ def test_group_vectors_index(tiny_kg, tiny_table):
     assert tiny_kg.group_index == {"Anatomy": 0, "Disorders": 1}
     assert gv.shape == (2, 2 * tiny_table.dim)
     for gid, g in tiny_kg.group_index.items():
-        rows = np.stack([tiny_table.vec(cid) for cid in tiny_kg.group_members(gid)])
+        rows = tiny_table.matrix[[tiny_kg.index[c] for c in tiny_kg.group_members(gid)]]
         assert np.array_equal(gv[g], np.concatenate([rows.mean(axis=0), rows.max(axis=0)]))

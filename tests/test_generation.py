@@ -22,6 +22,7 @@ from r2ag.generation import (
     generate,
     render_paths,
     retrieve_for_patient,
+    select_paths,
     stub_generate,
 )
 from r2ag.retrieval_env import GROUP_LEAP, PathStep, ReasoningPath
@@ -39,18 +40,20 @@ def render_kg():
     )
 
 
-def _mk_path(origin, *steps):
-    all_steps = [PathStep(None, origin)] + [PathStep(l, c) for l, c in steps]
-    return ReasoningPath(origin, all_steps)
+def _mk_path(kg, origin, *steps):
+    """Path from concept ids: ``origin`` then (label, id) steps."""
+    all_steps = [PathStep(None, kg.index[origin])]
+    all_steps += [PathStep(label, kg.index[cid]) for label, cid in steps]
+    return ReasoningPath(kg.index[origin], all_steps)
 
 
 def test_render_single_concept_path(render_kg):
-    block = render_paths([_mk_path("A1")], render_kg)
+    block = render_paths([_mk_path(render_kg, "A1")], render_kg)
     assert block == "aspirin [Drugs]"
 
 
 def test_render_three_step_path_golden(render_kg):
-    path = _mk_path("A1", (GROUP_LEAP, "D1"), ("causes", "D2"))
+    path = _mk_path(render_kg, "A1", (GROUP_LEAP, "D1"), ("causes", "D2"))
     block = render_paths([path], render_kg)
     assert block == (
         "aspirin [Drugs] --group leap--> chest pain [Disorders] "
@@ -59,14 +62,14 @@ def test_render_three_step_path_golden(render_kg):
 
 
 def test_render_leap_literal(render_kg):
-    path = _mk_path("A1", (GROUP_LEAP, "D1"))
+    path = _mk_path(render_kg, "A1", (GROUP_LEAP, "D1"))
     assert "--group leap-->" in render_paths([path], render_kg)
 
 
 def test_render_distinct_paths_distinct_blocks(render_kg):
-    a = [_mk_path("A1"), _mk_path("D1")]
-    b = [_mk_path("A1"), _mk_path("D2")]
-    c = [_mk_path("A1", ("causes", "D2"))]
+    a = [_mk_path(render_kg, "A1"), _mk_path(render_kg, "D1")]
+    b = [_mk_path(render_kg, "A1"), _mk_path(render_kg, "D2")]
+    c = [_mk_path(render_kg, "A1", ("causes", "D2"))]
     blocks = {render_paths(x, render_kg) for x in (a, b, c)}
     assert len(blocks) == 3
 
@@ -78,7 +81,7 @@ def test_render_empty_raises(render_kg):
 
 def test_bundle_line_count_matches_paths(render_kg):
     patient = PatientInput("P", "Text here.")
-    paths = [_mk_path("A1"), _mk_path("D1"), _mk_path("D2")]
+    paths = [_mk_path(render_kg, c) for c in ("A1", "D1", "D2")]
     bundle = build_prompt_bundle(patient, paths, render_kg)
     assert len(bundle.path_block.splitlines()) == 3
     assert bundle.system == DEFAULT_TEMPLATE["system"]
@@ -86,8 +89,8 @@ def test_bundle_line_count_matches_paths(render_kg):
 
 def test_bundle_max_paths_keeps_smallest_origins(render_kg):
     patient = PatientInput("P", "Text here.")
-    paths = [_mk_path("D2"), _mk_path("A1"), _mk_path("D1")]
-    bundle = build_prompt_bundle(patient, paths, render_kg, max_paths=2)
+    paths = [_mk_path(render_kg, c) for c in ("D2", "A1", "D1")]
+    bundle = build_prompt_bundle(patient, select_paths(paths, 2), render_kg)
     lines = bundle.path_block.splitlines()
     assert lines == ["aspirin [Drugs]", "chest pain [Disorders]"]
 
@@ -110,7 +113,7 @@ def test_custom_template_file_overrides_default(render_kg, tmp_path):
     }))
     tpl = load_template(path)
     bundle = build_prompt_bundle(
-        PatientInput("P", "Text."), [_mk_path("A1")], render_kg, template=tpl
+        PatientInput("P", "Text."), [_mk_path(render_kg, "A1")], render_kg, template=tpl
     )
     assert bundle.system == "custom system"
     assert bundle.user_message().endswith("custom task")
@@ -122,8 +125,8 @@ def test_custom_template_file_overrides_default(render_kg, tmp_path):
 
 def test_bundle_concept_names_deduped_in_path_order(render_kg):
     paths = [
-        _mk_path("A1", (GROUP_LEAP, "D1"), ("causes", "D2")),
-        _mk_path("D1"),
+        _mk_path(render_kg, "A1", (GROUP_LEAP, "D1"), ("causes", "D2")),
+        _mk_path(render_kg, "D1"),
     ]
     bundle = build_prompt_bundle(PatientInput("P", "Text."), paths, render_kg)
     assert bundle.concept_names == ("aspirin", "chest pain", "cough")
@@ -137,7 +140,7 @@ def test_stub_echoes_names_that_look_like_rendered_syntax():
         [("A1", "causes", "D1")],
     )
     bundle = build_prompt_bundle(
-        PatientInput("P", "Seen today."), [_mk_path("A1", ("causes", "D1"))], kg
+        PatientInput("P", "Seen today."), [_mk_path(kg, "A1", ("causes", "D1"))], kg
     )
     assert bundle.path_block == (
         "left --x--> right [Drugs] --causes--> pain [acute] [Disorders]"
@@ -150,7 +153,7 @@ def test_stub_echoes_names_that_look_like_rendered_syntax():
 
 def test_stub_contains_every_path_concept_name(render_kg):
     patient = PatientInput("P", "Fatigue for two days. Also cough.")
-    paths = [_mk_path("A1", (GROUP_LEAP, "D1"), ("causes", "D2"))]
+    paths = [_mk_path(render_kg, "A1", (GROUP_LEAP, "D1"), ("causes", "D2"))]
     bundle = build_prompt_bundle(patient, paths, render_kg)
     out = stub_generate(bundle)
     for name in ("aspirin", "chest pain", "cough"):
@@ -159,7 +162,7 @@ def test_stub_contains_every_path_concept_name(render_kg):
 
 def test_stub_golden_string(render_kg):
     patient = PatientInput("P", "Allergies: none. Fatigue reported.")
-    paths = [_mk_path("A1", (GROUP_LEAP, "D1"), ("causes", "D2"))]
+    paths = [_mk_path(render_kg, "A1", (GROUP_LEAP, "D1"), ("causes", "D2"))]
     bundle = build_prompt_bundle(patient, paths, render_kg)
     assert stub_generate(bundle) == (
         "Discharge summary. Admission noted: Allergies: none. "
@@ -200,7 +203,7 @@ def test_retrieve_for_patient_golden_trace(inference_setup):
     # because no keyword or path concept lies there
     params, patient, kg, table, gv = inference_setup
     paths = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
-    assert [p.to_dict() for p in paths] == [
+    assert [p.to_dict(kg) for p in paths] == [
         {"origin": "D3", "steps": [{"label": "finding_of", "concept": "D4"}]},
         {"origin": "D1", "steps": [
             {"label": "finding_of", "concept": "D3"},
@@ -218,9 +221,9 @@ def test_retrieve_for_patient_paths_are_valid(inference_setup):
         assert path.steps[0].label is None
         for prev, cur in zip(path.steps, path.steps[1:]):
             if cur.label == GROUP_LEAP:
-                assert cur.concept in kg.concepts
+                assert 0 <= cur.concept < len(kg.ids)
             else:
-                assert (prev.concept, cur.label, cur.concept) in edge_set
+                assert (kg.ids[prev.concept], cur.label, kg.ids[cur.concept]) in edge_set
 
 
 def test_retrieve_for_patient_unlinkable_raises(inference_setup):

@@ -11,7 +11,12 @@ from conftest import direct_table
 from helpers import make_kg, oracle_avg, oracle_cosine
 
 from r2ag.concept_linker import PatientInput
-from r2ag.embeddings import group_vectors, pseudo_embeddings
+from r2ag.embeddings import (
+    EmbeddingTable,
+    avg_embedding,
+    group_vectors,
+    pseudo_embeddings,
+)
 from r2ag.errors import MissingReferenceError, NoTrainablePatientsError, UnlinkableInputError
 from r2ag.gro_trainer import (
     GroundTruthConcepts,
@@ -30,17 +35,20 @@ from r2ag.policy_net import init_params, logprob_backward, sample_action
 from r2ag.retrieval_env import PathStep, ReasoningPath
 
 
-def _path(*concepts):
-    steps = [PathStep(None, concepts[0])]
-    steps += [PathStep("rel", c) for c in concepts[1:]]
-    return ReasoningPath(concepts[0], steps)
+def _table(vectors):
+    """``direct_table`` and the row int of each id (its sorted-id position)."""
+    return direct_table(vectors), {cid: i for i, cid in enumerate(sorted(vectors))}
 
 
-def _gt(table, ids):
-    from r2ag.embeddings import avg_embedding
+def _path(ix, *ids):
+    steps = [PathStep(None, ix[ids[0]])]
+    steps += [PathStep("rel", ix[c]) for c in ids[1:]]
+    return ReasoningPath(ix[ids[0]], steps)
 
-    ids = set(ids)
-    return GroundTruthConcepts(ids, avg_embedding(table, ids) if ids else None)
+
+def _gt(table, ix, ids):
+    rows = {ix[c] for c in ids}
+    return GroundTruthConcepts(rows, avg_embedding(table, rows) if rows else None)
 
 
 @pytest.fixture
@@ -73,43 +81,43 @@ def trainer_patient():
 
 
 def test_path_reward_zero_when_disjoint_and_orthogonal():
-    table = direct_table({"X": [1.0, 0.0], "Y": [0.0, 1.0]})
-    assert path_reward(_path("X"), _gt(table, {"Y"}), table, 10.0) == 0.0
+    table, ix = _table({"X": [1.0, 0.0], "Y": [0.0, 1.0]})
+    assert path_reward(_path(ix, "X"), _gt(table, ix, {"Y"}), table, 10.0) == 0.0
 
 
 def test_path_reward_direct_substitution():
     # two hits and an exact 0.5 cosine between averages: 2 + 10 * 0.5 = 7
-    table = direct_table(
+    table, ix = _table(
         {"P1": [1.0, 0.0], "P2": [1.0, 0.0], "R": [-1.0, math.sqrt(3.0)]}
     )
-    gt = _gt(table, {"P1", "P2", "R"})
-    reward = path_reward(_path("P1", "P2"), gt, table, 10.0)
+    gt = _gt(table, ix, {"P1", "P2", "R"})
+    reward = path_reward(_path(ix, "P1", "P2"), gt, table, 10.0)
     assert reward == pytest.approx(7.0, abs=1e-9)
 
 
 def test_path_reward_counts_distinct_concepts_once():
-    table = direct_table({"P1": [1.0, 0.0], "P2": [1.0, 0.0]})
-    gt = _gt(table, {"P1", "P2"})
-    looped = _path("P1", "P2", "P1", "P2", "P1")
+    table, ix = _table({"P1": [1.0, 0.0], "P2": [1.0, 0.0]})
+    gt = _gt(table, ix, {"P1", "P2"})
+    looped = _path(ix, "P1", "P2", "P1", "P2", "P1")
     assert path_reward(looped, gt, table, 0.0) == 2.0
 
 
 def test_path_reward_empty_ground_truth_is_zero(caplog):
-    table = direct_table({"X": [1.0, 0.0]})
-    assert path_reward(_path("X"), _gt(table, set()), table, 10.0) == 0.0
+    table, ix = _table({"X": [1.0, 0.0]})
+    assert path_reward(_path(ix, "X"), _gt(table, ix, set()), table, 10.0) == 0.0
 
 
 def test_path_reward_matches_bruteforce():
     rng = np.random.default_rng(4)
     ids = [f"K{i}" for i in range(12)]
-    table = direct_table({cid: rng.standard_normal(5).tolist() for cid in ids})
-    path = _path(*ids[:6])
+    table, ix = _table({cid: rng.standard_normal(5).tolist() for cid in ids})
+    path = _path(ix, *ids[:6])
     gt_ids = set(ids[4:8])
-    gt = _gt(table, gt_ids)
+    gt = _gt(table, ix, gt_ids)
     got = path_reward(path, gt, table, 10.0)
     hits = sum(1 for c in dict.fromkeys(ids[:6]) if c in gt_ids)
     expected = hits + 10.0 * oracle_cosine(
-        oracle_avg(table, set(ids[:6])), oracle_avg(table, gt_ids)
+        oracle_avg(table, {ix[c] for c in ids[:6]}), oracle_avg(table, gt.concepts)
     )
     assert got == pytest.approx(expected, abs=1e-9)
 
@@ -120,35 +128,37 @@ class _FakeRecord:
 
 
 def test_rollout_reward_single_path():
-    table = direct_table({"P1": [1.0, 0.0], "Q": [0.0, 1.0]})
-    gt = _gt(table, {"P1"})
-    rec = _FakeRecord([_path("P1")])
-    assert rollout_reward(rec, gt, table, 0.0) == path_reward(_path("P1"), gt, table, 0.0)
+    table, ix = _table({"P1": [1.0, 0.0], "Q": [0.0, 1.0]})
+    gt = _gt(table, ix, {"P1"})
+    rec = _FakeRecord([_path(ix, "P1")])
+    assert rollout_reward(rec, gt, table, 0.0) == path_reward(
+        _path(ix, "P1"), gt, table, 0.0
+    )
 
 
 def test_rollout_reward_is_mean_over_paths():
     # with weight 0 the rewards are pure hit counts: {2, 4} -> 3
-    table = direct_table({c: [1.0, 0.0] for c in "abcd"})
-    gt = _gt(table, set("abcd"))
-    rec = _FakeRecord([_path("a", "b"), _path("a", "b", "c", "d")])
+    table, ix = _table({c: [1.0, 0.0] for c in "abcd"})
+    gt = _gt(table, ix, set("abcd"))
+    rec = _FakeRecord([_path(ix, "a", "b"), _path(ix, "a", "b", "c", "d")])
     assert rollout_reward(rec, gt, table, 0.0) == 3.0
 
 
 def test_rollout_reward_matches_explicit_loop():
     rng = np.random.default_rng(9)
     ids = [f"K{i}" for i in range(9)]
-    table = direct_table({cid: rng.standard_normal(4).tolist() for cid in ids})
-    gt = _gt(table, set(ids[3:7]))
-    paths = [_path(*ids[0:3]), _path(*ids[2:6]), _path(*ids[5:9])]
+    table, ix = _table({cid: rng.standard_normal(4).tolist() for cid in ids})
+    gt = _gt(table, ix, set(ids[3:7]))
+    paths = [_path(ix, *ids[0:3]), _path(ix, *ids[2:6]), _path(ix, *ids[5:9])]
     rec = _FakeRecord(paths)
     expected = sum(path_reward(p, gt, table, 10.0) for p in paths) / 3
     assert rollout_reward(rec, gt, table, 10.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_rollout_reward_no_paths_raises():
-    table = direct_table({"X": [1.0, 0.0]})
+    table, ix = _table({"X": [1.0, 0.0]})
     with pytest.raises(ValueError):
-        rollout_reward(_FakeRecord([]), _gt(table, {"X"}), table, 1.0)
+        rollout_reward(_FakeRecord([]), _gt(table, ix, {"X"}), table, 1.0)
 
 
 def test_relative_rewards_equal_inputs():
@@ -241,7 +251,7 @@ def test_train_patient_gamma_zero_uses_only_final_step(
     rng = np.random.default_rng(7)
     upd = train_patient(
         params, trainer_patient, trainer_kg, trainer_table, cfg, rng,
-        group_vectors(trainer_kg, trainer_table), keep_records=True,
+        group_vectors(trainer_kg, trainer_table),
     )
     finals = [
         (rec.relative, logprob_backward(params, rec.caches[-1], rec.actions[-1]))
@@ -419,9 +429,20 @@ def test_train_raises_when_all_skipped(trainer_kg, trainer_table):
         train(corpus, trainer_kg, trainer_table, cfg)
 
 
+def test_patient_context_rejects_table_of_another_row_count(
+    trainer_kg, trainer_table, trainer_patient
+):
+    # the env indexes table rows with graph ints, so a row count that differs
+    # from the graph's concept count is refused before any rollout
+    for rows in (trainer_table.matrix[:-1], np.vstack([trainer_table.matrix] * 2)):
+        table = EmbeddingTable(trainer_table.dim, rows)
+        with pytest.raises(ValueError, match="rows"):
+            patient_context(trainer_patient.pre_admission, trainer_kg, table)
+
+
 def test_build_ground_truth_links_reference(trainer_kg, trainer_table, trainer_patient):
     gt = build_ground_truth(trainer_patient.reference, trainer_kg, trainer_table)
-    assert gt.concepts == {"F3", "B2", "C1"}
+    assert gt.concepts == {trainer_kg.index[c] for c in ("F3", "B2", "C1")}
     assert gt.avg_vec is not None
 
 

@@ -136,7 +136,7 @@ def test_csr_slices_flatten_back_to_edge_list(tiny_kg):
         for i, src in enumerate(kg.ids):
             for g, gid in enumerate(kg.groups):
                 lo, hi = int(kg.indptr[i * n_groups + g]), int(kg.indptr[i * n_groups + g + 1])
-                assert kg.neighbor_slice(i, gid) == (lo, hi)
+                assert kg.neighbor_slice(i, g) == (lo, hi)
                 block = [(kg.labels[k], kg.ids[kg.indices[k]]) for k in range(lo, hi)]
                 assert block == sorted(block)
                 assert all(kg.group_of(dst) == gid for _, dst in block)
@@ -146,9 +146,11 @@ def test_csr_slices_flatten_back_to_edge_list(tiny_kg):
 
 
 def test_load_is_deterministic(write_kg):
+    # neither the ids nor the groups come in sorted order, and the smallest
+    # id lies in the larger group
     rows = [
-        ("C3", "zeta", "G2"),
-        ("C1", "alpha", "G1"),
+        ("C3", "zeta", "G1"),
+        ("C1", "alpha", "G2"),
         ("C2", "beta", "G2"),
     ]
     edges = [("C3", "rel", "C1"), ("C1", "rel", "C2")]
@@ -158,9 +160,18 @@ def test_load_is_deterministic(write_kg):
     assert kg1.edges == kg2.edges
     assert kg1.groups == kg2.groups
     assert kg1.ids == kg2.ids
+    assert kg1.group_at == kg2.group_at
     assert np.array_equal(kg1.indptr, kg2.indptr)
     assert np.array_equal(kg1.indices, kg2.indices)
     assert kg1.labels == kg2.labels
+    # ints follow sorted ids and sorted groups, whatever the row order
+    assert kg1.ids == ("C1", "C2", "C3")
+    assert kg1.index == {"C1": 0, "C2": 1, "C3": 2}
+    assert list(kg1.groups) == ["G1", "G2"]
+    assert kg1.group_index == {"G1": 0, "G2": 1}
+    assert kg1.group_at == (1, 1, 0)
+    for i, cid in enumerate(kg1.ids):
+        assert kg1.group_at[i] == kg1.group_index[kg1.group_of(cid)]
 
 
 def test_normalize_name():

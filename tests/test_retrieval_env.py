@@ -7,7 +7,8 @@ import pytest
 
 from conftest import direct_table
 from helpers import (
-    ks_of,
+    int_neighbors,
+    ints,
     make_kg,
     oracle_connect_choice,
     oracle_retrieve_choice,
@@ -55,30 +56,37 @@ def env_table(env_kg):
     return pseudo_embeddings(env_kg, 8, seed=23)
 
 
-def _sq_avg(table, ks):
-    return avg_embedding(table, ks.concept_ids())
+def _rollout(kg, keywords, k_init, k_scarce, max_steps):
+    """``init_rollout`` from concept and group ids."""
+    g = kg.group_index
+    return init_rollout(ints(kg, keywords), kg, g[k_init], g[k_scarce], max_steps)
+
+
+def _sq_avg(table, kg, keywords):
+    return avg_embedding(table, ints(kg, keywords))
+
+
+def _step(rs, gid, kg, table, sq):
+    return step(rs, kg.group_index[gid], kg, table, sq)
 
 
 def test_init_rollout_filters_origins(env_kg):
-    ks = ks_of(env_kg, ["A0", "A2", "B0"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    assert [p.origin for p in rs.paths] == ["A0", "A2"]
-    assert rs.explored == {"A0", "A2"}
+    rs = _rollout(env_kg, ["A0", "A2", "B0"], "GA", "GZ", max_steps=5)
+    assert [p.origin for p in rs.paths] == ints(env_kg, ["A0", "A2"])
+    assert rs.explored == set(ints(env_kg, ["A0", "A2"]))
     assert rs.t == 0
-    assert rs.current_group == rs.prev_group == "GA"
+    assert rs.current_group == rs.prev_group == env_kg.group_index["GA"]
 
 
 def test_init_rollout_requires_origin_in_group(env_kg):
-    ks = ks_of(env_kg, ["B0"])
     with pytest.raises(ValueError, match="GA"):
-        init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
+        _rollout(env_kg, ["B0"], "GA", "GZ", max_steps=5)
 
 
 def test_init_rollout_matches_filter_oracle(env_kg):
     ids = ["A0", "B0", "A1", "B1", "A3"]
-    ks = ks_of(env_kg, ids)
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=3)
-    assert [p.origin for p in rs.paths] == [
+    rs = _rollout(env_kg, ids, "GA", "GZ", max_steps=3)
+    assert [env_kg.ids[p.origin] for p in rs.paths] == [
         c for c in ids if env_kg.group_of(c) == "GA"
     ]
 
@@ -87,9 +95,8 @@ def test_group_state_identical_halves_when_scarce_is_current():
     kg = make_kg([("P", "p", "X"), ("Q", "q", "Y")], [])
     table = direct_table({"P": [1.0, 0.0], "Q": [0.0, 1.0]})
     gv = group_vectors(kg, table)
-    ks = ks_of(kg, ["P"])
-    rs = init_rollout(ks, kg, "X", "X", max_steps=1)
-    s = group_state(rs, kg, gv)
+    rs = _rollout(kg, ["P"], "X", "X", max_steps=1)
+    s = group_state(rs, gv)
     assert np.array_equal(s[:4], s[4:])
 
 
@@ -97,39 +104,36 @@ def test_group_state_manual_concatenation():
     kg = make_kg([("P", "p", "X"), ("Q", "q", "Y")], [])
     table = direct_table({"P": [1.0, 0.0], "Q": [0.0, 1.0]})
     gv = group_vectors(kg, table)
-    ks = ks_of(kg, ["P"])
-    rs = init_rollout(ks, kg, "X", "Y", max_steps=1)
-    s = group_state(rs, kg, gv)
+    rs = _rollout(kg, ["P"], "X", "Y", max_steps=1)
+    s = group_state(rs, gv)
     # groups are singletons: group vec = [member || member]
     assert np.allclose(s, [1, 0, 1, 0, 0, 1, 0, 1])
     assert s.shape == (8,)
 
 
 def test_raw_concept_avg_matches_avg_embedding(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0", "A2"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=2)
+    rs = _rollout(env_kg, ["A0", "A2"], "GA", "GZ", max_steps=2)
     assert np.array_equal(
-        raw_concept_avg(rs, env_table), avg_embedding(env_table, {"A0", "A2"})
+        raw_concept_avg(rs, env_table), _sq_avg(env_table, env_kg, ["A0", "A2"])
     )
 
 
 def test_connect_single_candidate_leaps_everywhere(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0", "A2", "B5"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    leaps = connect(rs, env_kg, env_table, "GB")
-    assert leaps == ["B5", "B5"]
+    rs = _rollout(env_kg, ["A0", "A2", "B5"], "GA", "GZ", max_steps=5)
+    leaps = connect(rs, env_kg, env_table, env_kg.group_index["GB"])
+    b5 = env_kg.index["B5"]
+    assert leaps == [b5, b5]
     for path in rs.paths:
         assert path.steps[-1].label == GROUP_LEAP
-        assert path.steps[-1].concept == "B5"
-    assert "B5" in rs.explored
+        assert path.steps[-1].concept == b5
+    assert b5 in rs.explored
 
 
 def test_step_with_empty_pool_degrades_to_stay(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0", "A2"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    assert candidate_pool(rs, env_kg, "GZ") == []
-    step(rs, "GZ", env_kg, env_table, _sq_avg(env_table, ks))
-    assert rs.current_group == "GA"  # group unchanged
+    rs = _rollout(env_kg, ["A0", "A2"], "GA", "GZ", max_steps=5)
+    assert candidate_pool(rs, env_kg, env_kg.group_index["GZ"]) == []
+    _step(rs, "GZ", env_kg, env_table, _sq_avg(env_table, env_kg, ["A0", "A2"]))
+    assert rs.current_group == env_kg.group_index["GA"]  # group unchanged
     for path in rs.paths:
         assert all(s.label != GROUP_LEAP for s in path.steps)
         assert len(path.steps) == 2  # retrieve still ran within GA
@@ -138,95 +142,86 @@ def test_step_with_empty_pool_degrades_to_stay(env_kg, env_table):
 def test_connect_matches_bruteforce_oracle(env_kg, env_table):
     # ten unexplored GB keywords form the candidate pool
     ids = ["A0", "A2"] + [f"B{i}" for i in range(10)]
-    ks = ks_of(env_kg, ids)
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
+    rs = _rollout(env_kg, ids, "GA", "GZ", max_steps=5)
     # grow paths a little first so the averages differ per path
-    step(rs, "GA", env_kg, env_table, _sq_avg(env_table, ks))
-    pool = candidate_pool(rs, env_kg, "GB")
+    _step(rs, "GA", env_kg, env_table, _sq_avg(env_table, env_kg, ids))
+    pool = candidate_pool(rs, env_kg, env_kg.group_index["GB"])
     assert len(pool) == 10
     before = copy.deepcopy(rs.paths)
-    leaps = connect(rs, env_kg, env_table, "GB", pool)
+    leaps = connect(rs, env_kg, env_table, env_kg.group_index["GB"], pool)
     for prior, leap in zip(before, leaps):
         assert leap == oracle_connect_choice(env_table, prior, pool)
 
 
 def test_retrieve_single_neighbor_is_selected(env_kg, env_table):
-    ks = ks_of(env_kg, ["B1"])
-    rs = init_rollout(ks, env_kg, "GB", "GZ", max_steps=5)
-    retrieve(rs, env_kg, env_table, _sq_avg(env_table, ks))
-    assert rs.paths[0].steps[-1].concept == "B2"
+    rs = _rollout(env_kg, ["B1"], "GB", "GZ", max_steps=5)
+    retrieve(rs, env_kg, env_table, _sq_avg(env_table, env_kg, ["B1"]))
+    assert rs.paths[0].steps[-1].concept == env_kg.index["B2"]
     assert rs.paths[0].steps[-1].label == "s1"
 
 
 def test_retrieve_freezes_paths_without_neighbors(env_kg, env_table):
-    ks = ks_of(env_kg, ["Z0"])
-    rs = init_rollout(ks, env_kg, "GZ", "GA", max_steps=5)
-    sq = _sq_avg(env_table, ks)
+    rs = _rollout(env_kg, ["Z0"], "GZ", "GA", max_steps=5)
+    sq = _sq_avg(env_table, env_kg, ["Z0"])
     retrieve(rs, env_kg, env_table, sq)
     assert rs.frozen == [True]
     snapshot = copy.deepcopy(rs.paths[0])
-    step(rs, "GZ", env_kg, env_table, sq)
-    step(rs, "GA", env_kg, env_table, sq)  # leap would need candidates anyway
+    _step(rs, "GZ", env_kg, env_table, sq)
+    _step(rs, "GA", env_kg, env_table, sq)  # leap would need candidates anyway
     assert rs.paths[0] == snapshot
 
 
 def test_retrieve_matches_scoring_oracle_including_leap(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0", "B0"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    sq = _sq_avg(env_table, ks)
+    rs = _rollout(env_kg, ["A0", "B0"], "GA", "GZ", max_steps=5)
+    sq = _sq_avg(env_table, env_kg, ["A0", "B0"])
     before = copy.deepcopy(rs.paths[0])
-    step(rs, "GB", env_kg, env_table, sq)  # leap to B0, retrieve among 8 nbrs
+    _step(rs, "GB", env_kg, env_table, sq)  # leap to B0, retrieve among 8 nbrs
     leap_step, new_step = rs.paths[0].steps[-2], rs.paths[0].steps[-1]
+    b0 = env_kg.index["B0"]
     assert leap_step.label == GROUP_LEAP
-    assert leap_step.concept == "B0"
+    assert leap_step.concept == b0
     # oracle: path average must include the just-appended leap concept
     with_leap = copy.deepcopy(before)
-    from r2ag.retrieval_env import PathStep
-
-    with_leap.steps.append(PathStep(GROUP_LEAP, "B0"))
-    nbrs = env_kg.neighbors_in_group("B0", "GB")
+    with_leap.steps.append(PathStep(GROUP_LEAP, b0))
+    nbrs = int_neighbors(env_kg, b0, env_kg.group_index["GB"])
     assert len(nbrs) == 8
     expected = oracle_retrieve_choice(env_table, with_leap, nbrs, sq)
     assert (new_step.label, new_step.concept) == expected
 
 
 def test_stay_action_adds_no_leap_markers(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0", "A2"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    step(rs, "GA", env_kg, env_table, _sq_avg(env_table, ks))
+    rs = _rollout(env_kg, ["A0", "A2"], "GA", "GZ", max_steps=5)
+    _step(rs, "GA", env_kg, env_table, _sq_avg(env_table, env_kg, ["A0", "A2"]))
     for path in rs.paths:
         assert all(s.label != GROUP_LEAP for s in path.steps)
         assert len(path.steps) == 2
 
 
 def test_leap_step_grows_path_by_two(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0", "B0"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    step(rs, "GB", env_kg, env_table, _sq_avg(env_table, ks))
+    rs = _rollout(env_kg, ["A0", "B0"], "GA", "GZ", max_steps=5)
+    _step(rs, "GB", env_kg, env_table, _sq_avg(env_table, env_kg, ["A0", "B0"]))
     assert len(rs.paths[0].steps) == 3  # origin + leap + retrieved
-    assert rs.current_group == "GB"
-    assert rs.prev_group == "GA"
+    assert rs.current_group == env_kg.group_index["GB"]
+    assert rs.prev_group == env_kg.group_index["GA"]
 
 
 def test_full_episode_explored_equals_union(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0", "A2", "B0"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    sq = _sq_avg(env_table, ks)
+    rs = _rollout(env_kg, ["A0", "A2", "B0"], "GA", "GZ", max_steps=5)
+    sq = _sq_avg(env_table, env_kg, ["A0", "A2", "B0"])
     actions = ["GA", "GB", "GB", "GA", "GB"]
     for a in actions:
-        step(rs, a, env_kg, env_table, sq)
+        _step(rs, a, env_kg, env_table, sq)
     assert rs.t == 5
     union = {s.concept for p in rs.paths for s in p.steps}
     assert rs.explored == union
     with pytest.raises(ValueError, match="finished"):
-        step(rs, "GA", env_kg, env_table, sq)
+        _step(rs, "GA", env_kg, env_table, sq)
 
 
 def test_action_matrix_covers_all_groups(env_kg, env_table):
     gv = group_vectors(env_kg, env_table)
-    ks = ks_of(env_kg, ["A0"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    actions = action_matrix(rs, env_kg, gv)
+    rs = _rollout(env_kg, ["A0"], "GA", "GZ", max_steps=5)
+    actions = action_matrix(rs, gv)
     assert env_kg.all_groups() == ["GA", "GB", "GZ"]
     assert actions.shape == (3, 4 * env_table.dim)
     for i, gid in enumerate(env_kg.all_groups()):
@@ -236,35 +231,32 @@ def test_action_matrix_covers_all_groups(env_kg, env_table):
 
 def test_rollout_is_deterministic(env_kg, env_table):
     def run():
-        ks = ks_of(env_kg, ["A0", "A2", "B0"])
-        rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-        sq = _sq_avg(env_table, ks)
+        rs = _rollout(env_kg, ["A0", "A2", "B0"], "GA", "GZ", max_steps=5)
+        sq = _sq_avg(env_table, env_kg, ["A0", "A2", "B0"])
         for a in ["GB", "GA", "GB", "GA", "GA"]:
-            step(rs, a, env_kg, env_table, sq)
+            _step(rs, a, env_kg, env_table, sq)
         return rs.paths
 
     assert run() == run()
 
 
 def test_nonleap_steps_follow_graph_edges(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0", "A2", "B0"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=5)
-    sq = _sq_avg(env_table, ks)
+    rs = _rollout(env_kg, ["A0", "A2", "B0"], "GA", "GZ", max_steps=5)
+    sq = _sq_avg(env_table, env_kg, ["A0", "A2", "B0"])
     for a in ["GA", "GB", "GB", "GA", "GB"]:
-        step(rs, a, env_kg, env_table, sq)
+        _step(rs, a, env_kg, env_table, sq)
     edge_set = {(e.src, e.label, e.dst) for e in env_kg.edges}
+    ids = env_kg.ids
     for path in rs.paths:
         for prev, cur in zip(path.steps, path.steps[1:]):
             if cur.label != GROUP_LEAP:
-                assert (prev.concept, cur.label, cur.concept) in edge_set
+                assert (ids[prev.concept], cur.label, ids[cur.concept]) in edge_set
 
 
 def test_path_dump_shape(env_kg, env_table):
-    ks = ks_of(env_kg, ["A0"])
-    rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=2)
-    sq = _sq_avg(env_table, ks)
-    step(rs, "GA", env_kg, env_table, sq)
-    d = rs.paths[0].to_dict()
+    rs = _rollout(env_kg, ["A0"], "GA", "GZ", max_steps=2)
+    _step(rs, "GA", env_kg, env_table, _sq_avg(env_table, env_kg, ["A0"]))
+    d = rs.paths[0].to_dict(env_kg)
     assert d["origin"] == "A0"
     assert d["steps"][0] == {"label": "r1", "concept": "A1"}
 
@@ -291,18 +283,18 @@ def test_retrieve_exact_tie_goes_to_smallest_label_then_id(tied):
     kg = make_kg(concepts, edges)
     table = direct_table(vecs)
     # N00's path is scored in the same product, ahead of O's
-    ks = ks_of(kg, ["N00", "O"])
-    rs = init_rollout(ks, kg, "GB", "GA", max_steps=2)
-    sq = _sq_avg(table, ks)
+    rs = _rollout(kg, ["N00", "O"], "GB", "GA", max_steps=2)
+    sq = _sq_avg(table, kg, ["N00", "O"])
     before = copy.deepcopy(rs.paths)
     retrieve(rs, kg, table, sq)
     assert rs.frozen == [False, False]
     for prior, path in zip(before, rs.paths):
         got = (path.steps[-1].label, path.steps[-1].concept)
         assert got == oracle_retrieve_choice(
-            table, prior, kg.neighbors_in_group(prior.origin, "GB"), sq
+            table, prior, int_neighbors(kg, prior.origin, kg.group_index["GB"]), sq
         )
-    assert rs.paths[1].steps[-1] == PathStep(*nbrs[tied[0]])
+    label, cid = nbrs[tied[0]]
+    assert rs.paths[1].steps[-1] == PathStep(label, kg.index[cid])
 
 
 @pytest.mark.parametrize("tied", [(0, 1), (1, 6), (4, 9)])
@@ -318,12 +310,12 @@ def test_connect_exact_tie_goes_to_smallest_id(tied):
     concepts += [(cid, cid.lower(), "GB") for cid in pool_ids]
     kg = make_kg(concepts, [])
     table = direct_table(vecs)
-    rs = init_rollout(ks_of(kg, ["A0", "A1", *pool_ids]), kg, "GA", "GB", max_steps=1)
-    pool = candidate_pool(rs, kg, "GB")
-    assert pool == pool_ids
+    rs = _rollout(kg, ["A0", "A1", *pool_ids], "GA", "GB", max_steps=1)
+    pool = candidate_pool(rs, kg, kg.group_index["GB"])
+    assert pool == ints(kg, pool_ids)
     before = copy.deepcopy(rs.paths)
-    leaps = connect(rs, kg, table, "GB", pool)
-    assert leaps[0] == pool_ids[tied[0]]
+    leaps = connect(rs, kg, table, kg.group_index["GB"], pool)
+    assert leaps[0] == kg.index[pool_ids[tied[0]]]
     for prior, leap in zip(before, leaps):
         assert leap == oracle_connect_choice(table, prior, pool)
 
@@ -344,17 +336,16 @@ def test_file_table_with_extra_rows_scores_like_one_without(tmp_path, env_kg):
     plain = write("plain.tsv", sorted(rows.items()))
     # extra ids first in the file, graph rows in reverse order
     padded = write("padded.tsv", [*extra.items(), *reversed(sorted(rows.items()))])
-    n = len(env_kg.ids)
-    assert padded.ids == env_kg.ids + ("AAA", "ZZZ")
-    assert np.array_equal(padded.matrix[:n], plain.matrix)
-    assert np.array_equal(padded.vec("AAA"), extra["AAA"] / np.linalg.norm(extra["AAA"]))
+    # rows outside the graph are dropped: row i is concept ids[i]
+    assert padded.matrix.shape == (len(env_kg.ids), 8)
+    assert np.array_equal(padded.matrix, plain.matrix)
 
     def run(table):
-        ks = ks_of(env_kg, ["A0", "A2", "B0", "B3"])
-        rs = init_rollout(ks, env_kg, "GA", "GZ", max_steps=6)
-        sq = _sq_avg(table, ks)
+        keywords = ["A0", "A2", "B0", "B3"]
+        rs = _rollout(env_kg, keywords, "GA", "GZ", max_steps=6)
+        sq = _sq_avg(table, env_kg, keywords)
         for a in ["GA", "GB", "GB", "GA", "GB", "GA"]:
-            step(rs, a, env_kg, table, sq)
+            _step(rs, a, env_kg, table, sq)
         return rs.paths
 
     assert run(padded) == run(plain)
