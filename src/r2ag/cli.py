@@ -20,7 +20,7 @@ import numpy as np
 
 from .atomic_file import atomic_open
 from .concept_linker import link_concepts, load_corpus
-from .embeddings import group_vectors, load_embeddings, pseudo_embeddings
+from .embeddings import fingerprint, group_vectors, load_embeddings, pseudo_embeddings
 from .errors import (
     DataFormatError,
     EndpointError,
@@ -280,16 +280,31 @@ def _load_generated(path) -> list[dict]:
 
 
 def _table_for_checkpoint(opts: _Options, kg, params):
+    """The embedding table the checkpoint's weights were trained on: the
+    ``--embeddings`` file, else the pseudo table from the checkpoint's d and
+    seed. A v2 checkpoint's fingerprint must match the table built."""
     emb = opts.get("embeddings")
-    if not emb:
-        return pseudo_embeddings(kg, params.d, params.seed)
-    table = load_embeddings(emb, kg)
-    if table.dim != params.d:
-        raise DataFormatError(
-            f"embedding dimension {table.dim} does not match the checkpoint's "
-            f"dimension {params.d}",
-            path=emb,
-        )
+    if emb:
+        table = load_embeddings(emb, kg)
+        if table.dim != params.d:
+            raise DataFormatError(
+                f"embedding dimension {table.dim} does not match the checkpoint's "
+                f"dimension {params.d}",
+                path=emb,
+            )
+        built = f"the table in {emb}"
+    else:
+        table = pseudo_embeddings(kg, params.d, params.seed)
+        built = f"the pseudo-embedding table (d={params.d}, seed={params.seed})"
+    if params.embeddings is not None:
+        found = fingerprint(table)
+        if found != params.embeddings:
+            raise DataFormatError(
+                f"the checkpoint was trained on the embedding table {params.embeddings}, "
+                f"but {built} is {found}; pass the graph and --embeddings file "
+                "(or none, for pseudo-embeddings) that train used",
+                path=opts.require("checkpoint"),
+            )
     return table
 
 

@@ -32,6 +32,27 @@ class EmbeddingTable:
         self.norms = np.linalg.norm(self.matrix, axis=1)
 
 
+def fingerprint(table: EmbeddingTable) -> str:
+    """``sha256:<hex>`` of the table matrix as C-order little-endian float64
+    bytes: the same rule for file and pseudo tables, so it also tells apart
+    pseudo tables built on different graphs."""
+    data = np.ascontiguousarray(table.matrix, dtype="<f8")
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def check_table_rows(kg: KnowledgeGraph, table: EmbeddingTable) -> None:
+    """Refuse a table whose row count is not the graph's concept count.
+
+    Graph ints index table rows (see ``EmbeddingTable``), so every function
+    that indexes a table with graph ints reaches this check first.
+    """
+    if len(table.matrix) != len(kg.ids):
+        raise DataFormatError(
+            f"embedding table has {len(table.matrix)} rows, the graph "
+            f"{len(kg.ids)} concepts"
+        )
+
+
 def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
     """Load ``dim=<d>`` header plus one ``id\\tf1 f2 ... fd`` row per concept.
 
@@ -185,6 +206,7 @@ def group_vectors(kg: KnowledgeGraph, table: EmbeddingTable) -> np.ndarray:
 
     One row per group in ``kg.group_index`` order: shape ``(n_groups, 2d)``.
     """
+    check_table_rows(kg, table)
     group_at = np.asarray(kg.group_at)
     pooled = []
     for g in range(len(kg.groups)):

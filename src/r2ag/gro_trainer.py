@@ -24,7 +24,14 @@ from .concept_linker import (
     link_concepts,
     scarce_group,
 )
-from .embeddings import EmbeddingTable, avg_embedding, cosine, group_vectors
+from .embeddings import (
+    EmbeddingTable,
+    avg_embedding,
+    check_table_rows,
+    cosine,
+    fingerprint,
+    group_vectors,
+)
 from .errors import MissingReferenceError, NoTrainablePatientsError, UnlinkableInputError
 from .kg_store import KnowledgeGraph
 from .policy_net import (
@@ -126,12 +133,7 @@ def build_ground_truth(
 
 
 def patient_context(patient_text: str, kg: KnowledgeGraph, table: EmbeddingTable) -> PatientContext:
-    # the env indexes table rows with graph ints (see EmbeddingTable)
-    if len(table.matrix) != len(kg.ids):
-        raise ValueError(
-            f"embedding table has {len(table.matrix)} rows, the graph "
-            f"{len(kg.ids)} concepts"
-        )
+    check_table_rows(kg, table)
     ks = link_concepts(patient_text, kg)
     if not ks:
         raise UnlinkableInputError("no keyword concepts linked from input text")
@@ -288,6 +290,7 @@ def train(
     if not corpus:
         raise NoTrainablePatientsError("corpus is empty")
     params = init_params(table.dim, cfg.seed)
+    params.embeddings = fingerprint(table)
     rng = np.random.default_rng([cfg.seed, 1])
     gv = group_vectors(kg, table)
 

@@ -15,6 +15,7 @@ action embeddings are rows of length 4d.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 from .atomic_file import atomic_open
 from .errors import DataFormatError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -33,6 +34,14 @@ class PolicyParams:
     W1: np.ndarray  # (4d, 5d)
     W2: np.ndarray  # (4d, 4d)
     M: np.ndarray  # (d, d)
+    # fingerprint of the embedding table the weights were trained on (see
+    # ``embeddings.fingerprint``); None when unknown, as for a v1 checkpoint
+    embeddings: str | None = None
+
+
+def param_shapes(d: int) -> dict[str, tuple[int, int]]:
+    """Shapes of W1, W2 and M for embedding dimension ``d``, in that order."""
+    return {"W1": (4 * d, 5 * d), "W2": (4 * d, 4 * d), "M": (d, d)}
 
 
 @dataclass
@@ -72,9 +81,7 @@ def init_params(d: int, seed: int) -> PolicyParams:
     if d < 2:
         raise ValueError("embedding dimension must be >= 2")
     rng = np.random.default_rng(seed)
-    W1 = _glorot(rng, 4 * d, 5 * d)
-    W2 = _glorot(rng, 4 * d, 4 * d)
-    M = _glorot(rng, d, d)
+    W1, W2, M = (_glorot(rng, *shape) for shape in param_shapes(d).values())
     return PolicyParams(d, seed, W1, W2, M)
 
 
@@ -175,51 +182,82 @@ def logprob_backward_batch(
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:
-    """Write {version, d, seed, W1, W2, M} as JSON; floats round-trip exactly.
+    """Write a version-2 checkpoint: one JSON object {version, d, seed,
+    embeddings, W1, W2, M}.
 
-    The bytes are those of ``json.dump`` of the whole payload, but each
-    matrix row goes through the C encoder on its own, so the nested float
-    lists are never built. The file is replaced atomically.
+    Each matrix is the base64 of its C-order little-endian float64 bytes,
+    so floats round-trip bit-exactly and equal parameters give equal bytes.
+    The matrices are encoded one at a time, and the file is replaced
+    atomically.
     """
-    header = {"version": CHECKPOINT_VERSION, "d": params.d, "seed": params.seed}
+    header = {
+        "version": CHECKPOINT_VERSION, "d": params.d, "seed": params.seed,
+        "embeddings": params.embeddings,
+    }
     with atomic_open(path) as fh:
         fh.write(json.dumps(header)[:-1])
-        for name in ("W1", "W2", "M"):
-            fh.write(f', "{name}": [')
-            for i, row in enumerate(getattr(params, name)):
-                if i:
-                    fh.write(", ")
-                fh.write(json.dumps(row.tolist()))
-            fh.write("]")
+        for name in param_shapes(params.d):
+            raw = np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
+            fh.write(f', "{name}": "{base64.b64encode(raw).decode("ascii")}"')
         fh.write("}\n")
 
 
+def _read_matrix(value, version: int, name: str, shape: tuple[int, int], path) -> np.ndarray:
+    """Matrix ``name`` as stored in a checkpoint of ``version``: nested JSON
+    lists (v1) or the base64 of C-order little-endian float64 bytes (v2)."""
+    if version == 1:
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"malformed {name}: {exc}", path=path) from exc
+    else:
+        if not isinstance(value, str):
+            raise DataFormatError(f"{name} must be a base64 string", path=path)
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise DataFormatError(f"{name} is not valid base64: {exc}", path=path) from exc
+        size = 8 * shape[0] * shape[1]
+        if len(raw) != size:
+            raise DataFormatError(
+                f"{name} has {len(raw)} bytes, expected {size} for shape {shape}", path=path
+            )
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if arr.shape != shape:
+        raise DataFormatError(f"{name} has shape {arr.shape}, expected {shape}", path=path)
+    if not np.all(np.isfinite(arr)):
+        raise DataFormatError(f"{name} contains non-finite values", path=path)
+    return arr
+
+
 def load_checkpoint(path) -> PolicyParams:
+    """Read a version-2 checkpoint, or a version-1 one (matrices as nested
+    JSON lists, no embedding fingerprint). Malformed content of any kind
+    raises ``DataFormatError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
-    if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+        raise DataFormatError(f"unsupported checkpoint version {version!r}", path=path)
+    required = ["d", "seed", "W1", "W2", "M"] + (["embeddings"] if version == 2 else [])
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise DataFormatError(f"malformed checkpoint: missing {missing}", path=path)
+    d, seed = payload["d"], payload["seed"]
+    if type(d) is not int or d < 2 or type(seed) is not int:
         raise DataFormatError(
-            f"unsupported checkpoint version {payload.get('version')!r}", path=path
+            f"d must be an int >= 2 and seed an int, got {d!r} and {seed!r}", path=path
         )
-    try:
-        d = int(payload["d"])
-        seed = int(payload["seed"])
-        W1 = np.array(payload["W1"], dtype=np.float64)
-        W2 = np.array(payload["W2"], dtype=np.float64)
-        M = np.array(payload["M"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed checkpoint: {exc}", path=path) from exc
-    expected = {"W1": (4 * d, 5 * d), "W2": (4 * d, 4 * d), "M": (d, d)}
-    for name, arr in (("W1", W1), ("W2", W2), ("M", M)):
-        if arr.shape != expected[name]:
-            raise DataFormatError(
-                f"{name} has shape {arr.shape}, expected {expected[name]}", path=path
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DataFormatError(f"{name} contains non-finite values", path=path)
-    return PolicyParams(d, seed, W1, W2, M)
+    embeddings = payload["embeddings"] if version == 2 else None
+    if embeddings is not None and not isinstance(embeddings, str):
+        raise DataFormatError(f"embeddings must be a string, got {embeddings!r}", path=path)
+    mats = {
+        name: _read_matrix(payload[name], version, name, shape, path)
+        for name, shape in param_shapes(d).items()
+    }
+    return PolicyParams(d, seed, mats["W1"], mats["W2"], mats["M"], embeddings)

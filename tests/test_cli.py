@@ -316,15 +316,15 @@ def test_retrieve_sampled_mode_is_seed_deterministic(tmp_path):
     assert (run / "s1.jsonl").read_bytes() == (run / "s2.jsonl").read_bytes()
 
 
-def _embedding_file(tmp_path, data, dim):
+def _embedding_file(tmp_path, data, dim, seed=0):
     """Random unit vectors for every concept in the synth graph."""
     ids = [
         line.split("\t")[0]
         for line in (data / "concepts.tsv").read_text().splitlines()[1:]
         if line
     ]
-    rng = np.random.default_rng(0)
-    emb = tmp_path / f"emb{dim}.tsv"
+    rng = np.random.default_rng(seed)
+    emb = tmp_path / f"emb{dim}_{seed}.tsv"
     with open(emb, "w") as fh:
         fh.write(f"dim={dim}\n")
         for cid in ids:
@@ -368,6 +368,96 @@ def test_embedding_dimension_mismatch_with_checkpoint_exits_2(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "embedding dimension 16" in err and "dimension 8" in err
     assert not (run / "out.jsonl").exists()
+
+
+def _serve(command, data, run, extra=()):
+    return main(
+        ["--seed", "3", command] + _kg_args(data)
+        + ["--checkpoint", str(run / "checkpoint.json"),
+           "--corpus", str(data / "patients.jsonl"),
+           "--out", str(run / "out.jsonl")]
+        + (["--stub"] if command == "generate" else []) + list(extra)
+    )
+
+
+def _as_v1(run):
+    """Rewrite the run's checkpoint in the version-1 layout (no fingerprint)."""
+    p = load_checkpoint(run / "checkpoint.json")
+    (run / "checkpoint.json").write_text(json.dumps({
+        "version": 1, "d": p.d, "seed": p.seed,
+        "W1": p.W1.tolist(), "W2": p.W2.tolist(), "M": p.M.tolist(),
+    }))
+
+
+@pytest.mark.parametrize("command", ["retrieve", "generate"])
+def test_checkpoint_refuses_a_table_other_than_the_trained_one(tmp_path, capsys, command):
+    data = _synth(tmp_path)
+    emb = _embedding_file(tmp_path, data, 8)
+    run = _train(tmp_path, data, extra=["--embeddings", str(emb)])
+    expected = load_checkpoint(run / "checkpoint.json").embeddings
+    assert expected.startswith("sha256:") and len(expected) == 7 + 64
+    assert _serve(command, data, run, ["--embeddings", str(emb)]) == 0
+    (run / "out.jsonl").unlink()
+    other = _embedding_file(tmp_path, data, 8, seed=1)  # same d, other vectors
+    for extra in ([], ["--embeddings", str(other)]):  # pseudo fallback, other file
+        capsys.readouterr()
+        assert _serve(command, data, run, extra) == 2
+        err = capsys.readouterr().err
+        assert "r2ag: data error" in err and f"trained on the embedding table {expected}" in err
+        assert not (run / "out.jsonl").exists()
+
+
+def test_checkpoint_refuses_pseudo_table_of_another_graph(tmp_path, capsys):
+    run = _train(tmp_path, _synth(tmp_path / "a", seed=3))
+    other = _synth(tmp_path / "b", seed=4)  # same sizes, other graph
+    assert _serve("retrieve", other, run) == 2
+    assert "trained on the embedding table sha256:" in capsys.readouterr().err
+
+
+def test_v1_checkpoint_keeps_only_the_dimension_check(tmp_path, capsys):
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data, extra=["--embeddings", str(_embedding_file(tmp_path, data, 8))])
+    _as_v1(run)
+    other = _embedding_file(tmp_path, data, 8, seed=1)
+    assert _serve("retrieve", data, run, ["--embeddings", str(other)]) == 0
+    assert _serve("retrieve", data, run, ["--embeddings", str(_embedding_file(tmp_path, data, 16))]) == 2
+    assert "embedding dimension 16" in capsys.readouterr().err
+
+
+def test_retrieval_setup_refuses_table_of_another_row_count(tmp_path, capsys, monkeypatch):
+    import r2ag.cli as cli
+    from r2ag.embeddings import EmbeddingTable
+
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data)
+    _as_v1(run)  # no fingerprint, so the row count is the check that fires
+    real = cli.pseudo_embeddings
+
+    def short_table(kg, d, seed):
+        table = real(kg, d, seed)
+        return EmbeddingTable(table.dim, table.matrix[:-1])
+
+    monkeypatch.setattr(cli, "pseudo_embeddings", short_table)
+    assert _serve("retrieve", data, run) == 2
+    err = capsys.readouterr().err
+    assert "r2ag: data error" in err and "74 rows, the graph 75 concepts" in err
+
+
+def test_truncated_checkpoint_exits_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data)
+    ckpt = run / "checkpoint.json"
+    full = ckpt.read_bytes()
+    assert full.endswith(b"}\n")  # every cut below drops at least the "}"
+    for cut in np.unique(np.linspace(0, len(full) - 2, 30).astype(int)):
+        # a plain cut is invalid JSON; closing it again leaves a short or
+        # broken base64 string, or a missing key, inside valid JSON
+        for content in (full[:cut], full[:cut] + b'"}\n'):
+            ckpt.write_bytes(content)
+            capsys.readouterr()
+            assert _serve("retrieve", data, run) == 2, content[-40:]
+            assert "r2ag: data error" in capsys.readouterr().err
+            assert not (run / "out.jsonl").exists()
 
 
 def test_generate_max_paths_truncates_records(tmp_path):

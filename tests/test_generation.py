@@ -6,8 +6,9 @@ import pytest
 from helpers import MockEndpoint, make_kg
 
 from r2ag.concept_linker import PatientInput
-from r2ag.embeddings import group_vectors, pseudo_embeddings
+from r2ag.embeddings import EmbeddingTable, group_vectors, pseudo_embeddings
 from r2ag.errors import (
+    DataFormatError,
     EndpointNetworkError,
     EndpointResponseError,
     EndpointStatusError,
@@ -232,6 +233,13 @@ def test_retrieve_for_patient_unlinkable_raises(inference_setup):
         retrieve_for_patient(
             params, PatientInput("P", "nothing matches here"), kg, table, gv
         )
+
+
+def test_retrieve_for_patient_rejects_table_of_another_row_count(inference_setup):
+    params, patient, kg, table, gv = inference_setup
+    short = EmbeddingTable(table.dim, table.matrix[:-1])
+    with pytest.raises(DataFormatError, match="6 rows, the graph 7 concepts"):
+        retrieve_for_patient(params, patient, kg, short, gv)
 
 
 def test_retrieve_for_patient_sampled_mode(inference_setup):

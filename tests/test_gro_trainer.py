@@ -17,7 +17,12 @@ from r2ag.embeddings import (
     group_vectors,
     pseudo_embeddings,
 )
-from r2ag.errors import MissingReferenceError, NoTrainablePatientsError, UnlinkableInputError
+from r2ag.errors import (
+    DataFormatError,
+    MissingReferenceError,
+    NoTrainablePatientsError,
+    UnlinkableInputError,
+)
 from r2ag.gro_trainer import (
     GroundTruthConcepts,
     TrainConfig,
@@ -429,15 +434,31 @@ def test_train_raises_when_all_skipped(trainer_kg, trainer_table):
         train(corpus, trainer_kg, trainer_table, cfg)
 
 
+def _other_row_counts(table):
+    return [
+        EmbeddingTable(table.dim, rows)
+        for rows in (table.matrix[:-1], np.vstack([table.matrix] * 2))
+    ]
+
+
 def test_patient_context_rejects_table_of_another_row_count(
     trainer_kg, trainer_table, trainer_patient
 ):
     # the env indexes table rows with graph ints, so a row count that differs
     # from the graph's concept count is refused before any rollout
-    for rows in (trainer_table.matrix[:-1], np.vstack([trainer_table.matrix] * 2)):
-        table = EmbeddingTable(trainer_table.dim, rows)
-        with pytest.raises(ValueError, match="rows"):
+    for table in _other_row_counts(trainer_table):
+        with pytest.raises(DataFormatError, match="rows"):
             patient_context(trainer_patient.pre_admission, trainer_kg, table)
+
+
+def test_train_rejects_table_of_another_row_count(
+    trainer_kg, trainer_table, trainer_patient
+):
+    # refused with the row-count message before group_vectors indexes rows
+    cfg = TrainConfig(max_steps=2, group_size=2, epochs=1)
+    for table in _other_row_counts(trainer_table):
+        with pytest.raises(DataFormatError, match="rows, the graph 7 concepts"):
+            train([trainer_patient], trainer_kg, table, cfg)
 
 
 def test_build_ground_truth_links_reference(trainer_kg, trainer_table, trainer_patient):

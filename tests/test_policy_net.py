@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import base64
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,22 +237,42 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _special_params(d: int):
+    """Parameters holding -0.0, the smallest subnormals and huge floats."""
+    p = init_params(d, seed=5)
+    p.W1[0, :4] = [-0.0, 5e-324, 1e300, -1e300]
+    p.W2[1, 2] = -5e-324
+    p.M[1, 1] = -0.0
+    return p
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_checkpoint_roundtrip_keeps_every_bit(tmp_path, d):
+    p = _special_params(d)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(p, path)
+    loaded = load_checkpoint(path)
+    for name in ("W1", "W2", "M"):
+        assert getattr(loaded, name).tobytes() == getattr(p, name).tobytes()
+    assert math.copysign(1.0, loaded.W1[0, 0]) == -1.0
+    assert math.copysign(1.0, loaded.M[1, 1]) == -1.0
+    assert loaded.W1[0, 1] == 5e-324 and loaded.W2[1, 2] == -5e-324
+    assert loaded.W1[0, 2] == 1e300 and loaded.W1[0, 3] == -1e300
+
+
 def _json_dump_bytes(p) -> bytes:
-    """The checkpoint as one ``json.dump`` of the whole payload writes it."""
-    payload = {
-        "version": 1, "d": p.d, "seed": p.seed,
-        "W1": p.W1.tolist(), "W2": p.W2.tolist(), "M": p.M.tolist(),
-    }
+    """The checkpoint as one ``json.dump`` of the whole v2 payload writes it."""
+    payload = {"version": 2, "d": p.d, "seed": p.seed, "embeddings": p.embeddings}
+    for name in ("W1", "W2", "M"):
+        raw = np.ascontiguousarray(getattr(p, name), dtype="<f8").tobytes()
+        payload[name] = base64.b64encode(raw).decode("ascii")
     buf = io.StringIO()
     json.dump(payload, buf)
     return (buf.getvalue() + "\n").encode("utf-8")
 
 
 def test_checkpoint_bytes_equal_json_dump_of_payload(tmp_path):
-    p = init_params(2, seed=5)
-    p.W1[0, :4] = [-0.0, 5e-324, 1e300, -1e300]
-    p.W2[1, 2] = -5e-324
-    p.M[1, 1] = -0.0
+    p = _special_params(2)
     path = tmp_path / "ckpt.json"
     save_checkpoint(p, path)
     assert path.read_bytes() == _json_dump_bytes(p)
@@ -259,33 +281,52 @@ def test_checkpoint_bytes_equal_json_dump_of_payload(tmp_path):
     assert loaded.W1[0, 1] == 5e-324 and loaded.W1[0, 2] == 1e300
     for d in (3, 6):
         q = init_params(d, seed=d)
+        q.embeddings = "sha256:" + "cd" * 32
         save_checkpoint(q, path)
         assert path.read_bytes() == _json_dump_bytes(q)
 
 
-def _failing_dumps(monkeypatch, after: int):
-    """Make ``json.dumps`` raise on its call number ``after + 1``."""
-    real = json.dumps
-    calls = []
+def test_two_saves_of_equal_params_are_byte_identical(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    p = _special_params(3)
+    p.embeddings = "sha256:" + "ab" * 32
+    save_checkpoint(p, a)
+    q = _special_params(3)
+    q.embeddings = p.embeddings
+    save_checkpoint(q, b)
+    assert a.read_bytes() == b.read_bytes()
+    payload = json.loads(a.read_text())
+    assert payload["version"] == 2 and payload["embeddings"] == p.embeddings
+    assert load_checkpoint(a).embeddings == p.embeddings
 
-    def dumps(obj, *args, **kwargs):
-        calls.append(1)
-        if len(calls) > after:
-            raise RuntimeError("encoder failed")
-        return real(obj, *args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", dumps)
-    return calls
+def test_v1_checkpoint_still_loads():
+    # written by the version-1 writer: matrices as nested JSON lists
+    path = Path(__file__).parent / "data" / "checkpoint_v1_d2.json"
+    loaded = load_checkpoint(path)
+    expected = _special_params(2)
+    assert (loaded.d, loaded.seed, loaded.embeddings) == (2, 5, None)
+    for name in ("W1", "W2", "M"):
+        assert getattr(loaded, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def test_checkpoint_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "ckpt.json"
     save_checkpoint(init_params(4, seed=1), path)
     before = path.read_bytes()
-    calls = _failing_dumps(monkeypatch, after=5)  # the header and four rows
+    real = base64.b64encode
+    calls = []
+
+    def b64encode(data):  # fails on the second matrix, after the header
+        calls.append(1)
+        if len(calls) > 1:
+            raise RuntimeError("encoder failed")
+        return real(data)
+
+    monkeypatch.setattr(base64, "b64encode", b64encode)
     with pytest.raises(RuntimeError, match="encoder failed"):
         save_checkpoint(init_params(4, seed=2), path)
-    assert len(calls) == 6
+    assert len(calls) == 2
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
     with pytest.raises(RuntimeError):
@@ -295,9 +336,10 @@ def test_checkpoint_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
 
 def test_checkpoint_rejects_bad_version(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 99}))
-    with pytest.raises(DataFormatError, match="version"):
-        load_checkpoint(path)
+    for payload in ({"version": 99}, {"version": "2"}, {"version": True}, [2], 2):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="version"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_shape(tmp_path):
@@ -309,4 +351,69 @@ def test_checkpoint_rejects_bad_shape(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(DataFormatError, match="shape"):
+        load_checkpoint(path)
+
+
+def _v2_payload(d: int = 2) -> dict:
+    p = init_params(d, seed=0)
+    return {
+        "version": 2, "d": d, "seed": 0, "embeddings": None,
+        **{
+            name: base64.b64encode(getattr(p, name).astype("<f8").tobytes()).decode()
+            for name in ("W1", "W2", "M")
+        },
+    }
+
+
+def _nan_matrix(d: int) -> str:
+    m = np.zeros((d, d))
+    m[0, 0] = np.nan
+    return base64.b64encode(m.astype("<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"M": "not*base64"}, "base64"),
+        ({"M": "AAAA"}, "bytes"),  # valid base64, 3 bytes instead of 32
+        ({"M": "ü"}, "base64"),
+        ({"M": "*" + _v2_payload()["M"]}, "base64"),  # lenient decoding skips "*"
+        ({"M": [[0.0, 0.0], [0.0, 0.0]]}, "string"),
+        ({"M": None}, "string"),
+        ({"d": 2.0}, "int"),
+        ({"d": "2"}, "int"),
+        ({"d": 1}, "int"),
+        ({"d": 3}, "bytes"),
+        ({"seed": None}, "int"),
+        ({"embeddings": 7}, "string"),
+        ({"M": _nan_matrix(2)}, "non-finite"),
+        ({"version": 3}, "version"),
+    ],
+)
+def test_malformed_v2_checkpoint_raises_data_format_error(tmp_path, change, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_v2_payload() | change), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["d", "seed", "embeddings", "W1", "W2", "M"])
+def test_v2_checkpoint_missing_key_raises_data_format_error(tmp_path, key):
+    payload = _v2_payload()
+    del payload[key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError, match="missing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"version": 2, "d": \xff}', b"[" * 100_000, b'{"version": 2, "W1": ' + b"[" * 100_000],
+)
+def test_undecodable_checkpoint_raises_data_format_error(tmp_path, content):
+    # bytes that are not UTF-8, and nesting too deep for the JSON decoder
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError, match="invalid JSON"):
         load_checkpoint(path)
