@@ -193,7 +193,7 @@ def _load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read config: {exc}", path=path) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"invalid JSON config: {exc}", path=path) from exc
     if not isinstance(cfg, dict):
         raise DataFormatError("config must be a JSON object", path=path)
@@ -269,7 +269,7 @@ def _load_generated(path) -> list[dict]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"invalid JSON: {exc}", path=path, line=no) from exc
         if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
             raise DataFormatError("expected an object with an 'id'", path=path, line=no)
@@ -329,8 +329,8 @@ def cmd_synth(args, opts: _Options) -> int:
     kg = load_kg(concepts_path, relations_path)
     corpus_path = gen_corpus(spec, kg, out_dir / "patients.jsonl")
     print(
-        f"wrote {concepts_path} ({len(kg.concepts)} concepts), "
-        f"{relations_path} ({len(kg.edges)} edges), "
+        f"wrote {concepts_path} ({len(kg.ids)} concepts), "
+        f"{relations_path} ({len(kg.indices)} edges), "
         f"{corpus_path} ({spec.patients} patients)"
     )
     return 0
@@ -338,13 +338,12 @@ def cmd_synth(args, opts: _Options) -> int:
 
 def cmd_validate(args, opts: _Options) -> int:
     kg = load_kg(opts.require("concepts"), opts.require("relations"))
-    print(f"concepts: {len(kg.concepts)}")
-    print(f"edges: {len(kg.edges)}")
-    labels = sorted({e.label for e in kg.edges})
-    print(f"relation labels: {len(labels)}")
+    print(f"concepts: {len(kg.ids)}")
+    print(f"edges: {len(kg.indices)}")
+    print(f"relation labels: {len(kg.label_names)}")
     print(f"groups: {len(kg.groups)}")
-    for gid, members in kg.groups.items():
-        print(f"  {gid}: {len(members)} concepts")
+    for gid, n in zip(kg.groups, np.bincount(kg.group_at, minlength=len(kg.groups))):
+        print(f"  {gid}: {n} concepts")
     emb = opts.get("embeddings")
     if emb:
         table = load_embeddings(emb, kg)

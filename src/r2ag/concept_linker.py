@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
-from .kg_store import KnowledgeGraph
+from .kg_store import KnowledgeGraph, normalize_name
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -57,8 +57,8 @@ class _Lexicon:
 
     def __init__(self, kg: KnowledgeGraph):
         entries: dict[tuple[str, ...], str] = {}
-        for cid in sorted(kg.concepts):
-            tokens = tuple(kg.concepts[cid].name_norm.split())
+        for cid, name in zip(kg.ids, kg.names):
+            tokens = tuple(normalize_name(name).split())
             if not tokens:
                 continue
             # smallest id wins when two concepts share a normalized name
@@ -152,7 +152,7 @@ def load_corpus(path) -> list[PatientInput]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"invalid JSON: {exc}", path=path, line=no) from exc
         if not isinstance(obj, dict):
             raise DataFormatError("expected a JSON object", path=path, line=no)

@@ -143,7 +143,7 @@ def pseudo_embeddings(kg: KnowledgeGraph, d: int, seed: int) -> EmbeddingTable:
         bias[gid] = raw / np.linalg.norm(raw)
     matrix = np.empty((len(kg.ids), d), dtype=np.float64)
     for i, cid in enumerate(kg.ids):
-        group = kg.concepts[cid].group
+        group = kg.groups[kg.group_at[i]]
         raw = _hash_rng(str(seed), "concept", cid, group).standard_normal(d)
         v = _GROUP_BIAS_WEIGHT * bias[group] + raw / np.linalg.norm(raw)
         matrix[i] = v / np.linalg.norm(v)

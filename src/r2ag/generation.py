@@ -91,8 +91,8 @@ def render_paths(paths: list[ReasoningPath], kg: KnowledgeGraph) -> str:
     for path in paths:
         pieces = []
         for i, step in enumerate(path.steps):
-            concept = kg.concepts[kg.ids[step.concept]]
-            seg = f"{concept.name} [{concept.group}]"
+            c = step.concept
+            seg = f"{kg.names[c]} [{kg.groups[kg.group_at[c]]}]"
             if i == 0:
                 pieces.append(seg)
             else:
@@ -121,9 +121,7 @@ def build_prompt_bundle(
     """Assemble the prompt from every path in ``paths``."""
     tpl = template or DEFAULT_TEMPLATE
     block = render_paths(paths, kg) if paths else ""
-    names = dict.fromkeys(
-        kg.name_of(kg.ids[st.concept]) for path in paths for st in path.steps
-    )
+    names = dict.fromkeys(kg.names[st.concept] for path in paths for st in path.steps)
     return PromptBundle(
         system=tpl["system"],
         patient_text=patient.pre_admission,
@@ -139,7 +137,7 @@ def load_template(path) -> dict:
             tpl = json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
     for key in ("version", "system", "instruction"):
         if not isinstance(tpl.get(key), str):

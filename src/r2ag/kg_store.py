@@ -9,7 +9,8 @@ downstream walks are reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
+from array import array
 
 import numpy as np
 
@@ -29,83 +30,73 @@ def normalize_name(text: str) -> str:
     return " ".join(_TOKEN_RE.findall(text.lower()))
 
 
-@dataclass(frozen=True)
-class Concept:
-    id: str
-    name: str
-    group: str
-    name_norm: str
-
-
-@dataclass(frozen=True)
-class RelationEdge:
-    src: str
-    label: str
-    dst: str
+def concept_ints(ids) -> dict[str, int]:
+    """Graph int of each concept id: its position in sorted order."""
+    return {cid: i for i, cid in enumerate(sorted(ids))}
 
 
 class KnowledgeGraph:
-    """Concept map, deduplicated edge list and the CSR neighbour index.
+    """Concept columns and the CSR neighbour index, all over graph ints.
 
-    Concepts are numbered once, in sorted-id order: ``ids[i]`` is concept
-    ``i`` and ``index`` maps back, so the smallest int is the smallest id.
-    Groups are numbered in sorted order too (``group_index``), and
-    ``group_at[i]`` is the group int of concept ``i``. Forward neighbours
-    are stored in CSR form, one slice per (source concept, destination
-    group) pair: slot ``i * len(groups) + g`` spans
-    ``indptr[slot]:indptr[slot + 1]`` of ``indices`` (destination ints) and
-    ``labels`` (relation labels), in sorted (label, id) order. Slots of one
-    source are adjacent, so with ``G = len(groups)`` concept ``i``'s
+    Concepts are numbered once, in sorted-id order (``concept_ints``):
+    ``ids[i]`` and ``names[i]`` are concept ``i`` and ``index`` maps back,
+    so the smallest int is the smallest id. ``groups`` holds the group
+    names in sorted order, ``group_index`` maps back, and ``group_at[i]`` is
+    the group int of concept ``i``. Forward neighbours are stored in CSR
+    form, one slice per (source concept, destination group) pair: slot
+    ``i * len(groups) + g`` spans ``indptr[slot]:indptr[slot + 1]`` of
+    ``indices`` (destination ints) and ``labels`` (relation codes into
+    ``label_names``, which is sorted), in sorted (label, id) order. Slots of
+    one source are adjacent, so with ``G = len(groups)`` concept ``i``'s
     neighbours in every group span ``indptr[i * G]:indptr[(i + 1) * G]``.
     """
 
-    def __init__(self, concepts: dict[str, Concept], edges: list[RelationEdge]):
-        self.concepts = dict(concepts)
-        self.edges = list(edges)
-
-        self.ids: tuple[str, ...] = tuple(sorted(self.concepts))
-        self.index: dict[str, int] = {cid: i for i, cid in enumerate(self.ids)}
-        members: dict[str, list[str]] = {}
-        for cid in self.ids:
-            members.setdefault(self.concepts[cid].group, []).append(cid)
-        self.groups: dict[str, tuple[str, ...]] = {
-            g: tuple(ids) for g, ids in sorted(members.items())
-        }
-        self.group_index: dict[str, int] = {g: k for k, g in enumerate(self.groups)}
+    def __init__(self, concepts: dict[str, tuple[str, str]], src, labels, dst):
+        """``concepts`` maps each id to its (name, group); edge ``k`` runs
+        from concept int ``src[k]`` to ``dst[k]`` under relation
+        ``labels[k]``. Repeated (src, label, dst) triples are kept once."""
+        self.index = concept_ints(concepts)
+        self.ids: tuple[str, ...] = tuple(self.index)
+        self.names: tuple[str, ...] = tuple(concepts[cid][0] for cid in self.ids)
+        self.groups: tuple[str, ...] = tuple(sorted({g for _, g in concepts.values()}))
+        self.group_index = {g: k for k, g in enumerate(self.groups)}
+        self.group_at: tuple[int, ...] = tuple(
+            self.group_index[concepts[cid][1]] for cid in self.ids
+        )
+        # Python string order: a NumPy "<U" array would drop trailing NULs
+        self.label_names: tuple[str, ...] = tuple(sorted(set(labels)))
+        code = {label: k for k, label in enumerate(self.label_names)}
 
         n_groups = len(self.groups)
-        self.group_at: tuple[int, ...] = tuple(
-            self.group_index[self.concepts[cid].group] for cid in self.ids
-        )
-        slots: list[tuple[int, str, int]] = []  # (slot, label, dst) per edge
-        for e in self.edges:
-            d = self.index[e.dst]
-            slots.append((self.index[e.src] * n_groups + self.group_at[d], e.label, d))
-        slots.sort()
-        self.indptr = np.searchsorted(
-            np.array([s for s, _, _ in slots], dtype=np.int64),
-            np.arange(len(self.ids) * n_groups + 1),
-        )
-        self.indices = np.array([d for _, _, d in slots], dtype=np.int64)
-        self.labels: list[str] = [label for _, label, _ in slots]
-
-    def __contains__(self, cid: str) -> bool:
-        return cid in self.concepts
+        dst = np.asarray(dst, dtype=np.int64)
+        lab = np.array([code[label] for label in labels], dtype=np.int64)
+        slot = np.asarray(src, dtype=np.int64) * n_groups + np.asarray(
+            self.group_at, dtype=np.int64
+        )[dst]
+        order = np.lexsort((dst, lab, slot))
+        slot, lab, dst = slot[order], lab[order], dst[order]
+        # (slot, label, dst) fixes the triple; keep the first of equal rows
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (np.diff(slot) != 0) | (np.diff(lab) != 0) | (np.diff(dst) != 0)
+        self.indptr = np.searchsorted(slot[first], np.arange(len(self.ids) * n_groups + 1))
+        self.indices = dst[first]
+        self.labels = lab[first]
 
     def name_of(self, cid: str) -> str:
-        return self._concept(cid).name
+        return self.names[self._int(cid)]
 
     def group_of(self, cid: str) -> str:
-        return self._concept(cid).group
+        return self.groups[self.group_at[self._int(cid)]]
 
     def all_groups(self) -> list[str]:
         return list(self.groups)
 
     def group_members(self, gid: str) -> tuple[str, ...]:
         """Sorted member ids of group ``gid``."""
-        if gid not in self.groups:
+        g = self.group_index.get(gid)
+        if g is None:
             raise KeyError(f"unknown semantic group {gid!r}")
-        return self.groups[gid]
+        return tuple(cid for cid, k in zip(self.ids, self.group_at) if k == g)
 
     def neighbor_slice(self, i: int, g: int) -> tuple[int, int]:
         """CSR bounds of concept ``i``'s forward neighbours in group ``g``."""
@@ -118,16 +109,19 @@ class KnowledgeGraph:
         Returned as (relation label, concept id) pairs in lexicographic
         order.
         """
-        self._concept(cid)
+        i = self._int(cid)
         g = self.group_index.get(gid)
         if g is None:
             return []
-        lo, hi = self.neighbor_slice(self.index[cid], g)
-        return [(self.labels[k], self.ids[self.indices[k]]) for k in range(lo, hi)]
+        lo, hi = self.neighbor_slice(i, g)
+        return [
+            (self.label_names[k], self.ids[d])
+            for k, d in zip(self.labels[lo:hi].tolist(), self.indices[lo:hi].tolist())
+        ]
 
-    def _concept(self, cid: str) -> Concept:
+    def _int(self, cid: str) -> int:
         try:
-            return self.concepts[cid]
+            return self.index[cid]
         except KeyError:
             raise KeyError(f"unknown concept id {cid!r}") from None
 
@@ -152,7 +146,7 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
         raise DataFormatError(
             "expected header 'id\\tname\\tgroup'", path=concepts_path, line=1
         )
-    concepts: dict[str, Concept] = {}
+    concepts: dict[str, tuple[str, str]] = {}
     for no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -166,7 +160,7 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
             raise DataFormatError(
                 f"duplicate concept id {cid!r}", path=concepts_path, line=no
             )
-        concepts[cid] = Concept(cid, name, group, normalize_name(name))
+        concepts[cid] = (name, group)
     if not concepts:
         raise DataFormatError("no concepts loaded (empty graph)", path=concepts_path)
 
@@ -175,8 +169,8 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
         raise DataFormatError(
             "expected header 'src\\trelation\\tdst'", path=relations_path, line=1
         )
-    edges: list[RelationEdge] = []
-    seen: set[tuple[str, str, str]] = set()
+    index = concept_ints(concepts)
+    src, labels, dst = array("q"), [], array("q")
     for no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -185,26 +179,23 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
             raise DataFormatError(
                 "expected 3 non-empty tab-separated fields", path=relations_path, line=no
             )
-        src, label, dst = parts
-        if src not in concepts:
+        s_id, label, d_id = parts
+        s, d = index.get(s_id), index.get(d_id)
+        if s is None or d is None:
+            unknown = s_id if s is None else d_id
             raise DataFormatError(
-                f"edge references unknown concept {src!r}", path=relations_path, line=no
+                f"edge references unknown concept {unknown!r}", path=relations_path, line=no
             )
-        if dst not in concepts:
+        if s == d:
             raise DataFormatError(
-                f"edge references unknown concept {dst!r}", path=relations_path, line=no
+                f"self-loop edge on concept {s_id!r}", path=relations_path, line=no
             )
-        if src == dst:
-            raise DataFormatError(
-                f"self-loop edge on concept {src!r}", path=relations_path, line=no
-            )
-        triple = (src, label, dst)
-        if triple in seen:
-            continue
-        seen.add(triple)
-        edges.append(RelationEdge(src, label, dst))
+        src.append(s)
+        labels.append(sys.intern(label))  # one string per distinct label
+        dst.append(d)
 
-    kg = KnowledgeGraph(concepts, edges)
+    del lines  # the text is parsed; free it before the columns are built
+    kg = KnowledgeGraph(concepts, src, labels, dst)
     if len(kg.groups) < 2:
         raise DataFormatError(
             "graph must span at least 2 semantic groups", path=concepts_path

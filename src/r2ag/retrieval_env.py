@@ -64,7 +64,6 @@ class RolloutState:
     max_steps: int
     scarce_group: int
     current_group: int
-    prev_group: int
     keywords: list[int]  # every linked keyword concept, in match order
     explored: set[int]
     paths: list[ReasoningPath]
@@ -92,7 +91,6 @@ def init_rollout(
         max_steps=max_steps,
         scarce_group=k_scarce,
         current_group=k_init,
-        prev_group=k_init,
         keywords=list(keywords),
         explored=set(origins),
         paths=paths,
@@ -193,7 +191,7 @@ def retrieve(
         # first maximum, so ties go to the smallest (label, id)
         k = lo + int(np.argmax(0.5 * (seg[:, 0] + seg[:, p])))
         c = int(kg.indices[k])
-        rs.paths[idx].steps.append(PathStep(kg.labels[k], c))
+        rs.paths[idx].steps.append(PathStep(kg.label_names[kg.labels[k]], c))
         rs.explored.add(c)
 
 
@@ -211,15 +209,11 @@ def step(
     """
     if rs.t >= rs.max_steps:
         raise ValueError("rollout already finished")
-    prev = rs.current_group
-    effective = prev
-    if a != prev:
+    if a != rs.current_group:
         pool = candidate_pool(rs, kg, a)
         if pool:
             connect(rs, kg, table, a, pool)
-            effective = a
-    rs.prev_group = prev
-    rs.current_group = effective
+            rs.current_group = a
     retrieve(rs, kg, table, sq_avg)
     rs.t += 1
     return rs

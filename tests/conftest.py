@@ -9,8 +9,9 @@ from r2ag.embeddings import EmbeddingTable, pseudo_embeddings
 
 
 @pytest.fixture
-def tiny_kg():
-    """Two groups, hand-written names and edges, used across unit tests."""
+def tiny_rows():
+    """Two groups, hand-written names and edges, used across unit tests:
+    (id, name, group) and (src, label, dst) rows."""
     concepts = [
         ("D1", "chest pain", "Disorders"),
         ("D2", "exertional chest pain", "Disorders"),
@@ -30,7 +31,12 @@ def tiny_kg():
         ("A3", "associated_with", "D4"),
         ("A2", "part_of", "A3"),
     ]
-    return make_kg(concepts, edges)
+    return concepts, edges
+
+
+@pytest.fixture
+def tiny_kg(tiny_rows):
+    return make_kg(*tiny_rows)
 
 
 @pytest.fixture

@@ -16,18 +16,21 @@ import time
 import numpy as np
 
 from r2ag.concept_linker import KeywordMatch, KeywordSet
-from r2ag.kg_store import Concept, KnowledgeGraph, RelationEdge, normalize_name
+from r2ag.kg_store import KnowledgeGraph, concept_ints
 from r2ag.policy_net import forward
 
 
 def make_kg(concept_rows, edge_rows) -> KnowledgeGraph:
     """Build a graph from (id, name, group) and (src, label, dst) tuples."""
-    concepts = {
-        cid: Concept(cid, name, group, normalize_name(name))
-        for cid, name, group in concept_rows
-    }
-    edges = [RelationEdge(s, l, d) for s, l, d in edge_rows]
-    return KnowledgeGraph(concepts, edges)
+    concepts = {cid: (name, group) for cid, name, group in concept_rows}
+    index = concept_ints(concepts)
+    edge_rows = list(edge_rows)
+    return KnowledgeGraph(
+        concepts,
+        [index[s] for s, _, _ in edge_rows],
+        [label for _, label, _ in edge_rows],
+        [index[d] for _, _, d in edge_rows],
+    )
 
 
 def ints(kg: KnowledgeGraph, ids) -> list[int]:
@@ -52,9 +55,10 @@ def ks_of(kg: KnowledgeGraph, ids) -> KeywordSet:
     return ks
 
 
-def random_kg(rng: np.random.Generator, n_groups: int, per_group: int,
-              p_intra: float, p_cross: float) -> KnowledgeGraph:
-    """In-memory random graph; group of concept i is i // per_group."""
+def random_graph_rows(rng: np.random.Generator, n_groups: int, per_group: int,
+                      p_intra: float, p_cross: float) -> tuple[list, list]:
+    """(id, name, group) and (src, label, dst) rows of a random graph; group
+    of concept i is i // per_group."""
     labels = ("rel_a", "rel_b", "rel_c")
     rows = []
     for g in range(n_groups):
@@ -71,7 +75,13 @@ def random_kg(rng: np.random.Generator, n_groups: int, per_group: int,
             p = p_intra if groups[i] == groups[j] else p_cross
             if rng.random() < p:
                 edge_rows.append((src, labels[int(rng.integers(len(labels)))], dst))
-    return make_kg(rows, edge_rows)
+    return rows, edge_rows
+
+
+def random_kg(rng: np.random.Generator, n_groups: int, per_group: int,
+              p_intra: float, p_cross: float) -> KnowledgeGraph:
+    """In-memory graph of ``random_graph_rows``."""
+    return make_kg(*random_graph_rows(rng, n_groups, per_group, p_intra, p_cross))
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,9 @@ def test_criterion_3_retrieval_oracle_equivalence():
         n_groups = int(rng.integers(3, 7))
         per_group = int(rng.integers(4, min(34, 200 // n_groups + 1)))
         kg = random_kg(rng, n_groups, per_group, p_intra=0.15, p_cross=0.03)
-        assert len(kg.concepts) <= 200
+        assert len(kg.ids) <= 200
         table = pseudo_embeddings(kg, 8, seed=int(rng.integers(100_000)))
-        ids = sorted(kg.concepts)
+        ids = kg.ids
         n_kw = int(rng.integers(3, 8))
         keywords = [ids[i] for i in rng.permutation(len(ids))[:n_kw]]
         ks = ks_of(kg, keywords)

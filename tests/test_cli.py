@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from r2ag.cli import DEFAULTS, _write_jsonl, build_parser, main
+from r2ag.cli import DEFAULTS, _load_config, _load_generated, _write_jsonl, build_parser, main
+from r2ag.concept_linker import load_corpus
+from r2ag.errors import DataFormatError
+from r2ag.generation import load_template
 from r2ag.policy_net import init_params, load_checkpoint
 
 SMALL_SYNTH = [
@@ -147,6 +150,21 @@ def test_missing_file_exits_2(tmp_path, capsys):
          "--relations", str(tmp_path / "nope2.tsv")]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("loader", [_load_config, _load_generated, load_corpus, load_template])
+def test_json_nested_past_the_decoder_limit_is_a_data_error(tmp_path, loader):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "\n")
+    with pytest.raises(DataFormatError, match="invalid JSON"):
+        loader(path)
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["--config", str(path), "validate"]) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_retrieve_unknown_patient_exits_2(tmp_path, capsys):

@@ -15,6 +15,7 @@ from r2ag.concept_linker import (
     scarce_group,
 )
 from r2ag.errors import DataFormatError
+from r2ag.kg_store import normalize_name
 
 
 def test_single_concept_match(tiny_kg):
@@ -58,8 +59,8 @@ def _oracle_greedy(text, kg):
 
     tokens = [(m.group(0).lower(), m.start(), m.end()) for m in re.finditer(r"[A-Za-z0-9]+", text)]
     names = {}
-    for cid in sorted(kg.concepts):
-        toks = tuple(kg.concepts[cid].name_norm.split())
+    for cid in sorted(kg.ids):
+        toks = tuple(normalize_name(kg.name_of(cid)).split())
         if toks and toks not in names:
             names[toks] = cid
     all_matches = []  # (start_token, length, cid) for every occurrence

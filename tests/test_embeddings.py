@@ -140,7 +140,7 @@ def test_pseudo_group_structure_beats_cross_group():
     kg = make_kg(rows, [])
     table = pseudo_embeddings(kg, 8, seed=7)
     within, cross = [], []
-    ids = sorted(kg.concepts)
+    ids = sorted(kg.ids)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             sim = oracle_cosine(table.matrix[kg.index[a]], table.matrix[kg.index[b]])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_kg
+from helpers import make_kg, random_graph_rows
 
 from r2ag.errors import DataFormatError
 from r2ag.kg_store import load_kg, normalize_name
@@ -15,8 +15,9 @@ MINI_EDGES = [("C1", "treats", "C2")]
 
 def test_load_minimal_fixture(write_kg):
     kg = load_kg(*write_kg(MINI_CONCEPTS, MINI_EDGES))
-    assert len(kg.concepts) == 2
-    assert len(kg.edges) == 1
+    assert kg.ids == ("C1", "C2")
+    assert kg.names == ("aspirin", "chest pain")
+    assert len(kg.indices) == 1
     assert kg.name_of("C1") == "aspirin"
     assert kg.group_of("C2") == "Disorders"
 
@@ -68,7 +69,32 @@ def test_load_rejects_single_group(write_kg):
 
 def test_load_dedupes_repeated_triples(write_kg):
     kg = load_kg(*write_kg(MINI_CONCEPTS, MINI_EDGES + MINI_EDGES))
-    assert len(kg.edges) == 1
+    assert len(kg.indices) == 1
+
+
+def test_load_dedupes_triples_on_non_adjacent_lines(write_kg):
+    rows = MINI_CONCEPTS + [("C3", "ibuprofen", "Drugs")]
+    edges = [
+        ("C1", "treats", "C2"),
+        ("C3", "treats", "C2"),
+        ("C1", "causes", "C2"),
+        ("C1", "treats", "C2"),  # repeats line 2
+        ("C1", "treats", "C3"),
+    ]
+    kg = load_kg(*write_kg(rows, edges))
+    assert len(kg.indices) == 4
+    assert kg.neighbors_in_group("C1", "Disorders") == [("causes", "C2"), ("treats", "C2")]
+    assert kg.neighbors_in_group("C1", "Drugs") == [("treats", "C3")]
+
+
+def test_labels_get_distinct_codes_in_python_string_order(write_kg):
+    # NumPy "<U" arrays drop trailing NULs, which would merge "x" and "x\x00"
+    labels = ["\u00c4x", "xZ", "x\x00", "x"]
+    edges = [("C1", label, "C2") for label in labels]
+    kg = load_kg(*write_kg(MINI_CONCEPTS, edges))
+    assert kg.label_names == ("x", "x\x00", "xZ", "\u00c4x")
+    assert len(set(kg.labels.tolist())) == 4
+    assert kg.neighbors_in_group("C1", "Disorders") == [(l, "C2") for l in sorted(labels)]
 
 
 def test_unknown_ids_raise_keyerror(tiny_kg):
@@ -95,19 +121,21 @@ def test_neighbors_filter_and_order(tiny_kg):
 
 def test_neighbors_match_edge_list_scan():
     rng = np.random.default_rng(5)
-    kg = random_kg(rng, n_groups=5, per_group=10, p_intra=0.2, p_cross=0.05)
-    for cid in kg.concepts:
+    rows, edge_rows = random_graph_rows(rng, n_groups=5, per_group=10, p_intra=0.2, p_cross=0.05)
+    kg = make_kg(rows, edge_rows)
+    group = {cid: g for cid, _, g in rows}
+    for cid, _, _ in rows:
         for gid in kg.all_groups():
             oracle = sorted(
-                (e.label, e.dst)
-                for e in kg.edges
-                if e.src == cid and kg.group_of(e.dst) == gid
+                (label, dst)
+                for src, label, dst in edge_rows
+                if src == cid and group[dst] == gid
             )
             assert kg.neighbors_in_group(cid, gid) == oracle
 
 
 def test_group_partition_roundtrip(tiny_kg):
-    for cid in tiny_kg.concepts:
+    for cid in tiny_kg.ids:
         assert cid in tiny_kg.group_members(tiny_kg.group_of(cid))
 
 
@@ -115,34 +143,37 @@ def test_groups_cover_all_concepts(tiny_kg):
     union = set()
     for gid in tiny_kg.all_groups():
         union |= set(tiny_kg.group_members(gid))
-    assert union == set(tiny_kg.concepts)
+    assert union == set(tiny_kg.ids)
 
 
 def test_groups_pairwise_disjoint():
     rng = np.random.default_rng(9)
-    kg = random_kg(rng, n_groups=4, per_group=8, p_intra=0.3, p_cross=0.1)
+    kg = make_kg(*random_graph_rows(rng, n_groups=4, per_group=8, p_intra=0.3, p_cross=0.1))
     groups = [set(kg.group_members(g)) for g in kg.all_groups()]
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
             assert groups[i] & groups[j] == set()
 
 
-def test_csr_slices_flatten_back_to_edge_list(tiny_kg):
+def test_csr_slices_flatten_back_to_edge_list(tiny_rows):
     rng = np.random.default_rng(5)
-    random_graph = random_kg(rng, n_groups=4, per_group=10, p_intra=0.3, p_cross=0.05)
-    for kg in (tiny_kg, random_graph):
+    random_rows = random_graph_rows(rng, n_groups=4, per_group=10, p_intra=0.3, p_cross=0.05)
+    for rows, edge_rows in (tiny_rows, random_rows):
+        kg = make_kg(rows, edge_rows)
         n_groups = len(kg.groups)
         flattened = []
         for i, src in enumerate(kg.ids):
             for g, gid in enumerate(kg.groups):
                 lo, hi = int(kg.indptr[i * n_groups + g]), int(kg.indptr[i * n_groups + g + 1])
                 assert kg.neighbor_slice(i, g) == (lo, hi)
-                block = [(kg.labels[k], kg.ids[kg.indices[k]]) for k in range(lo, hi)]
+                block = [
+                    (kg.label_names[kg.labels[k]], kg.ids[kg.indices[k]]) for k in range(lo, hi)
+                ]
                 assert block == sorted(block)
                 assert all(kg.group_of(dst) == gid for _, dst in block)
                 flattened.extend((src, label, dst) for label, dst in block)
-        assert len(flattened) == len(kg.edges)
-        assert sorted(flattened) == sorted((e.src, e.label, e.dst) for e in kg.edges)
+        assert len(flattened) == len(edge_rows)
+        assert sorted(flattened) == sorted(edge_rows)
 
 
 def test_load_is_deterministic(write_kg):
@@ -156,18 +187,19 @@ def test_load_is_deterministic(write_kg):
     edges = [("C3", "rel", "C1"), ("C1", "rel", "C2")]
     kg1 = load_kg(*write_kg(rows, edges, suffix="a"))
     kg2 = load_kg(*write_kg(rows, edges, suffix="b"))
-    assert list(kg1.concepts) == list(kg2.concepts)
-    assert kg1.edges == kg2.edges
+    assert kg1.names == kg2.names
     assert kg1.groups == kg2.groups
     assert kg1.ids == kg2.ids
     assert kg1.group_at == kg2.group_at
     assert np.array_equal(kg1.indptr, kg2.indptr)
     assert np.array_equal(kg1.indices, kg2.indices)
-    assert kg1.labels == kg2.labels
+    assert np.array_equal(kg1.labels, kg2.labels)
+    assert kg1.label_names == kg2.label_names
     # ints follow sorted ids and sorted groups, whatever the row order
     assert kg1.ids == ("C1", "C2", "C3")
+    assert kg1.names == ("alpha", "beta", "zeta")
     assert kg1.index == {"C1": 0, "C2": 1, "C3": 2}
-    assert list(kg1.groups) == ["G1", "G2"]
+    assert kg1.groups == ("G1", "G2")
     assert kg1.group_index == {"G1": 0, "G2": 1}
     assert kg1.group_at == (1, 1, 0)
     for i, cid in enumerate(kg1.ids):
@@ -199,7 +231,7 @@ def test_load_handles_larger_graphs_quickly(tmp_path):
     start = time.monotonic()
     kg = load_kg(cpath, rpath)
     elapsed = time.monotonic() - start
-    assert len(kg.concepts) == n
-    assert len(kg.edges) == 4 * n
+    assert len(kg.ids) == n
+    assert len(kg.indices) == 4 * n
     assert len(kg.groups) == n // per_group
     assert elapsed < 30.0

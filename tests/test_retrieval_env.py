@@ -34,21 +34,27 @@ from r2ag.retrieval_env import (
 )
 
 
-@pytest.fixture
-def env_kg():
-    concepts = [(f"A{i}", f"alpha {i}", "GA") for i in range(4)]
-    concepts += [(f"B{i}", f"beta {i}", "GB") for i in range(10)]
-    concepts += [("Z0", "zulu 0", "GZ")]
-    edges = [
+ENV_CONCEPTS = (
+    [(f"A{i}", f"alpha {i}", "GA") for i in range(4)]
+    + [(f"B{i}", f"beta {i}", "GB") for i in range(10)]
+    + [("Z0", "zulu 0", "GZ")]
+)
+ENV_EDGES = (
+    [
         ("A0", "r1", "A1"),
         ("A1", "r2", "A2"),
         ("A2", "r1", "A3"),
         ("A3", "r2", "A0"),
         ("A2", "r3", "A0"),
     ]
-    edges += [("B0", f"s{i}", f"B{i}") for i in range(1, 9)]  # 8 neighbors of B0
-    edges += [("B1", "s1", "B2"), ("B2", "s1", "B3")]
-    return make_kg(concepts, edges)
+    + [("B0", f"s{i}", f"B{i}") for i in range(1, 9)]  # 8 neighbors of B0
+    + [("B1", "s1", "B2"), ("B2", "s1", "B3")]
+)
+
+
+@pytest.fixture
+def env_kg():
+    return make_kg(ENV_CONCEPTS, ENV_EDGES)
 
 
 @pytest.fixture
@@ -75,7 +81,7 @@ def test_init_rollout_filters_origins(env_kg):
     assert [p.origin for p in rs.paths] == ints(env_kg, ["A0", "A2"])
     assert rs.explored == set(ints(env_kg, ["A0", "A2"]))
     assert rs.t == 0
-    assert rs.current_group == rs.prev_group == env_kg.group_index["GA"]
+    assert rs.current_group == env_kg.group_index["GA"]
 
 
 def test_init_rollout_requires_origin_in_group(env_kg):
@@ -202,7 +208,6 @@ def test_leap_step_grows_path_by_two(env_kg, env_table):
     _step(rs, "GB", env_kg, env_table, _sq_avg(env_table, env_kg, ["A0", "B0"]))
     assert len(rs.paths[0].steps) == 3  # origin + leap + retrieved
     assert rs.current_group == env_kg.group_index["GB"]
-    assert rs.prev_group == env_kg.group_index["GA"]
 
 
 def test_full_episode_explored_equals_union(env_kg, env_table):
@@ -245,7 +250,7 @@ def test_nonleap_steps_follow_graph_edges(env_kg, env_table):
     sq = _sq_avg(env_table, env_kg, ["A0", "A2", "B0"])
     for a in ["GA", "GB", "GB", "GA", "GB"]:
         _step(rs, a, env_kg, env_table, sq)
-    edge_set = {(e.src, e.label, e.dst) for e in env_kg.edges}
+    edge_set = set(ENV_EDGES)
     ids = env_kg.ids
     for path in rs.paths:
         for prev, cur in zip(path.steps, path.steps[1:]):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_kg
+from helpers import make_kg, random_graph_rows
 
 from r2ag.concept_linker import initial_group, link_concepts, load_corpus
 from r2ag.kg_store import load_kg
@@ -47,7 +47,7 @@ def test_p_intra_one_gives_complete_within_group_digraphs(tmp_path):
     )
     cpath, rpath = gen_kg(spec, tmp_path)
     kg = load_kg(cpath, rpath)
-    assert len(kg.edges) == 2 * 3 * 2  # both groups complete: n*(n-1) each
+    assert len(kg.indices) == 2 * 3 * 2  # both groups complete: n*(n-1) each
     for gid in kg.all_groups():
         members = kg.group_members(gid)
         for src in members:
@@ -78,7 +78,7 @@ def test_edge_count_near_binomial_expectation(tmp_path):
         spec = SynthSpec(**{**SMALL, "seed": seed})
         cpath, rpath = gen_kg(spec, tmp_path / f"s{seed}")
         kg = load_kg(cpath, rpath)
-        counts.append(len(kg.edges))
+        counts.append(len(kg.indices))
     mean = sum(counts) / len(counts)
     sigma_mean = math.sqrt(var / len(counts))
     assert abs(mean - expect) <= 3 * sigma_mean
@@ -113,11 +113,12 @@ def test_skew_one_moves_ground_truth_out_of_dominant_group(tmp_path):
         assert all(kg.group_of(c) != dominant for c in gt)
 
 
-def _oracle_reach(kg, starts, hops):
-    # independent BFS over the forward edge list
+def _oracle_reach(relations_path, starts, hops):
+    # independent BFS over the forward edges of the relations file
     edges_by_src = {}
-    for e in kg.edges:
-        edges_by_src.setdefault(e.src, []).append(e.dst)
+    for line in relations_path.read_text(encoding="utf-8").splitlines()[1:]:
+        src, _, dst = line.split("\t")
+        edges_by_src.setdefault(src, []).append(dst)
     seen = set(starts)
     frontier = list(starts)
     for _ in range(hops):
@@ -140,7 +141,7 @@ def test_ground_truth_mostly_reachable_within_hops(tmp_path):
     for p in load_corpus(corpus_path):
         keywords = link_concepts(p.pre_admission, kg).concept_ids()
         gt = link_concepts(p.reference, kg).concept_ids()
-        reach = _oracle_reach(kg, keywords, REACH_HOPS)
+        reach = _oracle_reach(rpath, keywords, REACH_HOPS)
         total += len(gt)
         reachable += sum(1 for c in gt if c in reach)
     assert total > 0
@@ -169,9 +170,12 @@ def test_bfs_matches_brute_force_reach():
     # leaving it, recomputed from the raw edge list
     rng = np.random.default_rng(17)
     for _ in range(6):
-        kg = random_kg(rng, n_groups=3, per_group=12, p_intra=0.08, p_cross=0.02)
+        rows, edge_rows = random_graph_rows(
+            rng, n_groups=3, per_group=12, p_intra=0.08, p_cross=0.02
+        )
+        kg = make_kg(rows, edge_rows)
         starts = rng.choice(kg.ids, size=3, replace=False).tolist()
         reach = set(starts)
         for depth in range(6):
             assert _bfs(kg, starts, depth) == reach
-            reach |= {e.dst for e in kg.edges if e.src in reach}
+            reach |= {dst for src, _, dst in edge_rows if src in reach}
