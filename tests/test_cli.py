@@ -160,13 +160,6 @@ def test_json_nested_past_the_decoder_limit_is_a_data_error(tmp_path, loader):
         loader(path)
 
 
-def test_deeply_nested_config_exits_2(tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000)
-    assert main(["--config", str(path), "validate"]) == 2
-    assert "data error" in capsys.readouterr().err
-
-
 def test_retrieve_unknown_patient_exits_2(tmp_path, capsys):
     data = _synth(tmp_path)
     run = _train(tmp_path, data)
