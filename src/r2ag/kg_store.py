@@ -170,7 +170,9 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
             "expected header 'src\\trelation\\tdst'", path=relations_path, line=1
         )
     index = concept_ints(concepts)
-    src, labels, dst = array("q"), [], array("q")
+    src = array("q")
+    labels: list[str] = []
+    dst = array("q")
     for no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
