@@ -26,6 +26,7 @@ from .errors import (
     EndpointError,
     R2agError,
     UnlinkableInputError,
+    read_text,
 )
 from .evaluation import evaluate_corpus
 from .generation import (
@@ -188,11 +189,9 @@ def build_parser() -> _Parser:
 def _load_config(path) -> dict:
     if path is None:
         return {}
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read config: {exc}", path=path) from exc
+        cfg = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"invalid JSON config: {exc}", path=path) from exc
     if not isinstance(cfg, dict):
@@ -258,11 +257,7 @@ def _write_jsonl(path, records) -> None:
 
 
 def _load_generated(path) -> list[dict]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
+    lines = read_text(path).splitlines()
     records = []
     for no, line in enumerate(lines, start=1):
         if not line.strip():

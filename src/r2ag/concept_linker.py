@@ -12,7 +12,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_text
 from .kg_store import KnowledgeGraph, normalize_name
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
@@ -140,11 +140,7 @@ def scarce_group(ks: KeywordSet, kg: KnowledgeGraph) -> str:
 
 def load_corpus(path) -> list[PatientInput]:
     """Read a JSON-lines patient corpus: {id, pre_admission, reference?}."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
+    lines = read_text(path).splitlines()
     patients: list[PatientInput] = []
     seen: set[str] = set()
     for no, line in enumerate(lines, start=1):

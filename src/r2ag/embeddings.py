@@ -9,12 +9,14 @@ vectors, so a table of dimension d yields group vectors of dimension 2d.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_text
 from .kg_store import KnowledgeGraph
 
 _DIM_RE = re.compile(r"^dim=(\d+)$")
@@ -60,11 +62,7 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
     covered; rows for ids outside the graph are checked like the rest and
     then dropped.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError("empty embedding file", path=path, line=1)
     m = _DIM_RE.match(lines[0])
@@ -155,12 +153,33 @@ def avg_embedding(table: EmbeddingTable, concepts) -> np.ndarray:
     re-normalized.
 
     Summation runs in ascending-int (sorted-id) order so the result is
-    reproducible for any iterable of ints.
+    reproducible for any iterable of ints. The one-set case of
+    ``avg_embeddings``.
     """
-    rows = sorted(concepts)
-    if not rows:
+    return avg_embeddings(table, [sorted(concepts)])[0]
+
+
+def avg_embeddings(table: EmbeddingTable, sets: list[list[int]]) -> np.ndarray:
+    """Row ``p`` is the mean of the vectors of ``sets[p]``, a non-empty list
+    of distinct graph ints in ascending order: a ``(len(sets), d)`` array.
+
+    One gather of ``(P, L, d)`` rows, each set padded to the longest with
+    zero rows, and one sum over the set axis. That sum adds the rows of a
+    set one after another in ascending order, as a sum over the rows of one
+    set alone does, and the padding adds exactly nothing (a NumPy sum starts
+    from +0.0, so it is never -0.0), so each row is the same to the bit for
+    any mix of sets.
+    """
+    counts = [len(s) for s in sets]
+    if not all(counts):
         raise ValueError("cannot average an empty concept set")
-    return table.matrix[rows].sum(axis=0) / len(rows)
+    n = np.array(counts)[:, None]
+    real = np.arange(max(counts)) < n  # (P, L): which slots hold a set member
+    idx = np.zeros(real.shape, dtype=np.int64)
+    idx[real] = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=sum(counts))
+    rows = table.matrix[idx]
+    rows[~real] = 0.0
+    return rows.sum(axis=1) / n
 
 
 def cosine(u, v) -> float:
@@ -175,17 +194,18 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    su = float(np.max(np.abs(u), initial=0.0))
-    sv = float(np.max(np.abs(v), initial=0.0))
+    su = float(np.abs(u).max(initial=0.0))
+    sv = float(np.abs(v).max(initial=0.0))
     if su == 0.0 or sv == 0.0:
         return 0.0
     u = u / su
     v = v / sv
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    # sqrt(x . x) is how np.linalg.norm computes a vector's 2-norm
+    nu = math.sqrt(u.dot(u))
+    nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return min(max(float(u.dot(v)) / (nu * nv), -1.0), 1.0)
 
 
 def cosines(table: EmbeddingTable, rows, X: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the reader of input text
+files that raises them.
 
 The CLI maps these onto exit codes: data problems exit 2, endpoint problems
 exit 3. Programming-contract violations use plain ValueError/KeyError.
@@ -64,3 +65,15 @@ class EndpointStatusError(EndpointError):
 
 class EndpointResponseError(EndpointError):
     """The endpoint body could not be parsed as a completion response."""
+
+
+def read_text(path) -> str:
+    """The whole of UTF-8 text file ``path``. A file that cannot be read, or
+    holds bytes that are not UTF-8, raises ``DataFormatError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from exc

@@ -25,6 +25,7 @@ from .errors import (
     EndpointResponseError,
     EndpointStatusError,
     EndpointTimeoutError,
+    read_text,
 )
 from .gro_trainer import patient_context, run_rollout
 from .kg_store import KnowledgeGraph
@@ -132,13 +133,13 @@ def build_prompt_bundle(
 
 
 def load_template(path) -> dict:
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            tpl = json.load(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
+        tpl = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
+    if not isinstance(tpl, dict):
+        raise DataFormatError("expected a JSON object", path=path)
     for key in ("version", "system", "instruction"):
         if not isinstance(tpl.get(key), str):
             raise DataFormatError(f"template missing string field {key!r}", path=path)
@@ -157,7 +158,8 @@ def retrieve_for_patient(
 ) -> list[ReasoningPath]:
     """One inference rollout (greedy by default; sampled behind a flag).
 
-    ``gv`` is ``group_vectors(kg, table)``, built once per table.
+    ``gv`` is ``group_vectors(kg, table)``, built once per table. A sampled
+    rollout draws its T uniforms as one block, as a training rollout does.
     """
     ctx = patient_context(patient.pre_admission, kg, table)
     if greedy:
@@ -165,9 +167,9 @@ def retrieve_for_patient(
     else:
         if rng is None:
             raise ValueError("sampled inference needs an rng")
-        select = lambda dist: sample_action(dist, rng)  # noqa: E731
-    rec = run_rollout(params, ctx, kg, table, gv, max_steps, select)
-    return rec.paths
+        u = iter(rng.random(max_steps))
+        select = lambda dist: sample_action(dist, next(u))  # noqa: E731
+    return run_rollout(params, ctx, kg, table, gv, max_steps, select).paths
 
 
 def stub_generate(bundle: PromptBundle) -> str:

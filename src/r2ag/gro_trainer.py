@@ -8,7 +8,8 @@ log-prob gradients discounted so the final step carries full weight:
 
     grad = (1/G) * sum_i sum_t gamma^(T-t) * rel_i * dlog pi(a_it | s_it)
 
-Updates are plain gradient ascent after every patient.
+Updates are plain gradient ascent after every patient. A patient's G
+rollouts advance in lockstep, one batched environment step at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .concept_linker import (
 from .embeddings import (
     EmbeddingTable,
     avg_embedding,
+    avg_embeddings,
     check_table_rows,
     cosine,
     fingerprint,
@@ -49,7 +51,6 @@ from .retrieval_env import (
     action_matrix,
     group_state,
     init_rollout,
-    raw_concept_avg,
     step,
 )
 
@@ -146,6 +147,56 @@ def patient_context(patient_text: str, kg: KnowledgeGraph, table: EmbeddingTable
     )
 
 
+def link_patient(
+    patient: PatientInput, kg: KnowledgeGraph, table: EmbeddingTable
+) -> tuple[PatientContext, GroundTruthConcepts]:
+    """Link a training patient's input and reference text, once per
+    ``train()``. Raises ``MissingReferenceError`` or
+    ``UnlinkableInputError`` for a patient training must skip."""
+    if patient.reference is None:
+        raise MissingReferenceError(f"patient {patient.id!r} has no reference text")
+    ctx = patient_context(patient.pre_admission, kg, table)
+    return ctx, build_ground_truth(patient.reference, kg, table)
+
+
+def run_rollouts(
+    params: PolicyParams,
+    ctx: PatientContext,
+    kg: KnowledgeGraph,
+    table: EmbeddingTable,
+    gv: np.ndarray,
+    max_steps: int,
+    select,
+    group_size: int = 1,
+) -> list[RolloutRecord]:
+    """Drive ``group_size`` rollouts of one patient in lockstep.
+
+    ``select(i, t, dist) -> action index`` picks rollout ``i``'s group at
+    step ``t``. Each step runs one ``forward`` per rollout, on its own
+    explored-concept average (all G from one batched gather), then one
+    ``step`` over the G rollouts. ``gv`` is ``group_vectors(kg,
+    table)``; action ``a`` is group int ``a``.
+    """
+    states = [
+        init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps)
+        for _ in range(group_size)
+    ]
+    records = [RolloutRecord([], [], rs.paths, rs) for rs in states]
+    for t in range(max_steps):
+        c_avgs = avg_embeddings(table, [rs.explored for rs in states])
+        actions = []
+        for i, (rs, rec) in enumerate(zip(states, records)):
+            # one matrix-vector product per rollout: a (G, 5d) product rounds
+            # differently and can flip a sampled action
+            cache = forward(params, group_state(rs, gv), c_avgs[i], action_matrix(rs, gv))
+            a = select(i, t, cache.dist)
+            rec.actions.append(a)
+            rec.caches.append(cache)
+            actions.append(a)
+        step(states, actions, kg, table, ctx.sq_avg)
+    return records
+
+
 def run_rollout(
     params: PolicyParams,
     ctx: PatientContext,
@@ -155,38 +206,32 @@ def run_rollout(
     max_steps: int,
     select,
 ) -> RolloutRecord:
-    """Drive one rollout; ``select(dist) -> action index`` picks each group.
-
-    ``gv`` is ``group_vectors(kg, table)``; action ``a`` is group int ``a``.
-    """
-    rs = init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps)
-    actions: list[int] = []
-    caches: list[ForwardCache] = []
-    for _ in range(max_steps):
-        cache = forward(
-            params, group_state(rs, gv), raw_concept_avg(rs, table), action_matrix(rs, gv)
-        )
-        a = select(cache.dist)
-        step(rs, a, kg, table, ctx.sq_avg)
-        actions.append(a)
-        caches.append(cache)
-    return RolloutRecord(actions, caches, rs.paths, rs)
+    """One rollout, ``select(dist) -> action index`` picking each group: the
+    one-rollout case of ``run_rollouts``."""
+    return run_rollouts(
+        params, ctx, kg, table, gv, max_steps, lambda i, t, dist: select(dist)
+    )[0]
 
 
-def path_reward(
-    path: ReasoningPath,
+def path_rewards(
+    paths: list[ReasoningPath],
     gt: GroundTruthConcepts,
     table: EmbeddingTable,
     reward_weight: float,
-) -> float:
-    """Hits over distinct path concepts + weight * cosine(path avg, gt avg)."""
-    distinct = path.distinct_concepts()
-    if not distinct:
+) -> list[float]:
+    """Per path: hits over its distinct concepts + weight * cosine(path avg,
+    gt avg). The path averages come from one batched gather; the cosine
+    stays the scalar ``cosine``."""
+    if not all(p.concepts for p in paths):
         raise ValueError("path has no concepts")
     if not gt.concepts:
-        return 0.0
-    hits = sum(1 for c in distinct if c in gt.concepts)
-    return hits + reward_weight * cosine(avg_embedding(table, distinct), gt.avg_vec)
+        return [0.0] * len(paths)
+    pavgs = avg_embeddings(table, [p.concepts for p in paths])
+    return [
+        sum(1 for c in p.concepts if c in gt.concepts)
+        + reward_weight * cosine(pavg, gt.avg_vec)
+        for p, pavg in zip(paths, pavgs)
+    ]
 
 
 def rollout_reward(
@@ -198,8 +243,7 @@ def rollout_reward(
     """Mean path reward over the rollout's paths."""
     if not rec.paths:
         raise ValueError("rollout has no paths")
-    total = sum(path_reward(p, gt, table, reward_weight) for p in rec.paths)
-    return total / len(rec.paths)
+    return sum(path_rewards(rec.paths, gt, table, reward_weight)) / len(rec.paths)
 
 
 def relative_rewards(rewards) -> np.ndarray:
@@ -215,26 +259,25 @@ def relative_rewards(rewards) -> np.ndarray:
 
 def train_patient(
     params: PolicyParams,
-    patient: PatientInput,
+    ctx: PatientContext,
+    gt: GroundTruthConcepts,
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     cfg: TrainConfig,
     rng: np.random.Generator,
     gv: np.ndarray,
 ) -> PatientUpdate:
-    """Sample G rollouts for one patient and accumulate the policy gradient."""
-    if patient.reference is None:
-        raise MissingReferenceError(f"patient {patient.id!r} has no reference text")
-    ctx = patient_context(patient.pre_admission, kg, table)
-    gt = build_ground_truth(patient.reference, kg, table)
+    """Sample G rollouts for one linked patient (see ``link_patient``) and
+    accumulate the policy gradient.
 
-    records = [
-        run_rollout(
-            params, ctx, kg, table, gv, cfg.max_steps,
-            lambda dist: sample_action(dist, rng),
-        )
-        for _ in range(cfg.group_size)
-    ]
+    The G x T uniforms come as one block: the same values, and the same
+    generator state after, as G x T single draws taken rollout by rollout.
+    """
+    u = rng.random((cfg.group_size, cfg.max_steps))
+    records = run_rollouts(
+        params, ctx, kg, table, gv, cfg.max_steps,
+        lambda i, t, dist: sample_action(dist, u[i, t]), cfg.group_size,
+    )
     rewards = [rollout_reward(rec, gt, table, cfg.reward_weight) for rec in records]
     relative = relative_rewards(rewards)
     for rec, r, rel in zip(records, rewards, relative):
@@ -294,22 +337,28 @@ def train(
     rng = np.random.default_rng([cfg.seed, 1])
     gv = group_vectors(kg, table)
 
+    linked: list[tuple] = []  # (patient, (ctx, gt) or the reason to skip it)
+    for patient in corpus:
+        try:
+            linked.append((patient, link_patient(patient, kg, table)))
+        except (UnlinkableInputError, MissingReferenceError) as exc:
+            linked.append((patient, exc))
+
     log: list[dict] = []
     episodes = 0
     skipped = 0
     for epoch in range(cfg.epochs):
         epoch_rewards: list[float] = []
-        for patient in corpus:
-            try:
-                upd = train_patient(params, patient, kg, table, cfg, rng, gv)
-            except (UnlinkableInputError, MissingReferenceError) as exc:
+        for patient, inputs in linked:
+            if isinstance(inputs, Exception):
                 skipped += 1
-                logger.warning("skipping patient %s: %s", patient.id, exc)
+                logger.warning("skipping patient %s: %s", patient.id, inputs)
                 log.append(
                     {"epoch": epoch, "patient": patient.id, "mean_R": None,
                      "relative_rewards": None, "skipped": True}
                 )
                 continue
+            upd = train_patient(params, *inputs, kg, table, cfg, rng, gv)
             params.W1 += cfg.lr * upd.grad.dW1
             params.W2 += cfg.lr * upd.grad.dW2
             params.M += cfg.lr * upd.grad.dM

@@ -14,7 +14,7 @@ from array import array
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_text
 
 CONCEPTS_HEADER = "id\tname\tgroup"
 RELATIONS_HEADER = "src\trelation\tdst"
@@ -98,10 +98,12 @@ class KnowledgeGraph:
             raise KeyError(f"unknown semantic group {gid!r}")
         return tuple(cid for cid, k in zip(self.ids, self.group_at) if k == g)
 
-    def neighbor_slice(self, i: int, g: int) -> tuple[int, int]:
-        """CSR bounds of concept ``i``'s forward neighbours in group ``g``."""
+    def neighbor_slice(self, i, g):
+        """CSR bounds ``(lo, hi)`` of concept ``i``'s forward neighbours in
+        group ``g``; for int arrays ``i`` and ``g``, two arrays of bounds,
+        one pair per position."""
         slot = i * len(self.groups) + g
-        return int(self.indptr[slot]), int(self.indptr[slot + 1])
+        return self.indptr[slot], self.indptr[slot + 1]
 
     def neighbors_in_group(self, cid: str, gid: str) -> list[tuple[str, str]]:
         """Forward neighbors of ``cid`` inside group ``gid``.
@@ -126,14 +128,6 @@ class KnowledgeGraph:
             raise KeyError(f"unknown concept id {cid!r}") from None
 
 
-def _read_lines(path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
-
-
 def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
     """Load a graph from ``concepts.tsv`` and ``relations.tsv``.
 
@@ -141,7 +135,7 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
     edges whose endpoints are missing, and self-loop edges. Duplicate
     (src, relation, dst) triples are dropped silently.
     """
-    lines = _read_lines(concepts_path)
+    lines = read_text(concepts_path).splitlines()
     if not lines or lines[0] != CONCEPTS_HEADER:
         raise DataFormatError(
             "expected header 'id\\tname\\tgroup'", path=concepts_path, line=1
@@ -164,7 +158,7 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
     if not concepts:
         raise DataFormatError("no concepts loaded (empty graph)", path=concepts_path)
 
-    lines = _read_lines(relations_path)
+    lines = read_text(relations_path).splitlines()
     if not lines or lines[0] != RELATIONS_HEADER:
         raise DataFormatError(
             "expected header 'src\\trelation\\tdst'", path=relations_path, line=1

@@ -117,11 +117,9 @@ def forward(
     return ForwardCache(x, h1, a1, z, actions, logits, dist, c_avg)
 
 
-def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample from the distribution using one uniform draw."""
-    u = rng.random()
-    cum = np.cumsum(dist)
-    idx = int(np.searchsorted(cum, u, side="right"))
+def sample_action(dist: np.ndarray, u: float) -> int:
+    """Inverse-CDF sample from the distribution at the uniform draw ``u``."""
+    idx = int(dist.cumsum().searchsorted(u, side="right"))
     return min(idx, len(dist) - 1)
 
 

@@ -6,18 +6,32 @@ live path first leaps to a connection concept in that group (chosen by
 cosine similarity to the path average), then extends by one within-group
 neighbor scored against both the keyword average and the path average.
 Paths with no within-group neighbors freeze for the rest of the episode.
+
+A group of rollouts of one patient advances in lockstep: ``step`` applies
+one step to each of them, with one batched gather of path averages and one
+``cosines`` product over every live path of the group. A single rollout is
+a group of one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, avg_embedding, cosines
+from .embeddings import EmbeddingTable, avg_embeddings, cosines
 from .kg_store import KnowledgeGraph
 
 GROUP_LEAP = "group leap"
+
+
+def _insert(sorted_ints: list[int], c: int) -> None:
+    """Insert ``c`` into the ascending list ``sorted_ints`` unless present."""
+    k = bisect_left(sorted_ints, c)
+    if k == len(sorted_ints) or sorted_ints[k] != c:
+        sorted_ints.insert(k, c)
 
 
 @dataclass(frozen=True)
@@ -32,18 +46,18 @@ class PathStep:
 class ReasoningPath:
     origin: int
     steps: list[PathStep]
+    # the distinct step concepts in ascending order, kept up to date by add()
+    concepts: list[int] = field(init=False)
+
+    def __post_init__(self):
+        self.concepts = sorted({s.concept for s in self.steps})
 
     def tail(self) -> int:
         return self.steps[-1].concept
 
-    def distinct_concepts(self) -> list[int]:
-        seen: set[int] = set()
-        out: list[int] = []
-        for step in self.steps:
-            if step.concept not in seen:
-                seen.add(step.concept)
-                out.append(step.concept)
-        return out
+    def add(self, label: str, concept: int) -> None:
+        self.steps.append(PathStep(label, concept))
+        _insert(self.concepts, concept)
 
     def to_dict(self, kg: KnowledgeGraph) -> dict:
         """The path with concept ids in place of graph ints."""
@@ -65,7 +79,7 @@ class RolloutState:
     scarce_group: int
     current_group: int
     keywords: list[int]  # every linked keyword concept, in match order
-    explored: set[int]
+    explored: list[int]  # every concept on a path, in ascending order
     paths: list[ReasoningPath]
     frozen: list[bool] = field(default_factory=list)
 
@@ -92,7 +106,7 @@ def init_rollout(
         scarce_group=k_scarce,
         current_group=k_init,
         keywords=list(keywords),
-        explored=set(origins),
+        explored=sorted(set(origins)),
         paths=paths,
         frozen=[False] * len(paths),
     )
@@ -101,8 +115,11 @@ def init_rollout(
 def action_matrix(rs: RolloutState, gv: np.ndarray) -> np.ndarray:
     """Rows [current-group vector || candidate-group vector], one per group
     int; ``gv`` is ``group_vectors(kg, table)``."""
-    cur = gv[rs.current_group]
-    return np.concatenate([np.broadcast_to(cur, gv.shape), gv], axis=1)
+    n, width = gv.shape
+    out = np.empty((n, 2 * width))
+    out[:, :width] = gv[rs.current_group]
+    out[:, width:] = gv
+    return out
 
 
 def group_state(rs: RolloutState, gv: np.ndarray) -> np.ndarray:
@@ -110,110 +127,132 @@ def group_state(rs: RolloutState, gv: np.ndarray) -> np.ndarray:
     return np.concatenate([gv[rs.current_group], gv[rs.scarce_group]])
 
 
-def raw_concept_avg(rs: RolloutState, table: EmbeddingTable) -> np.ndarray:
-    """Mean embedding of every concept explored so far (pre-projection)."""
-    return avg_embedding(table, rs.explored)
-
-
 def candidate_pool(rs: RolloutState, kg: KnowledgeGraph, k_next: int) -> list[int]:
     """Leap candidates in k_next: on-path concepts plus unexplored keywords."""
     group_at = kg.group_at
     pool = {c for c in rs.explored if group_at[c] == k_next}
-    pool.update(c for c in rs.keywords if c not in rs.explored and group_at[c] == k_next)
+    pool.update(c for c in rs.keywords if group_at[c] == k_next and c not in rs.explored)
     return sorted(pool)
 
 
 def connect(
-    rs: RolloutState,
-    kg: KnowledgeGraph,
+    states: list[RolloutState],
     table: EmbeddingTable,
-    k_next: int,
-    pool: list[int] | None = None,
-) -> list[int | None]:
-    """Append a leap step to every live path; returns per-path leap concepts.
+    pools: list[list[int]],
+) -> list[list[int | None]]:
+    """Append a leap step to every live path of each rollout ``states[i]``,
+    into the non-empty candidate pool ``pools[i]``; returns each rollout's
+    per-path leap concepts (None for a frozen path).
 
     Each path leaps to the pool concept with the highest cosine similarity
     to that path's own average embedding (ties -> smallest int, which is the
-    smallest id). An empty pool leaves every path untouched.
+    smallest id). The averages of every live path of every rollout come
+    from one batched gather; each rollout's pool is scored in its own
+    product, as the pools differ.
     """
-    if pool is None:
-        pool = candidate_pool(rs, kg, k_next)
-    leaps: list[int | None] = [None] * len(rs.paths)
-    live = [idx for idx, frozen in enumerate(rs.frozen) if not frozen]
-    if not pool or not live:
+    live = [[k for k, frozen in enumerate(rs.frozen) if not frozen] for rs in states]
+    leaps: list[list[int | None]] = [[None] * len(rs.paths) for rs in states]
+    sets = [rs.paths[k].concepts for rs, idx in zip(states, live) for k in idx]
+    if not sets:
         return leaps
-    pavgs = np.stack(
-        [avg_embedding(table, rs.paths[idx].distinct_concepts()) for idx in live], axis=1
-    )
-    scores = cosines(table, pool, pavgs)
-    for idx, best in zip(live, np.argmax(scores, axis=0).tolist()):
-        rs.paths[idx].steps.append(PathStep(GROUP_LEAP, pool[best]))
-        leaps[idx] = pool[best]
-    rs.explored.update(leaps[idx] for idx in live)
+    pavgs = avg_embeddings(table, sets)
+    row = 0
+    for rs, idx, pool, out in zip(states, live, pools, leaps):
+        if not idx:
+            continue
+        # C order, so that the column norms in cosines sum over d in order
+        X = np.ascontiguousarray(pavgs[row : row + len(idx)].T)
+        row += len(idx)
+        for k, best in zip(idx, np.argmax(cosines(table, pool, X), axis=0).tolist()):
+            rs.paths[k].add(GROUP_LEAP, pool[best])
+            _insert(rs.explored, pool[best])
+            out[k] = pool[best]
     return leaps
 
 
 def retrieve(
-    rs: RolloutState,
+    states: list[RolloutState],
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     sq_avg: np.ndarray,
 ) -> None:
-    """Extend each live path with its best within-group neighbor.
+    """Extend each live path of every rollout with its best within-group
+    neighbor.
 
     score(c) = (cosine(c, keyword average) + cosine(c, path average)) / 2,
-    ties -> smallest (label, id). A path whose tail has no neighbors in the
-    current group freezes permanently.
+    ties -> smallest (label, id). A path whose tail has no neighbors in its
+    rollout's current group freezes permanently. The rollouts share
+    ``sq_avg``, the keyword average of their patient, so one product scores
+    every live path's neighbours against it (column 0) and against every
+    path average (column 1 + p).
     """
-    live: list[tuple[int, int, int]] = []  # (path index, CSR bounds)
-    for idx, path in enumerate(rs.paths):
-        if rs.frozen[idx]:
-            continue
-        lo, hi = kg.neighbor_slice(path.tail(), rs.current_group)
-        if lo == hi:
-            rs.frozen[idx] = True
-        else:
-            live.append((idx, lo, hi))
+    live: list[tuple[RolloutState, int]] = []  # (rollout, path index)
+    tails, groups = [], []
+    for rs in states:
+        for k, path in enumerate(rs.paths):
+            if not rs.frozen[k]:
+                live.append((rs, k))
+                tails.append(path.tail())
+                groups.append(rs.current_group)
     if not live:
         return
-    # one product scores every live path's neighbours against the keyword
-    # average (column 0) and every path average (column p)
-    X = np.column_stack(
-        [sq_avg]
-        + [avg_embedding(table, rs.paths[idx].distinct_concepts()) for idx, _, _ in live]
-    )
-    cos = cosines(table, np.concatenate([kg.indices[lo:hi] for _, lo, hi in live]), X)
-    start = 0
-    for p, (idx, lo, hi) in enumerate(live, start=1):
-        seg = cos[start : start + hi - lo]
-        start += hi - lo
-        # the slice is in sorted (label, id) order and argmax takes the
-        # first maximum, so ties go to the smallest (label, id)
-        k = lo + int(np.argmax(0.5 * (seg[:, 0] + seg[:, p])))
-        c = int(kg.indices[k])
-        rs.paths[idx].steps.append(PathStep(kg.label_names[kg.labels[k]], c))
-        rs.explored.add(c)
+    lo, hi = kg.neighbor_slice(np.array(tails), np.array(groups))
+    lens = hi - lo
+    has = lens > 0
+    if not has.all():
+        for rs, k in compress(live, ~has):
+            rs.frozen[k] = True
+        live = list(compress(live, has))
+        if not live:
+            return
+        lo, lens = lo[has], lens[has]
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    # CSR position of every candidate, path after path
+    pos = np.repeat(lo - starts, lens) + np.arange(int(ends[-1]))
+    pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k in live])
+    X = np.empty((table.matrix.shape[1], 1 + len(live)))
+    X[:, 0] = sq_avg
+    X[:, 1:] = pavgs.T
+    cos = cosines(table, kg.indices[pos], X)
+    own = np.repeat(np.arange(1, 1 + len(live)), lens)  # each row's path column
+    score = 0.5 * (cos[:, 0] + cos[np.arange(len(pos)), own])
+    # each slice is in sorted (label, id) order: the first maximum of each
+    # segment is its smallest (label, id) among ties
+    hits = np.flatnonzero(score == np.repeat(np.maximum.reduceat(score, starts), lens))
+    best = pos[hits[hits.searchsorted(starts)]]
+    for (rs, k), c, label in zip(live, kg.indices[best].tolist(), kg.labels[best].tolist()):
+        rs.paths[k].add(kg.label_names[label], c)
+        _insert(rs.explored, c)
 
 
 def step(
-    rs: RolloutState,
-    a: int,
+    states: list[RolloutState],
+    actions: list[int],
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     sq_avg: np.ndarray,
-) -> RolloutState:
-    """Apply one environment step for group action ``a``.
+) -> None:
+    """Apply one environment step to each rollout ``states[i]`` for group
+    action ``actions[i]``; the rollouts belong to one patient, whose keyword
+    average is ``sq_avg``. A single rollout is the G=1 case,
+    ``step([rs], [a], ...)``.
 
     A leap to a group with an empty candidate pool degrades to a stay; the
     group trajectory then keeps the current group for this step.
     """
-    if rs.t >= rs.max_steps:
+    if any(rs.t >= rs.max_steps for rs in states):
         raise ValueError("rollout already finished")
-    if a != rs.current_group:
-        pool = candidate_pool(rs, kg, a)
-        if pool:
-            connect(rs, kg, table, a, pool)
-            rs.current_group = a
-    retrieve(rs, kg, table, sq_avg)
-    rs.t += 1
-    return rs
+    leaping, pools = [], []
+    for rs, a in zip(states, actions):
+        if a != rs.current_group:
+            pool = candidate_pool(rs, kg, a)
+            if pool:
+                leaping.append(rs)
+                pools.append(pool)
+                rs.current_group = a
+    if leaping:
+        connect(leaping, table, pools)
+    retrieve(states, kg, table, sq_avg)
+    for rs in states:
+        rs.t += 1

@@ -7,8 +7,10 @@ import pytest
 
 from r2ag.cli import DEFAULTS, _load_config, _load_generated, _write_jsonl, build_parser, main
 from r2ag.concept_linker import load_corpus
+from r2ag.embeddings import load_embeddings
 from r2ag.errors import DataFormatError
 from r2ag.generation import load_template
+from r2ag.kg_store import load_kg
 from r2ag.policy_net import init_params, load_checkpoint
 
 SMALL_SYNTH = [
@@ -158,6 +160,20 @@ def test_json_nested_past_the_decoder_limit_is_a_data_error(tmp_path, loader):
     path.write_text("[" * 100_000 + "\n")
     with pytest.raises(DataFormatError, match="invalid JSON"):
         loader(path)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [lambda p: load_kg(p, p), load_corpus, _load_config, _load_generated, load_template,
+     lambda p: load_embeddings(p, None)],
+    ids=["load_kg", "load_corpus", "_load_config", "_load_generated", "load_template",
+         "load_embeddings"],
+)
+def test_bytes_that_are_not_utf8_are_a_data_error(tmp_path, reader):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"id\tname\tgroup\nC1\t\xff\xfe\tG\n")
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        reader(path)
 
 
 def test_retrieve_unknown_patient_exits_2(tmp_path, capsys):

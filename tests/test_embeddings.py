@@ -11,7 +11,9 @@ from conftest import direct_table
 from helpers import make_kg, oracle_cosine
 
 from r2ag.embeddings import (
+    EmbeddingTable,
     avg_embedding,
+    avg_embeddings,
     cosine,
     group_vectors,
     load_embeddings,
@@ -176,6 +178,27 @@ def test_avg_empty_set_raises():
     table = direct_table({"A": [1.0, 0.0]})
     with pytest.raises(ValueError):
         avg_embedding(table, set())
+    with pytest.raises(ValueError):
+        avg_embeddings(table, [[0], []])
+
+
+@pytest.mark.parametrize("d", [2, 5, 8, 32, 128])
+def test_avg_embeddings_equal_one_set_sums_bit_for_bit(d):
+    # the padded batched gather against the plain sum over one set's rows,
+    # signed zeros included
+    rng = np.random.default_rng(d)
+    matrix = rng.standard_normal((60, d))
+    matrix[rng.random((60, d)) < 0.2] = -0.0
+    table = EmbeddingTable(d, matrix)
+    for _ in range(40):
+        sets = [
+            sorted(set(rng.integers(0, 60, size=int(rng.integers(1, 16))).tolist()))
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        got = avg_embeddings(table, sets)
+        assert got.shape == (len(sets), d)
+        for row, s in zip(got, sets):
+            assert row.tobytes() == (matrix[s].sum(axis=0) / len(s)).tobytes()
 
 
 def test_cosine_hand_values():
@@ -184,6 +207,17 @@ def test_cosine_hand_values():
     assert abs(cosine([1.0, 0.0], [1.0, 1.0]) - 1 / math.sqrt(2)) < 1e-4
     assert cosine([0.0, 0.0], [0.0, 0.0]) == 0.0
     assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
+
+
+def test_cosine_equals_its_norm_based_form_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for d in (2, 8, 32, 128):
+        for _ in range(200):
+            u = rng.standard_normal(d) * 10.0 ** int(rng.integers(-300, 300))
+            v = rng.standard_normal(d)
+            u_s, v_s = u / np.max(np.abs(u)), v / np.max(np.abs(v))
+            den = float(np.linalg.norm(u_s)) * float(np.linalg.norm(v_s))
+            assert cosine(u, v) == float(np.clip(np.dot(u_s, v_s) / den, -1.0, 1.0))
 
 
 def test_cosine_dimension_mismatch():

@@ -118,10 +118,21 @@ def test_custom_template_file_overrides_default(render_kg, tmp_path):
     )
     assert bundle.system == "custom system"
     assert bundle.user_message().endswith("custom task")
+
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": "v2"}))
     with pytest.raises(DataFormatError, match="system"):
         load_template(bad)
+
+
+def test_template_that_is_not_an_object_is_a_data_error(tmp_path):
+    from r2ag.errors import DataFormatError
+    from r2ag.generation import load_template
+
+    path = tmp_path / "tpl.json"
+    path.write_text("[]")
+    with pytest.raises(DataFormatError, match="expected a JSON object"):
+        load_template(path)
 
 
 def test_bundle_concept_names_deduped_in_path_order(render_kg):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_table
-from helpers import make_kg, oracle_avg, oracle_cosine
+from helpers import ks_of, make_kg, oracle_avg, oracle_cosine, random_kg
 
-from r2ag.concept_linker import PatientInput
+from r2ag import gro_trainer
+from r2ag.concept_linker import PatientInput, initial_group, scarce_group
 from r2ag.embeddings import (
     EmbeddingTable,
     avg_embedding,
@@ -25,19 +27,22 @@ from r2ag.errors import (
 )
 from r2ag.gro_trainer import (
     GroundTruthConcepts,
+    PatientContext,
     TrainConfig,
     accumulate_gradient,
     build_ground_truth,
+    link_patient,
     patient_context,
-    path_reward,
+    path_rewards,
     relative_rewards,
     rollout_reward,
     run_rollout,
+    run_rollouts,
     train,
     train_patient,
 )
 from r2ag.policy_net import init_params, logprob_backward, sample_action
-from r2ag.retrieval_env import PathStep, ReasoningPath
+from r2ag.retrieval_env import GROUP_LEAP, PathStep, ReasoningPath
 
 
 def _table(vectors):
@@ -49,6 +54,10 @@ def _path(ix, *ids):
     steps = [PathStep(None, ix[ids[0]])]
     steps += [PathStep("rel", ix[c]) for c in ids[1:]]
     return ReasoningPath(ix[ids[0]], steps)
+
+
+def _path_reward(path, gt, table, reward_weight):
+    return path_rewards([path], gt, table, reward_weight)[0]
 
 
 def _gt(table, ix, ids):
@@ -87,7 +96,7 @@ def trainer_patient():
 
 def test_path_reward_zero_when_disjoint_and_orthogonal():
     table, ix = _table({"X": [1.0, 0.0], "Y": [0.0, 1.0]})
-    assert path_reward(_path(ix, "X"), _gt(table, ix, {"Y"}), table, 10.0) == 0.0
+    assert _path_reward(_path(ix, "X"), _gt(table, ix, {"Y"}), table, 10.0) == 0.0
 
 
 def test_path_reward_direct_substitution():
@@ -96,7 +105,7 @@ def test_path_reward_direct_substitution():
         {"P1": [1.0, 0.0], "P2": [1.0, 0.0], "R": [-1.0, math.sqrt(3.0)]}
     )
     gt = _gt(table, ix, {"P1", "P2", "R"})
-    reward = path_reward(_path(ix, "P1", "P2"), gt, table, 10.0)
+    reward = _path_reward(_path(ix, "P1", "P2"), gt, table, 10.0)
     assert reward == pytest.approx(7.0, abs=1e-9)
 
 
@@ -104,12 +113,12 @@ def test_path_reward_counts_distinct_concepts_once():
     table, ix = _table({"P1": [1.0, 0.0], "P2": [1.0, 0.0]})
     gt = _gt(table, ix, {"P1", "P2"})
     looped = _path(ix, "P1", "P2", "P1", "P2", "P1")
-    assert path_reward(looped, gt, table, 0.0) == 2.0
+    assert _path_reward(looped, gt, table, 0.0) == 2.0
 
 
 def test_path_reward_empty_ground_truth_is_zero(caplog):
     table, ix = _table({"X": [1.0, 0.0]})
-    assert path_reward(_path(ix, "X"), _gt(table, ix, set()), table, 10.0) == 0.0
+    assert _path_reward(_path(ix, "X"), _gt(table, ix, set()), table, 10.0) == 0.0
 
 
 def test_path_reward_matches_bruteforce():
@@ -119,7 +128,7 @@ def test_path_reward_matches_bruteforce():
     path = _path(ix, *ids[:6])
     gt_ids = set(ids[4:8])
     gt = _gt(table, ix, gt_ids)
-    got = path_reward(path, gt, table, 10.0)
+    got = _path_reward(path, gt, table, 10.0)
     hits = sum(1 for c in dict.fromkeys(ids[:6]) if c in gt_ids)
     expected = hits + 10.0 * oracle_cosine(
         oracle_avg(table, {ix[c] for c in ids[:6]}), oracle_avg(table, gt.concepts)
@@ -136,7 +145,7 @@ def test_rollout_reward_single_path():
     table, ix = _table({"P1": [1.0, 0.0], "Q": [0.0, 1.0]})
     gt = _gt(table, ix, {"P1"})
     rec = _FakeRecord([_path(ix, "P1")])
-    assert rollout_reward(rec, gt, table, 0.0) == path_reward(
+    assert rollout_reward(rec, gt, table, 0.0) == _path_reward(
         _path(ix, "P1"), gt, table, 0.0
     )
 
@@ -156,7 +165,7 @@ def test_rollout_reward_matches_explicit_loop():
     gt = _gt(table, ix, set(ids[3:7]))
     paths = [_path(ix, *ids[0:3]), _path(ix, *ids[2:6]), _path(ix, *ids[5:9])]
     rec = _FakeRecord(paths)
-    expected = sum(path_reward(p, gt, table, 10.0) for p in paths) / 3
+    expected = sum(_path_reward(p, gt, table, 10.0) for p in paths) / 3
     assert rollout_reward(rec, gt, table, 10.0) == pytest.approx(expected, abs=1e-12)
 
 
@@ -217,6 +226,53 @@ def test_run_rollout_records_T_actions(trainer_kg, trainer_table, trainer_patien
     assert rec.state.t == 4
 
 
+def test_lockstep_group_equals_separate_rollouts():
+    # criterion-3-style random graphs and random action scripts: G rollouts
+    # stepped together end exactly as G one-rollout runs of the same scripts
+    rng = np.random.default_rng(808)
+    rollouts = leaps = frozen = 0
+    for _ in range(100):
+        n_groups = int(rng.integers(3, 7))
+        per_group = int(rng.integers(4, min(34, 200 // n_groups + 1)))
+        kg = random_kg(rng, n_groups, per_group, p_intra=0.15, p_cross=0.03)
+        table = pseudo_embeddings(kg, 8, seed=int(rng.integers(100_000)))
+        gv = group_vectors(kg, table)
+        keywords = rng.permutation(len(kg.ids))[: int(rng.integers(3, 8))].tolist()
+        ks = ks_of(kg, [kg.ids[c] for c in keywords])
+        ctx = PatientContext(
+            keywords, kg.group_index[initial_group(ks)], kg.group_index[scarce_group(ks, kg)],
+            avg_embedding(table, keywords),
+        )
+        params = init_params(8, seed=int(rng.integers(1000)))
+        G, T = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+        scripts = rng.integers(n_groups, size=(G, T)).tolist()
+        group = run_rollouts(params, ctx, kg, table, gv, T, lambda i, t, d: scripts[i][t], G)
+        assert len(group) == G
+        for script, rec in zip(scripts, group):
+            alone = run_rollout(params, ctx, kg, table, gv, T, _scripted(script))
+            assert rec.actions == alone.actions == script
+            assert rec.paths == alone.paths
+            assert rec.state.frozen == alone.state.frozen
+            assert rec.state.explored == alone.state.explored
+            assert rec.state.current_group == alone.state.current_group
+            for cache, single in zip(rec.caches, alone.caches):
+                assert np.array_equal(cache.dist, single.dist)
+                assert np.array_equal(cache.x, single.x)
+            rollouts += 1
+            leaps += sum(s.label == GROUP_LEAP for p in rec.paths for s in p.steps)
+            frozen += sum(rec.state.frozen)
+    assert rollouts > 300 and leaps > 100 and frozen > 100
+
+
+@pytest.mark.parametrize("G,T", [(2, 1), (4, 5), (3, 8)])
+def test_uniform_block_equals_sequential_draws(G, T):
+    # train_patient draws a (G, T) block where rollouts once drew one by one
+    block, single = np.random.default_rng([G, T]), np.random.default_rng([G, T])
+    u = block.random((G, T))
+    assert u.tolist() == [[single.random() for _ in range(T)] for _ in range(G)]
+    assert block.bit_generator.state == single.bit_generator.state
+
+
 def test_identical_records_match_single_rollout_gradient(
     trainer_kg, trainer_table, trainer_patient
 ):
@@ -255,8 +311,8 @@ def test_train_patient_gamma_zero_uses_only_final_step(
     params = init_params(trainer_table.dim, seed=5)
     rng = np.random.default_rng(7)
     upd = train_patient(
-        params, trainer_patient, trainer_kg, trainer_table, cfg, rng,
-        group_vectors(trainer_kg, trainer_table),
+        params, *link_patient(trainer_patient, trainer_kg, trainer_table),
+        trainer_kg, trainer_table, cfg, rng, group_vectors(trainer_kg, trainer_table),
     )
     finals = [
         (rec.relative, logprob_backward(params, rec.caches[-1], rec.actions[-1]))
@@ -274,7 +330,7 @@ def _sampled_records(kg, table, patient, params, G, T, seed):
     ctx = _context(kg, table, patient)
     rng = np.random.default_rng(seed)
     return [
-        run_rollout(params, ctx, kg, table, gv, T, lambda dist: sample_action(dist, rng))
+        run_rollout(params, ctx, kg, table, gv, T, lambda dist: sample_action(dist, rng.random()))
         for _ in range(G)
     ]
 
@@ -375,23 +431,15 @@ def test_train_patient_gradient_matches_finite_differences(
 
 
 def test_train_patient_requires_reference(trainer_kg, trainer_table):
-    cfg = TrainConfig(max_steps=2, group_size=2)
     patient = PatientInput("P", "foo and bar", None)
     with pytest.raises(MissingReferenceError):
-        train_patient(
-            init_params(trainer_table.dim, 0), patient, trainer_kg, trainer_table,
-            cfg, np.random.default_rng(0), group_vectors(trainer_kg, trainer_table),
-        )
+        link_patient(patient, trainer_kg, trainer_table)
 
 
 def test_train_patient_requires_keywords(trainer_kg, trainer_table):
-    cfg = TrainConfig(max_steps=2, group_size=2)
     patient = PatientInput("P", "nothing to see here", "fum")
     with pytest.raises(UnlinkableInputError):
-        train_patient(
-            init_params(trainer_table.dim, 0), patient, trainer_kg, trainer_table,
-            cfg, np.random.default_rng(0), group_vectors(trainer_kg, trainer_table),
-        )
+        link_patient(patient, trainer_kg, trainer_table)
 
 
 def test_train_lr_zero_is_noop(trainer_kg, trainer_table, trainer_patient):
@@ -425,6 +473,35 @@ def test_train_logs_skipped_patients(trainer_kg, trainer_table, trainer_patient)
     assert isinstance(entries["P1"]["mean_R"], float)
     assert len(entries["P1"]["relative_rewards"]) == cfg.group_size
     assert sum(entries["P1"]["relative_rewards"]) == pytest.approx(1.0)
+
+
+def test_train_links_each_patient_once_per_call(
+    trainer_kg, trainer_table, trainer_patient, monkeypatch, caplog
+):
+    linked = []
+    link = gro_trainer.link_concepts
+    monkeypatch.setattr(
+        gro_trainer, "link_concepts", lambda text, kg: linked.append(text) or link(text, kg)
+    )
+    no_keywords = PatientInput("P2", "nothing to see here", "fum")
+    no_reference = PatientInput("P3", "foo again", None)
+    cfg = TrainConfig(max_steps=2, group_size=2, epochs=3, seed=1)
+    with caplog.at_level(logging.WARNING, logger="r2ag.gro_trainer"):
+        result = train([trainer_patient, no_keywords, no_reference], trainer_kg,
+                       trainer_table, cfg)
+    # over 3 epochs: the trainable patient's two texts and the input that
+    # links to nothing, each linked once; a missing reference is seen unlinked
+    assert sorted(linked) == sorted(
+        [trainer_patient.pre_admission, trainer_patient.reference, no_keywords.pre_admission]
+    )
+    assert len(linked) == 2 * 1 + 1
+    assert result.episodes == 3 and result.skipped == 6
+    for pid in ("P2", "P3"):
+        entries = [e for e in result.log if e["patient"] == pid]
+        assert [e["epoch"] for e in entries] == [0, 1, 2]
+        assert all(e["skipped"] and e["mean_R"] is None for e in entries)
+        warned = [r for r in caplog.records if f"skipping patient {pid}" in r.getMessage()]
+        assert len(warned) == 3
 
 
 def test_train_raises_when_all_skipped(trainer_kg, trainer_table):

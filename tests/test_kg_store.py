@@ -174,6 +174,10 @@ def test_csr_slices_flatten_back_to_edge_list(tiny_rows):
                 flattened.extend((src, label, dst) for label, dst in block)
         assert len(flattened) == len(edge_rows)
         assert sorted(flattened) == sorted(edge_rows)
+        # the batched lookup returns the same bounds for every pair at once
+        pairs = np.array([(i, g) for i in range(len(kg.ids)) for g in range(n_groups)])
+        lo, hi = kg.neighbor_slice(pairs[:, 0], pairs[:, 1])
+        assert list(zip(lo.tolist(), hi.tolist())) == [kg.neighbor_slice(i, g) for i, g in pairs]
 
 
 def test_load_is_deterministic(write_kg):

@@ -128,14 +128,14 @@ def test_forward_shape_mismatch_raises():
 def test_sample_degenerate_distribution():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        assert sample_action(np.array([1.0, 0.0, 0.0]), rng) == 0
+        assert sample_action(np.array([1.0, 0.0, 0.0]), rng.random()) == 0
 
 
 def test_sample_matches_monte_carlo_frequency():
     rng = np.random.default_rng(123)
     dist = np.array([0.25, 0.75])
     draws = 100_000
-    ones = sum(sample_action(dist, rng) for _ in range(draws))
+    ones = sum(sample_action(dist, u) for u in rng.random(draws))
     assert ones / draws == pytest.approx(0.75, abs=0.01)
 
 

@@ -28,7 +28,6 @@ from r2ag.retrieval_env import (
     connect,
     group_state,
     init_rollout,
-    raw_concept_avg,
     retrieve,
     step,
 )
@@ -73,13 +72,13 @@ def _sq_avg(table, kg, keywords):
 
 
 def _step(rs, gid, kg, table, sq):
-    return step(rs, kg.group_index[gid], kg, table, sq)
+    step([rs], [kg.group_index[gid]], kg, table, sq)
 
 
 def test_init_rollout_filters_origins(env_kg):
     rs = _rollout(env_kg, ["A0", "A2", "B0"], "GA", "GZ", max_steps=5)
     assert [p.origin for p in rs.paths] == ints(env_kg, ["A0", "A2"])
-    assert rs.explored == set(ints(env_kg, ["A0", "A2"]))
+    assert rs.explored == sorted(ints(env_kg, ["A0", "A2"]))
     assert rs.t == 0
     assert rs.current_group == env_kg.group_index["GA"]
 
@@ -117,16 +116,10 @@ def test_group_state_manual_concatenation():
     assert s.shape == (8,)
 
 
-def test_raw_concept_avg_matches_avg_embedding(env_kg, env_table):
-    rs = _rollout(env_kg, ["A0", "A2"], "GA", "GZ", max_steps=2)
-    assert np.array_equal(
-        raw_concept_avg(rs, env_table), _sq_avg(env_table, env_kg, ["A0", "A2"])
-    )
-
-
 def test_connect_single_candidate_leaps_everywhere(env_kg, env_table):
     rs = _rollout(env_kg, ["A0", "A2", "B5"], "GA", "GZ", max_steps=5)
-    leaps = connect(rs, env_kg, env_table, env_kg.group_index["GB"])
+    pool = candidate_pool(rs, env_kg, env_kg.group_index["GB"])
+    [leaps] = connect([rs], env_table, [pool])
     b5 = env_kg.index["B5"]
     assert leaps == [b5, b5]
     for path in rs.paths:
@@ -154,14 +147,14 @@ def test_connect_matches_bruteforce_oracle(env_kg, env_table):
     pool = candidate_pool(rs, env_kg, env_kg.group_index["GB"])
     assert len(pool) == 10
     before = copy.deepcopy(rs.paths)
-    leaps = connect(rs, env_kg, env_table, env_kg.group_index["GB"], pool)
+    [leaps] = connect([rs], env_table, [pool])
     for prior, leap in zip(before, leaps):
         assert leap == oracle_connect_choice(env_table, prior, pool)
 
 
 def test_retrieve_single_neighbor_is_selected(env_kg, env_table):
     rs = _rollout(env_kg, ["B1"], "GB", "GZ", max_steps=5)
-    retrieve(rs, env_kg, env_table, _sq_avg(env_table, env_kg, ["B1"]))
+    retrieve([rs], env_kg, env_table, _sq_avg(env_table, env_kg, ["B1"]))
     assert rs.paths[0].steps[-1].concept == env_kg.index["B2"]
     assert rs.paths[0].steps[-1].label == "s1"
 
@@ -169,7 +162,7 @@ def test_retrieve_single_neighbor_is_selected(env_kg, env_table):
 def test_retrieve_freezes_paths_without_neighbors(env_kg, env_table):
     rs = _rollout(env_kg, ["Z0"], "GZ", "GA", max_steps=5)
     sq = _sq_avg(env_table, env_kg, ["Z0"])
-    retrieve(rs, env_kg, env_table, sq)
+    retrieve([rs], env_kg, env_table, sq)
     assert rs.frozen == [True]
     snapshot = copy.deepcopy(rs.paths[0])
     _step(rs, "GZ", env_kg, env_table, sq)
@@ -218,7 +211,7 @@ def test_full_episode_explored_equals_union(env_kg, env_table):
         _step(rs, a, env_kg, env_table, sq)
     assert rs.t == 5
     union = {s.concept for p in rs.paths for s in p.steps}
-    assert rs.explored == union
+    assert rs.explored == sorted(union)
     with pytest.raises(ValueError, match="finished"):
         _step(rs, "GA", env_kg, env_table, sq)
 
@@ -291,7 +284,7 @@ def test_retrieve_exact_tie_goes_to_smallest_label_then_id(tied):
     rs = _rollout(kg, ["N00", "O"], "GB", "GA", max_steps=2)
     sq = _sq_avg(table, kg, ["N00", "O"])
     before = copy.deepcopy(rs.paths)
-    retrieve(rs, kg, table, sq)
+    retrieve([rs], kg, table, sq)
     assert rs.frozen == [False, False]
     for prior, path in zip(before, rs.paths):
         got = (path.steps[-1].label, path.steps[-1].concept)
@@ -319,7 +312,7 @@ def test_connect_exact_tie_goes_to_smallest_id(tied):
     pool = candidate_pool(rs, kg, kg.group_index["GB"])
     assert pool == ints(kg, pool_ids)
     before = copy.deepcopy(rs.paths)
-    leaps = connect(rs, kg, table, kg.group_index["GB"], pool)
+    [leaps] = connect([rs], table, [pool])
     assert leaps[0] == kg.index[pool_ids[tied[0]]]
     for prior, leap in zip(before, leaps):
         assert leap == oracle_connect_choice(table, prior, pool)
