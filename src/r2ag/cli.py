@@ -259,6 +259,7 @@ def _write_jsonl(path, records) -> None:
 def _load_generated(path) -> list[dict]:
     lines = read_text(path).splitlines()
     records = []
+    seen: set[str] = set()
     for no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -268,6 +269,9 @@ def _load_generated(path) -> list[dict]:
             raise DataFormatError(f"invalid JSON: {exc}", path=path, line=no) from exc
         if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
             raise DataFormatError("expected an object with an 'id'", path=path, line=no)
+        if obj["id"] in seen:
+            raise DataFormatError(f"duplicate patient id {obj['id']!r}", path=path, line=no)
+        seen.add(obj["id"])
         records.append(obj)
     if not records:
         raise DataFormatError("no generated records", path=path)
@@ -393,6 +397,8 @@ def cmd_train(args, opts: _Options) -> int:
 
 
 def _retrieval_setup(args, opts: _Options):
+    if opts.get("max_steps") < 1:
+        raise UsageError("max_steps must be >= 1")
     kg = load_kg(opts.require("concepts"), opts.require("relations"))
     params = load_checkpoint(opts.require("checkpoint"))
     corpus = load_corpus(opts.require("corpus"))
@@ -440,9 +446,11 @@ def cmd_generate(args, opts: _Options) -> int:
     endpoint = opts.get("endpoint")
     if not stub and not endpoint:
         raise UsageError("choose --stub or provide --endpoint")
+    max_paths = opts.get("max_paths")
+    if max_paths is not None and max_paths < 0:
+        raise UsageError("max_paths must be >= 0")
     tpl_path = opts.get("prompt_template")
     template = load_template(tpl_path) if tpl_path else DEFAULT_TEMPLATE
-    max_paths = opts.get("max_paths")
     gen_cfg = GeneratorConfig(
         endpoint=endpoint or "",
         model=opts.get("model"),

@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataFormatError, read_text
 from .kg_store import KnowledgeGraph, normalize_name
@@ -27,42 +29,18 @@ class PatientInput:
     reference: str | None = None
 
 
-@dataclass(frozen=True)
-class KeywordMatch:
-    concept_id: str
-    surface: str
-    start: int
-    end: int
-
-
-@dataclass
-class KeywordSet:
-    """Ordered set of linked concepts with a per-group count histogram."""
-
-    matches: list[KeywordMatch] = field(default_factory=list)
-    group_counts: dict[str, int] = field(default_factory=dict)
-
-    def concept_ids(self) -> list[str]:
-        return [m.concept_id for m in self.matches]
-
-    def __len__(self) -> int:
-        return len(self.matches)
-
-    def __bool__(self) -> bool:
-        return bool(self.matches)
-
-
 class _Lexicon:
-    """Token-tuple lookup of normalized concept names."""
+    """Token-tuple lookup of normalized concept names, to graph ints."""
 
     def __init__(self, kg: KnowledgeGraph):
-        entries: dict[tuple[str, ...], str] = {}
-        for cid, name in zip(kg.ids, kg.names):
+        entries: dict[tuple[str, ...], int] = {}
+        for c, name in enumerate(kg.names):
             tokens = tuple(normalize_name(name).split())
             if not tokens:
                 continue
-            # smallest id wins when two concepts share a normalized name
-            entries.setdefault(tokens, cid)
+            # smallest int (so smallest id) wins when two concepts share a
+            # normalized name
+            entries.setdefault(tokens, c)
         self.entries = entries
         self.max_len = max((len(t) for t in entries), default=0)
 
@@ -80,62 +58,48 @@ def _lexicon(kg: KnowledgeGraph) -> _Lexicon:
     return lex
 
 
-def link_concepts(text: str, kg: KnowledgeGraph) -> KeywordSet:
-    """Greedy longest-match, left-to-right, non-overlapping linking.
+def link_concepts(text: str, kg: KnowledgeGraph) -> list[int]:
+    """Graph ints of the concepts in ``text``, distinct, in first-occurrence
+    order, by greedy longest-match, left-to-right, non-overlapping linking.
 
     Matching runs over lowercase alphanumeric tokens, so punctuation and
-    whitespace differences are ignored. Each concept appears once, at its
-    first occurrence; the histogram counts unique concepts per group.
+    whitespace differences are ignored.
     """
     lex = _lexicon(kg)
-    tokens = [(m.group(0).lower(), m.start(), m.end()) for m in _WORD_RE.finditer(text)]
-    ks = KeywordSet()
-    seen: set[str] = set()
+    tokens = [t.lower() for t in _WORD_RE.findall(text)]
+    found: dict[int, None] = {}
     i = 0
     n = len(tokens)
     while i < n:
-        matched = False
         for length in range(min(lex.max_len, n - i), 0, -1):
-            key = tuple(tokens[j][0] for j in range(i, i + length))
-            cid = lex.entries.get(key)
-            if cid is None:
-                continue
-            start = tokens[i][1]
-            end = tokens[i + length - 1][2]
-            if cid not in seen:
-                seen.add(cid)
-                ks.matches.append(KeywordMatch(cid, text[start:end], start, end))
-                group = kg.group_of(cid)
-                ks.group_counts[group] = ks.group_counts.get(group, 0) + 1
-            i += length
-            matched = True
-            break
-        if not matched:
+            c = lex.entries.get(tuple(tokens[i : i + length]))
+            if c is not None:
+                found.setdefault(c)
+                i += length
+                break
+        else:
             i += 1
-    return ks
+    return list(found)
 
 
-def initial_group(ks: KeywordSet) -> str:
-    """Group covering the most keywords; ties go to the smallest group id."""
-    if not ks:
-        raise ValueError("keyword set is empty")
-    return sorted(ks.group_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+def _group_counts(keywords: list[int], kg: KnowledgeGraph) -> np.ndarray:
+    """Keywords per group int, over every graph group."""
+    groups = np.array([kg.group_at[c] for c in keywords], dtype=np.int64)
+    return np.bincount(groups, minlength=len(kg.groups))
 
 
-def scarce_group(ks: KeywordSet, kg: KnowledgeGraph) -> str:
-    """Group with the fewest keywords over ALL graph groups (zeros count).
+def initial_group(keywords: list[int], kg: KnowledgeGraph) -> int:
+    """Group int covering the most keywords; ties go to the smallest group
+    int, which is the smallest group name."""
+    if not keywords:
+        raise ValueError("keyword list is empty")
+    return int(np.argmax(_group_counts(keywords, kg)))
 
-    Ties go to the smallest group id.
-    """
-    best_gid = None
-    best_count = None
-    for gid in kg.all_groups():
-        count = ks.group_counts.get(gid, 0)
-        if best_count is None or count < best_count:
-            best_gid, best_count = gid, count
-    if best_gid is None:
-        raise ValueError("graph has no groups")
-    return best_gid
+
+def scarce_group(keywords: list[int], kg: KnowledgeGraph) -> int:
+    """Group int with the fewest keywords over ALL graph groups (zeros
+    count); ties go to the smallest group int."""
+    return int(np.argmin(_group_counts(keywords, kg)))
 
 
 def load_corpus(path) -> list[PatientInput]:

@@ -136,7 +136,7 @@ def pseudo_embeddings(kg: KnowledgeGraph, d: int, seed: int) -> EmbeddingTable:
     if d < 2:
         raise ValueError("embedding dimension must be >= 2")
     bias: dict[str, np.ndarray] = {}
-    for gid in kg.all_groups():
+    for gid in kg.groups:
         raw = _hash_rng(str(seed), "group-bias", gid).standard_normal(d)
         bias[gid] = raw / np.linalg.norm(raw)
     matrix = np.empty((len(kg.ids), d), dtype=np.float64)

@@ -243,11 +243,9 @@ def evaluate_pair(generated: str, reference: str, kg: KnowledgeGraph) -> Patient
     reference set come back as None."""
     ngram_ref = extract_tokens(reference)
     ngram = ce_metrics(extract_tokens(generated), ngram_ref) if ngram_ref else None
-    concept_ref = set(link_concepts(reference, kg).concept_ids())
+    concept_ref = set(link_concepts(reference, kg))
     concept = (
-        ce_metrics(set(link_concepts(generated, kg).concept_ids()), concept_ref)
-        if concept_ref
-        else None
+        ce_metrics(set(link_concepts(generated, kg)), concept_ref) if concept_ref else None
     )
     nlg = {
         "rouge1": rouge_n(generated, reference, 1),

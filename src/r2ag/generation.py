@@ -13,9 +13,12 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from http.client import HTTPException
+from urllib.error import HTTPError
+from urllib.parse import urlsplit
+from urllib.request import Request, urlopen
 
 import numpy as np
-import requests
 
 from .concept_linker import PatientInput
 from .embeddings import EmbeddingTable
@@ -183,16 +186,27 @@ def stub_generate(bundle: PromptBundle) -> str:
     return " ".join(parts)
 
 
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        return parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        return False
+
+
 def generate(cfg: GeneratorConfig, bundle: PromptBundle) -> str:
     """POST a chat-completion request and return the first completion's text.
 
     Retries network failures, timeouts and 5xx responses with a short
-    backoff; 4xx and unparseable bodies fail immediately. The bearer token,
-    if any, comes from the environment variable named by ``cfg.auth_env``.
+    backoff; 4xx and unparseable bodies fail immediately, and so does an
+    endpoint that is not an http(s) URL with a host. The bearer token, if
+    any, comes from the environment variable named by ``cfg.auth_env``.
     """
     cfg.validate()
     if not cfg.endpoint:
         raise ValueError("no endpoint configured (use stub mode for offline runs)")
+    if not _is_http_url(cfg.endpoint):
+        raise EndpointNetworkError(f"endpoint {cfg.endpoint!r} is not an http(s) URL with a host")
     payload = {
         "model": cfg.model,
         "messages": [
@@ -202,47 +216,44 @@ def generate(cfg: GeneratorConfig, bundle: PromptBundle) -> str:
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_tokens,
     }
+    data = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(cfg.auth_env)
     if token:
         headers["Authorization"] = f"Bearer {token}"
 
     last_error = None
-    attempts = 0
-    for attempt in range(cfg.max_retries + 1):
-        if attempt > 0:
-            time.sleep(_RETRY_BACKOFF_S * attempt)
-        attempts = attempt + 1
+    for attempts in range(1, cfg.max_retries + 2):
+        if attempts > 1:
+            time.sleep(_RETRY_BACKOFF_S * (attempts - 1))
         try:
-            resp = requests.post(
-                cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout_s
-            )
-        except requests.Timeout:
-            last_error = EndpointTimeoutError(
-                f"no response within {cfg.timeout_s}s from {cfg.endpoint}",
-                attempts=attempts,
-            )
-            continue
-        except requests.RequestException as exc:
-            last_error = EndpointNetworkError(
-                f"request to {cfg.endpoint} failed: {exc}", attempts=attempts
-            )
-            continue
-        if 200 <= resp.status_code < 300:
-            try:
-                body = resp.json()
-                content = body["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise EndpointResponseError(
-                    f"unparseable completion response: {exc}", attempts=attempts
-                ) from exc
-            if not isinstance(content, str):
-                raise EndpointResponseError(
-                    "completion content is not a string", attempts=attempts
+            with urlopen(Request(cfg.endpoint, data, headers), timeout=cfg.timeout_s) as resp:
+                raw = resp.read()
+        except HTTPError as exc:  # a non-2xx status
+            exc.close()
+            last_error = EndpointStatusError(exc.code, attempts=attempts)
+            if exc.code >= 500:
+                continue
+            raise last_error from None
+        except (OSError, HTTPException) as exc:
+            reason = getattr(exc, "reason", None)  # what a URLError wraps
+            if isinstance(exc, TimeoutError) or isinstance(reason, TimeoutError):
+                last_error = EndpointTimeoutError(
+                    f"no response within {cfg.timeout_s}s from {cfg.endpoint}",
+                    attempts=attempts,
                 )
-            return content
-        if resp.status_code >= 500:
-            last_error = EndpointStatusError(resp.status_code, attempts=attempts)
+            else:
+                last_error = EndpointNetworkError(
+                    f"request to {cfg.endpoint} failed: {exc}", attempts=attempts
+                )
             continue
-        raise EndpointStatusError(resp.status_code, attempts=attempts)
+        try:
+            content = json.loads(raw)["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise EndpointResponseError(
+                f"unparseable completion response: {exc}", attempts=attempts
+            ) from exc
+        if not isinstance(content, str):
+            raise EndpointResponseError("completion content is not a string", attempts=attempts)
+        return content
     raise last_error

@@ -125,8 +125,7 @@ class TrainResult:
 def build_ground_truth(
     reference: str, kg: KnowledgeGraph, table: EmbeddingTable
 ) -> GroundTruthConcepts:
-    ks = link_concepts(reference, kg)
-    concepts = {kg.index[cid] for cid in ks.concept_ids()}
+    concepts = set(link_concepts(reference, kg))
     if not concepts:
         logger.warning("reference text linked to no concepts; rewards will be 0")
         return GroundTruthConcepts(set(), None)
@@ -135,14 +134,13 @@ def build_ground_truth(
 
 def patient_context(patient_text: str, kg: KnowledgeGraph, table: EmbeddingTable) -> PatientContext:
     check_table_rows(kg, table)
-    ks = link_concepts(patient_text, kg)
-    if not ks:
+    keywords = link_concepts(patient_text, kg)
+    if not keywords:
         raise UnlinkableInputError("no keyword concepts linked from input text")
-    keywords = [kg.index[cid] for cid in ks.concept_ids()]
     return PatientContext(
         keywords=keywords,
-        k_init=kg.group_index[initial_group(ks)],
-        k_scarce=kg.group_index[scarce_group(ks, kg)],
+        k_init=initial_group(keywords, kg),
+        k_scarce=scarce_group(keywords, kg),
         sq_avg=avg_embedding(table, keywords),
     )
 

@@ -82,50 +82,12 @@ class KnowledgeGraph:
         self.indices = dst[first]
         self.labels = lab[first]
 
-    def name_of(self, cid: str) -> str:
-        return self.names[self._int(cid)]
-
-    def group_of(self, cid: str) -> str:
-        return self.groups[self.group_at[self._int(cid)]]
-
-    def all_groups(self) -> list[str]:
-        return list(self.groups)
-
-    def group_members(self, gid: str) -> tuple[str, ...]:
-        """Sorted member ids of group ``gid``."""
-        g = self.group_index.get(gid)
-        if g is None:
-            raise KeyError(f"unknown semantic group {gid!r}")
-        return tuple(cid for cid, k in zip(self.ids, self.group_at) if k == g)
-
     def neighbor_slice(self, i, g):
         """CSR bounds ``(lo, hi)`` of concept ``i``'s forward neighbours in
         group ``g``; for int arrays ``i`` and ``g``, two arrays of bounds,
         one pair per position."""
         slot = i * len(self.groups) + g
         return self.indptr[slot], self.indptr[slot + 1]
-
-    def neighbors_in_group(self, cid: str, gid: str) -> list[tuple[str, str]]:
-        """Forward neighbors of ``cid`` inside group ``gid``.
-
-        Returned as (relation label, concept id) pairs in lexicographic
-        order.
-        """
-        i = self._int(cid)
-        g = self.group_index.get(gid)
-        if g is None:
-            return []
-        lo, hi = self.neighbor_slice(i, g)
-        return [
-            (self.label_names[k], self.ids[d])
-            for k, d in zip(self.labels[lo:hi].tolist(), self.indices[lo:hi].tolist())
-        ]
-
-    def _int(self, cid: str) -> int:
-        try:
-            return self.index[cid]
-        except KeyError:
-            raise KeyError(f"unknown concept id {cid!r}") from None
 
 
 def load_kg(concepts_path, relations_path) -> KnowledgeGraph:

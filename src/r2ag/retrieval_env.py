@@ -72,7 +72,7 @@ class ReasoningPath:
 @dataclass
 class RolloutState:
     """Rollout state in graph ints: concepts index ``kg.ids`` and groups
-    index ``kg.all_groups()``."""
+    index ``kg.groups``."""
 
     t: int
     max_steps: int
@@ -97,7 +97,7 @@ def init_rollout(
     origins = [c for c in keywords if kg.group_at[c] == k_init]
     if not origins:
         raise ValueError(
-            f"no keyword concept lies in initial group {kg.all_groups()[k_init]!r}"
+            f"no keyword concept lies in initial group {kg.groups[k_init]!r}"
         )
     paths = [ReasoningPath(c, [PathStep(None, c)]) for c in origins]
     return RolloutState(

@@ -153,22 +153,23 @@ def gen_kg(spec: SynthSpec, out_dir) -> tuple[Path, Path]:
     return concepts_path, relations_path
 
 
-def _bfs(kg: KnowledgeGraph, starts, depth: int) -> set[str]:
-    """Ids within ``depth`` forward hops of ``starts``, walked over the CSR."""
+def _bfs(kg: KnowledgeGraph, starts, depth: int) -> set[int]:
+    """Concept ints within ``depth`` forward hops of ``starts``, walked over
+    the CSR."""
     # plain lists: per-node NumPy slices cost more than one conversion
     bounds = kg.indptr[:: len(kg.groups)].tolist()
     nbrs = kg.indices.tolist()
-    seen = {kg.index[cid] for cid in starts}
+    seen = set(starts)
     frontier = seen
     for _ in range(depth):
         frontier = {d for i in frontier for d in nbrs[bounds[i] : bounds[i + 1]]} - seen
         if not frontier:
             break
         seen |= frontier
-    return {kg.ids[i] for i in seen}
+    return seen
 
 
-def _sample(rng: np.random.Generator, pool: list[str], k: int) -> list[str]:
+def _sample(rng: np.random.Generator, pool: list[int], k: int) -> list[int]:
     if k >= len(pool):
         return list(pool)
     idx = rng.permutation(len(pool))[:k]
@@ -181,8 +182,8 @@ def _join_names(names: list[str]) -> str:
     return ", ".join(names[:-1]) + " and " + names[-1]
 
 
-def _pre_admission_text(kg: KnowledgeGraph, keywords: list[str]) -> str:
-    names = [kg.name_of(c) for c in keywords]
+def _pre_admission_text(kg: KnowledgeGraph, keywords: list[int]) -> str:
+    names = [kg.names[c] for c in keywords]
     allergy = names[:2]
     chief = names[2:3]
     rest = names[3:] or names[:1]
@@ -198,8 +199,8 @@ def _pre_admission_text(kg: KnowledgeGraph, keywords: list[str]) -> str:
     return " ".join(sentences)
 
 
-def _reference_text(kg: KnowledgeGraph, gt: list[str]) -> str:
-    names = [kg.name_of(c) for c in gt]
+def _reference_text(kg: KnowledgeGraph, gt: list[int]) -> str:
+    names = [kg.names[c] for c in gt]
     third = max(1, len(names) // 3)
     confirmed = names[:third]
     treated = names[third : 2 * third]
@@ -244,28 +245,30 @@ def gen_corpus(spec: SynthSpec, kg: KnowledgeGraph, out_path) -> Path:
     """
     spec.validate()
     rng = np.random.default_rng([spec.seed, 1])
-    groups = kg.all_groups()
-    if len(groups) != spec.groups:
+    n_groups = len(kg.groups)
+    if n_groups != spec.groups:
         raise ValueError(
-            f"graph has {len(groups)} groups but the spec declares {spec.groups}"
+            f"graph has {n_groups} groups but the spec declares {spec.groups}"
         )
-    n_sup, per_sup = _keyword_split(spec.keywords_per_patient, len(groups))
-    sup_idx = sorted(rng.permutation(len(groups))[:n_sup].tolist())
-    supplements = [groups[i] for i in sup_idx]
+    # sorted concept ints of each group int, which follow sorted ids
+    members: list[list[int]] = [[] for _ in range(n_groups)]
+    for c, g in enumerate(kg.group_at):
+        members[g].append(c)
+    n_sup, per_sup = _keyword_split(spec.keywords_per_patient, n_groups)
+    supplements = sorted(rng.permutation(n_groups)[:n_sup].tolist())
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_path) as fh:
         for i in range(spec.patients):
-            dominant = groups[int(rng.integers(len(groups)))]
-            dom_members = list(kg.group_members(dominant))
+            dominant = int(rng.integers(n_groups))
             kw_dom_count = spec.keywords_per_patient - n_sup * per_sup
-            keywords = _sample(rng, dom_members, kw_dom_count)
-            anchors: dict[str, list[str]] = {}
-            for gid in supplements:
-                pool = [c for c in kg.group_members(gid) if c not in keywords]
-                anchors[gid] = _sample(rng, pool, per_sup)
-                keywords.extend(anchors[gid])
+            keywords = _sample(rng, members[dominant], kw_dom_count)
+            anchors: dict[int, list[int]] = {}
+            for g in supplements:
+                pool = [c for c in members[g] if c not in keywords]
+                anchors[g] = _sample(rng, pool, per_sup)
+                keywords.extend(anchors[g])
 
             reach = _bfs(kg, keywords, REACH_HOPS)
             taken = set(keywords)
@@ -273,10 +276,10 @@ def gen_corpus(spec: SynthSpec, kg: KnowledgeGraph, out_path) -> Path:
             out_count = int(round(spec.skew * spec.gt_per_patient)) if out_groups else 0
             in_count = spec.gt_per_patient - out_count
 
-            gt: list[str] = []
+            gt: list[int] = []
 
             def _take(pools, want):
-                got: list[str] = []
+                got: list[int] = []
                 for pool in pools:
                     if len(got) >= want:
                         break
@@ -286,20 +289,17 @@ def gen_corpus(spec: SynthSpec, kg: KnowledgeGraph, out_path) -> Path:
                     taken.update(picked)
                 return got
 
-            near_dom = {c for c in reach if kg.group_of(c) == dominant}
-            gt.extend(_take([near_dom, set(dom_members)], in_count))
+            near_dom = {c for c in reach if kg.group_at[c] == dominant}
+            gt.extend(_take([near_dom, members[dominant]], in_count))
 
             for j in range(out_count):
-                gid = out_groups[j % len(out_groups)]
-                one_hop = {
-                    dst
-                    for a in anchors.get(gid, ())
-                    for _, dst in kg.neighbors_in_group(a, gid)
-                }
-                near = {c for c in reach if kg.group_of(c) == gid}
-                gt.extend(
-                    _take([one_hop, near, set(kg.group_members(gid))], 1)
-                )
+                g = out_groups[j % len(out_groups)]
+                one_hop = set()
+                for a in anchors[g]:
+                    lo, hi = kg.neighbor_slice(a, g)
+                    one_hop.update(kg.indices[lo:hi].tolist())
+                near = {c for c in reach if kg.group_at[c] == g}
+                gt.extend(_take([one_hop, near, members[g]], 1))
 
             record = {
                 "id": f"P{i:04d}",

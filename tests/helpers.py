@@ -15,7 +15,6 @@ import time
 
 import numpy as np
 
-from r2ag.concept_linker import KeywordMatch, KeywordSet
 from r2ag.kg_store import KnowledgeGraph, concept_ints
 from r2ag.policy_net import forward
 
@@ -39,20 +38,13 @@ def ints(kg: KnowledgeGraph, ids) -> list[int]:
 
 
 def int_neighbors(kg: KnowledgeGraph, c: int, g: int) -> list[tuple[str, int]]:
-    """``neighbors_in_group`` of concept int ``c`` in group int ``g``, as
-    (label, concept int) pairs."""
-    nbrs = kg.neighbors_in_group(kg.ids[c], kg.all_groups()[g])
-    return [(label, kg.index[cid]) for label, cid in nbrs]
-
-
-def ks_of(kg: KnowledgeGraph, ids) -> KeywordSet:
-    """KeywordSet over the given concept ids, as if linked from text."""
-    ks = KeywordSet()
-    for i, cid in enumerate(ids):
-        ks.matches.append(KeywordMatch(cid, cid, i, i + 1))
-        group = kg.group_of(cid)
-        ks.group_counts[group] = ks.group_counts.get(group, 0) + 1
-    return ks
+    """Forward neighbours of concept int ``c`` in group int ``g``, as
+    (label, concept int) pairs in CSR order."""
+    lo, hi = kg.neighbor_slice(c, g)
+    return [
+        (kg.label_names[k], d)
+        for k, d in zip(kg.labels[lo:hi].tolist(), kg.indices[lo:hi].tolist())
+    ]
 
 
 def random_graph_rows(rng: np.random.Generator, n_groups: int, per_group: int,

@@ -17,8 +17,6 @@ import pytest
 from helpers import (
     fd_logprob_grads,
     int_neighbors,
-    ints,
-    ks_of,
     max_rel_err,
     oracle_connect_choice,
     oracle_retrieve_choice,
@@ -122,14 +120,12 @@ def test_criterion_3_retrieval_oracle_equivalence():
         kg = random_kg(rng, n_groups, per_group, p_intra=0.15, p_cross=0.03)
         assert len(kg.ids) <= 200
         table = pseudo_embeddings(kg, 8, seed=int(rng.integers(100_000)))
-        ids = kg.ids
         n_kw = int(rng.integers(3, 8))
-        keywords = [ids[i] for i in rng.permutation(len(ids))[:n_kw]]
-        ks = ks_of(kg, keywords)
-        k_init = kg.group_index[initial_group(ks)]
-        k_scarce = kg.group_index[scarce_group(ks, kg)]
-        rs = init_rollout(ints(kg, keywords), kg, k_init, k_scarce, 5)
-        sq = avg_embedding(table, ints(kg, keywords))
+        keywords = rng.permutation(len(kg.ids))[:n_kw].tolist()
+        k_init = initial_group(keywords, kg)
+        k_scarce = scarce_group(keywords, kg)
+        rs = init_rollout(keywords, kg, k_init, k_scarce, 5)
+        sq = avg_embedding(table, keywords)
         for _ in range(5):
             action = int(rng.integers(len(kg.groups)))
             prior_paths = copy.deepcopy(rs.paths)

@@ -502,6 +502,70 @@ def test_generate_max_paths_truncates_records(tmp_path):
         assert len(rec["paths"]) <= 1
 
 
+@pytest.mark.parametrize("command", ["retrieve", "generate"])
+def test_serve_max_steps_below_one_is_a_usage_error(tmp_path, capsys, command):
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data)
+    capsys.readouterr()
+    assert _serve(command, data, run, ["--max-steps", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: max_steps must be >= 1" in err and "Traceback" not in err
+    assert not (run / "out.jsonl").exists()
+
+
+def test_generate_negative_max_paths_is_a_usage_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data)
+    capsys.readouterr()
+    assert _serve("generate", data, run, ["--max-paths", "-1"]) == 1
+    assert "usage error: max_paths must be >= 0" in capsys.readouterr().err
+    assert not (run / "out.jsonl").exists()
+    # 0 keeps its meaning: every prompt goes out with no paths
+    assert _serve("generate", data, run, ["--max-paths", "0"]) == 0
+    records = [json.loads(l) for l in (run / "out.jsonl").read_text().splitlines()]
+    assert records and all(rec["paths"] == [] for rec in records)
+
+
+@pytest.mark.parametrize("endpoint", ["not-a-url", "ftp://127.0.0.1/x", "http://", "http://[::1"])
+def test_generate_endpoint_that_is_not_an_http_url_exits_3(tmp_path, capsys, monkeypatch,
+                                                           endpoint):
+    import r2ag.generation
+
+    def no_request(*args, **kwargs):
+        raise AssertionError("no request may be opened for a malformed endpoint")
+
+    monkeypatch.setattr(r2ag.generation, "urlopen", no_request)
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data)
+    capsys.readouterr()
+    rc = main(
+        ["--seed", "3", "generate"] + _kg_args(data)
+        + ["--checkpoint", str(run / "checkpoint.json"),
+           "--corpus", str(data / "patients.jsonl"),
+           "--out", str(run / "out.jsonl"), "--endpoint", endpoint, "--retries", "0"]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "r2ag: endpoint error" in err and "Traceback" not in err
+
+
+def test_eval_generated_repeated_id_exits_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    ids = [p.id for p in load_corpus(data / "patients.jsonl")][:3]
+    gen = tmp_path / "generated.jsonl"
+    _write_jsonl(gen, [{"id": pid, "generated": "text"} for pid in ids + ids[1:2]])
+    with pytest.raises(DataFormatError, match=r":4: duplicate patient id"):
+        _load_generated(gen)
+    rc = main(
+        ["eval"] + _kg_args(data)
+        + ["--generated", str(gen), "--corpus", str(data / "patients.jsonl"),
+           "--out-dir", str(tmp_path / "eval")]
+    )
+    assert rc == 2
+    assert f"generated.jsonl:4: duplicate patient id {ids[1]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "report.json").exists()
+
+
 def test_default_scale_loop_is_fast(tmp_path):
     # synth -> validate -> train -> retrieve -> generate --stub -> eval on
     # the default spec (15 groups x 50 concepts, 50 patients) in one epoch

@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import make_kg
+from helpers import ints, make_kg
 
 from r2ag.concept_linker import (
-    KeywordSet,
     initial_group,
     link_concepts,
     load_corpus,
@@ -19,48 +18,40 @@ from r2ag.kg_store import normalize_name
 
 
 def test_single_concept_match(tiny_kg):
-    ks = link_concepts("The patient reported chest pain at rest.", tiny_kg)
-    assert ks.concept_ids() == ["D1"]
-    assert ks.group_counts == {"Disorders": 1}
+    got = link_concepts("The patient reported chest pain at rest.", tiny_kg)
+    assert got == ints(tiny_kg, ["D1"])
+    assert [tiny_kg.groups[tiny_kg.group_at[c]] for c in got] == ["Disorders"]
 
 
 def test_longest_match_wins(tiny_kg):
-    ks = link_concepts("History of exertional chest pain for two weeks.", tiny_kg)
-    assert ks.concept_ids() == ["D2"]  # not the shorter "chest pain"
+    got = link_concepts("History of exertional chest pain for two weeks.", tiny_kg)
+    assert got == ints(tiny_kg, ["D2"])  # not the shorter "chest pain"
 
 
 def test_matching_ignores_case_and_punctuation(tiny_kg):
-    ks = link_concepts("CHEST... pain! plus COUGH,cough", tiny_kg)
-    assert ks.concept_ids() == ["D1", "D3"]  # deduplicated
-
-
-def test_spans_do_not_overlap_and_are_ordered(tiny_kg):
-    text = "fatigue then chest pain then cough; later exertional chest pain."
-    ks = link_concepts(text, tiny_kg)
-    spans = [(m.start, m.end) for m in ks.matches]
-    assert spans == sorted(spans)
-    for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-        assert e1 <= s2
-    for m in ks.matches:
-        assert text[m.start : m.end] == m.surface
+    got = link_concepts("CHEST... pain! plus COUGH,cough", tiny_kg)
+    assert got == ints(tiny_kg, ["D1", "D3"])  # deduplicated
 
 
 def test_relink_is_deterministic(tiny_kg):
     text = "cough and fatigue with chest pain"
-    a = link_concepts(text, tiny_kg)
-    b = link_concepts(text, tiny_kg)
-    assert a.concept_ids() == b.concept_ids()
-    assert [m.surface for m in a.matches] == [m.surface for m in b.matches]
+    assert link_concepts(text, tiny_kg) == link_concepts(text, tiny_kg)
+
+
+def test_shared_name_links_the_smallest_id():
+    kg = make_kg([("C2", "Chest Pain", "A"), ("C1", "chest pain", "B"), ("C3", "x", "A")], [])
+    assert link_concepts("chest pain", kg) == ints(kg, ["C1"])
 
 
 def _oracle_greedy(text, kg):
-    """Enumerate every substring match, then apply the same greedy rule."""
+    """Enumerate every substring match, then apply the same greedy rule.
+    Returns concept ids."""
     import re
 
     tokens = [(m.group(0).lower(), m.start(), m.end()) for m in re.finditer(r"[A-Za-z0-9]+", text)]
     names = {}
-    for cid in sorted(kg.ids):
-        toks = tuple(normalize_name(kg.name_of(cid)).split())
+    for cid, name in sorted(zip(kg.ids, kg.names)):
+        toks = tuple(normalize_name(name).split())
         if toks and toks not in names:
             names[toks] = cid
     all_matches = []  # (start_token, length, cid) for every occurrence
@@ -107,82 +98,109 @@ def test_matches_exhaustive_oracle_on_long_note():
         "No mention here.",
     ] * 4
     text = " ".join(sentences)
-    assert link_concepts(text, kg).concept_ids() == _oracle_greedy(text, kg)
+    assert link_concepts(text, kg) == ints(kg, _oracle_greedy(text, kg))
 
 
-def _ks_with_counts(counts: dict[str, int]) -> KeywordSet:
-    ks = KeywordSet()
-    ks.group_counts = dict(counts)
-    i = 0
-    for gid, n in counts.items():
-        for _ in range(n):
-            from r2ag.concept_linker import KeywordMatch
-
-            ks.matches.append(KeywordMatch(f"{gid}-{i}", "x", i, i + 1))
-            i += 1
-    return ks
+def _keywords_with_counts(counts: dict[str, int], groups=()):
+    """A graph over the groups named in ``counts`` and ``groups``, and a
+    keyword list with ``counts[g]`` concepts of group ``g``, in ``counts``
+    order."""
+    names = sorted(set(counts) | set(groups))
+    rows = [(f"{g}-{i}", f"x {g} {i}", g) for g in names for i in range(max(counts.get(g, 0), 1))]
+    kg = make_kg(rows, [])
+    return kg, ints(kg, [f"{g}-{i}" for g, n in counts.items() for i in range(n)])
 
 
 def test_initial_group_argmax():
-    assert initial_group(_ks_with_counts({"A": 3, "B": 1})) == "A"
+    kg, keywords = _keywords_with_counts({"A": 3, "B": 1})
+    assert kg.groups[initial_group(keywords, kg)] == "A"
 
 
 def test_initial_group_tie_breaks_to_smallest_id():
-    assert initial_group(_ks_with_counts({"B": 2, "A": 2})) == "A"
+    kg, keywords = _keywords_with_counts({"B": 2, "A": 2})
+    assert kg.groups[initial_group(keywords, kg)] == "A"
 
 
-def test_initial_group_empty_raises():
+def test_initial_group_empty_raises(tiny_kg):
     with pytest.raises(ValueError):
-        initial_group(KeywordSet())
+        initial_group([], tiny_kg)
 
 
 def test_initial_group_matches_linear_scan():
     rng = np.random.default_rng(21)
     for _ in range(25):
         counts = {f"G{i}": int(rng.integers(1, 6)) for i in range(int(rng.integers(2, 7)))}
-        ks = _ks_with_counts(counts)
-        best = initial_group(ks)
+        kg, keywords = _keywords_with_counts(counts)
+        best = kg.groups[initial_group(keywords, kg)]
         m = max(counts.values())
         assert counts[best] == m
         assert best == min(g for g, c in counts.items() if c == m)
 
 
 def test_scarce_group_includes_zero_count_groups():
-    kg = make_kg(
-        [("1", "x1", "A"), ("2", "x2", "B"), ("3", "x3", "C")],
-        [],
-    )
-    assert scarce_group(_ks_with_counts({"A": 3}), kg) == "B"
+    kg, keywords = _keywords_with_counts({"A": 3}, groups=("B", "C"))
+    assert kg.groups[scarce_group(keywords, kg)] == "B"
 
 
 def test_scarce_group_all_nonzero():
-    kg = make_kg([("1", "x1", "A"), ("2", "x2", "B")], [])
-    assert scarce_group(_ks_with_counts({"A": 2, "B": 1}), kg) == "B"
+    kg, keywords = _keywords_with_counts({"A": 2, "B": 1})
+    assert kg.groups[scarce_group(keywords, kg)] == "B"
 
 
 def test_scarce_group_matches_linear_scan():
     rng = np.random.default_rng(8)
-    rows = [(f"c{i}", f"n{i}", f"G{i}") for i in range(6)]
-    kg = make_kg(rows, [])
+    all_groups = [f"G{i}" for i in range(6)]
     for _ in range(25):
         counts = {
-            f"G{i}": int(rng.integers(0, 5))
-            for i in range(6)
+            g: int(rng.integers(0, 5))
+            for g in all_groups
             if rng.random() < 0.7
         }
-        got = scarce_group(_ks_with_counts(counts), kg)
-        full = {g: counts.get(g, 0) for g in kg.all_groups()}
+        kg, keywords = _keywords_with_counts(counts, groups=all_groups)
+        got = kg.groups[scarce_group(keywords, kg)]
+        full = {g: counts.get(g, 0) for g in all_groups}
         m = min(full.values())
         assert full[got] == m
         assert got == min(g for g, c in full.items() if c == m)
 
 
+def test_group_ints_follow_the_string_rule_on_random_graphs():
+    # the dominant group is the first in (-count, group name) order and the
+    # scarce group the first minimum over sorted group names
+    rng = np.random.default_rng(9)
+    letters = list("abzAZ09")
+    for _ in range(200):
+        names = sorted({"".join(rng.choice(letters, 2)) for _ in range(int(rng.integers(2, 8)))})
+        rows = [
+            (f"c{i:03d}", f"w{i}", names[int(rng.integers(len(names)))])
+            for i in range(int(rng.integers(1, 40)))
+        ]
+        group_of = {cid: g for cid, _, g in rows}
+        kg = make_kg(rows, [])
+        keyword_ids = [kg.ids[i] for i in rng.permutation(len(rows))[: int(rng.integers(1, 9))]]
+        counts = {g: 0 for g in sorted(set(group_of.values()))}
+        for cid in keyword_ids:
+            counts[group_of[cid]] += 1
+        dominant = sorted(
+            ((g, n) for g, n in counts.items() if n), key=lambda kv: (-kv[1], kv[0])
+        )[0][0]
+        scarce = None
+        for g in sorted(counts):
+            if scarce is None or counts[g] < counts[scarce]:
+                scarce = g
+        keywords = ints(kg, keyword_ids)
+        assert kg.groups[initial_group(keywords, kg)] == dominant
+        assert kg.groups[scarce_group(keywords, kg)] == scarce
+
+
 def test_initial_and_scarce_bounds(tiny_kg):
-    ks = link_concepts("cough with chest pain near the coronary artery", tiny_kg)
-    ini, sca = initial_group(ks), scarce_group(ks, tiny_kg)
-    counts = {g: ks.group_counts.get(g, 0) for g in tiny_kg.all_groups()}
-    assert all(counts[ini] >= c for c in counts.values())
-    assert all(counts[sca] <= c for c in counts.values())
+    keywords = link_concepts("cough with chest pain near the coronary artery", tiny_kg)
+    ini, sca = initial_group(keywords, tiny_kg), scarce_group(keywords, tiny_kg)
+    counts = [
+        sum(1 for c in keywords if tiny_kg.group_at[c] == g) for g in range(len(tiny_kg.groups))
+    ]
+    assert all(counts[ini] >= c for c in counts)
+    assert all(counts[sca] <= c for c in counts)
 
 
 def test_load_corpus_roundtrip(tmp_path):

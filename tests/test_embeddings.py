@@ -146,7 +146,7 @@ def test_pseudo_group_structure_beats_cross_group():
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             sim = oracle_cosine(table.matrix[kg.index[a]], table.matrix[kg.index[b]])
-            if kg.group_of(a) == kg.group_of(b):
+            if kg.group_at[kg.index[a]] == kg.group_at[kg.index[b]]:
                 within.append(sim)
             else:
                 cross.append(sim)
@@ -281,5 +281,5 @@ def test_group_vectors_index(tiny_kg, tiny_table):
     assert tiny_kg.group_index == {"Anatomy": 0, "Disorders": 1}
     assert gv.shape == (2, 2 * tiny_table.dim)
     for gid, g in tiny_kg.group_index.items():
-        rows = tiny_table.matrix[[tiny_kg.index[c] for c in tiny_kg.group_members(gid)]]
+        rows = tiny_table.matrix[[i for i, k in enumerate(tiny_kg.group_at) if k == g]]
         assert np.array_equal(gv[g], np.concatenate([rows.mean(axis=0), rows.max(axis=0)]))

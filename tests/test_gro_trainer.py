@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_table
-from helpers import ks_of, make_kg, oracle_avg, oracle_cosine, random_kg
+from helpers import make_kg, oracle_avg, oracle_cosine, random_kg
 
 from r2ag import gro_trainer
 from r2ag.concept_linker import PatientInput, initial_group, scarce_group
@@ -238,9 +238,8 @@ def test_lockstep_group_equals_separate_rollouts():
         table = pseudo_embeddings(kg, 8, seed=int(rng.integers(100_000)))
         gv = group_vectors(kg, table)
         keywords = rng.permutation(len(kg.ids))[: int(rng.integers(3, 8))].tolist()
-        ks = ks_of(kg, [kg.ids[c] for c in keywords])
         ctx = PatientContext(
-            keywords, kg.group_index[initial_group(ks)], kg.group_index[scarce_group(ks, kg)],
+            keywords, initial_group(keywords, kg), scarce_group(keywords, kg),
             avg_embedding(table, keywords),
         )
         params = init_params(8, seed=int(rng.integers(1000)))

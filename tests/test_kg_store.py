@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_kg, random_graph_rows
+from helpers import int_neighbors, make_kg, random_graph_rows
 
 from r2ag.errors import DataFormatError
 from r2ag.kg_store import load_kg, normalize_name
@@ -13,13 +13,26 @@ MINI_CONCEPTS = [("C1", "aspirin", "Drugs"), ("C2", "chest pain", "Disorders")]
 MINI_EDGES = [("C1", "treats", "C2")]
 
 
+def _neighbors(kg, cid, gid):
+    """Forward neighbours of concept ``cid`` in group ``gid``, as
+    (label, concept id) pairs."""
+    nbrs = int_neighbors(kg, kg.index[cid], kg.group_index[gid])
+    return [(label, kg.ids[d]) for label, d in nbrs]
+
+
+def _members(kg, gid):
+    """Ids of the concepts in group ``gid``."""
+    g = kg.group_index[gid]
+    return [cid for cid, k in zip(kg.ids, kg.group_at) if k == g]
+
+
 def test_load_minimal_fixture(write_kg):
     kg = load_kg(*write_kg(MINI_CONCEPTS, MINI_EDGES))
     assert kg.ids == ("C1", "C2")
     assert kg.names == ("aspirin", "chest pain")
     assert len(kg.indices) == 1
-    assert kg.name_of("C1") == "aspirin"
-    assert kg.group_of("C2") == "Disorders"
+    assert kg.groups == ("Disorders", "Drugs")
+    assert kg.group_at == (1, 0)
 
 
 def test_load_rejects_bad_concept_header(write_kg, tmp_path):
@@ -83,8 +96,8 @@ def test_load_dedupes_triples_on_non_adjacent_lines(write_kg):
     ]
     kg = load_kg(*write_kg(rows, edges))
     assert len(kg.indices) == 4
-    assert kg.neighbors_in_group("C1", "Disorders") == [("causes", "C2"), ("treats", "C2")]
-    assert kg.neighbors_in_group("C1", "Drugs") == [("treats", "C3")]
+    assert _neighbors(kg, "C1", "Disorders") == [("causes", "C2"), ("treats", "C2")]
+    assert _neighbors(kg, "C1", "Drugs") == [("treats", "C3")]
 
 
 def test_labels_get_distinct_codes_in_python_string_order(write_kg):
@@ -94,29 +107,27 @@ def test_labels_get_distinct_codes_in_python_string_order(write_kg):
     kg = load_kg(*write_kg(MINI_CONCEPTS, edges))
     assert kg.label_names == ("x", "x\x00", "xZ", "\u00c4x")
     assert len(set(kg.labels.tolist())) == 4
-    assert kg.neighbors_in_group("C1", "Disorders") == [(l, "C2") for l in sorted(labels)]
+    assert _neighbors(kg, "C1", "Disorders") == [(l, "C2") for l in sorted(labels)]
 
 
 def test_unknown_ids_raise_keyerror(tiny_kg):
     with pytest.raises(KeyError, match="ZZ"):
-        tiny_kg.group_of("ZZ")
+        tiny_kg.index["ZZ"]
     with pytest.raises(KeyError):
-        tiny_kg.neighbors_in_group("ZZ", "Anatomy")
-    with pytest.raises(KeyError):
-        tiny_kg.group_members("NoSuchGroup")
+        tiny_kg.group_index["NoSuchGroup"]
 
 
 def test_neighbors_empty_without_out_edges(tiny_kg):
-    assert tiny_kg.neighbors_in_group("D4", "Disorders") == []
+    assert _neighbors(tiny_kg, "D4", "Disorders") == []
 
 
 def test_neighbors_filter_and_order(tiny_kg):
     # D1 has 3 out-edges; two go into Anatomy
-    assert tiny_kg.neighbors_in_group("D1", "Anatomy") == [
+    assert _neighbors(tiny_kg, "D1", "Anatomy") == [
         ("located_in", "A1"),
         ("located_in", "A3"),
     ]
-    assert tiny_kg.neighbors_in_group("D1", "Disorders") == [("finding_of", "D3")]
+    assert _neighbors(tiny_kg, "D1", "Disorders") == [("finding_of", "D3")]
 
 
 def test_neighbors_match_edge_list_scan():
@@ -125,31 +136,31 @@ def test_neighbors_match_edge_list_scan():
     kg = make_kg(rows, edge_rows)
     group = {cid: g for cid, _, g in rows}
     for cid, _, _ in rows:
-        for gid in kg.all_groups():
+        for gid in kg.groups:
             oracle = sorted(
                 (label, dst)
                 for src, label, dst in edge_rows
                 if src == cid and group[dst] == gid
             )
-            assert kg.neighbors_in_group(cid, gid) == oracle
+            assert _neighbors(kg, cid, gid) == oracle
 
 
 def test_group_partition_roundtrip(tiny_kg):
     for cid in tiny_kg.ids:
-        assert cid in tiny_kg.group_members(tiny_kg.group_of(cid))
+        assert cid in _members(tiny_kg, tiny_kg.groups[tiny_kg.group_at[tiny_kg.index[cid]]])
 
 
 def test_groups_cover_all_concepts(tiny_kg):
     union = set()
-    for gid in tiny_kg.all_groups():
-        union |= set(tiny_kg.group_members(gid))
+    for gid in tiny_kg.groups:
+        union |= set(_members(tiny_kg, gid))
     assert union == set(tiny_kg.ids)
 
 
 def test_groups_pairwise_disjoint():
     rng = np.random.default_rng(9)
     kg = make_kg(*random_graph_rows(rng, n_groups=4, per_group=8, p_intra=0.3, p_cross=0.1))
-    groups = [set(kg.group_members(g)) for g in kg.all_groups()]
+    groups = [set(_members(kg, g)) for g in kg.groups]
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
             assert groups[i] & groups[j] == set()
@@ -170,7 +181,7 @@ def test_csr_slices_flatten_back_to_edge_list(tiny_rows):
                     (kg.label_names[kg.labels[k]], kg.ids[kg.indices[k]]) for k in range(lo, hi)
                 ]
                 assert block == sorted(block)
-                assert all(kg.group_of(dst) == gid for _, dst in block)
+                assert all(kg.group_at[kg.index[dst]] == g for _, dst in block)
                 flattened.extend((src, label, dst) for label, dst in block)
         assert len(flattened) == len(edge_rows)
         assert sorted(flattened) == sorted(edge_rows)
@@ -206,8 +217,9 @@ def test_load_is_deterministic(write_kg):
     assert kg1.groups == ("G1", "G2")
     assert kg1.group_index == {"G1": 0, "G2": 1}
     assert kg1.group_at == (1, 1, 0)
+    group = {cid: gid for cid, _, gid in rows}
     for i, cid in enumerate(kg1.ids):
-        assert kg1.group_at[i] == kg1.group_index[kg1.group_of(cid)]
+        assert kg1.groups[kg1.group_at[i]] == group[cid]
 
 
 def test_normalize_name():

@@ -92,7 +92,7 @@ def test_init_rollout_matches_filter_oracle(env_kg):
     ids = ["A0", "B0", "A1", "B1", "A3"]
     rs = _rollout(env_kg, ids, "GA", "GZ", max_steps=3)
     assert [env_kg.ids[p.origin] for p in rs.paths] == [
-        c for c in ids if env_kg.group_of(c) == "GA"
+        c for c in ids if env_kg.group_at[env_kg.index[c]] == env_kg.group_index["GA"]
     ]
 
 
@@ -220,9 +220,9 @@ def test_action_matrix_covers_all_groups(env_kg, env_table):
     gv = group_vectors(env_kg, env_table)
     rs = _rollout(env_kg, ["A0"], "GA", "GZ", max_steps=5)
     actions = action_matrix(rs, gv)
-    assert env_kg.all_groups() == ["GA", "GB", "GZ"]
+    assert env_kg.groups == ("GA", "GB", "GZ")
     assert actions.shape == (3, 4 * env_table.dim)
-    for i, gid in enumerate(env_kg.all_groups()):
+    for i, gid in enumerate(env_kg.groups):
         assert np.array_equal(actions[i, : 2 * env_table.dim], gv[env_kg.group_index["GA"]])
         assert np.array_equal(actions[i, 2 * env_table.dim :], gv[env_kg.group_index[gid]])
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_kg, random_graph_rows
+from helpers import int_neighbors, ints, make_kg, random_graph_rows
 
 from r2ag.concept_linker import initial_group, link_concepts, load_corpus
 from r2ag.kg_store import load_kg
@@ -48,11 +48,10 @@ def test_p_intra_one_gives_complete_within_group_digraphs(tmp_path):
     cpath, rpath = gen_kg(spec, tmp_path)
     kg = load_kg(cpath, rpath)
     assert len(kg.indices) == 2 * 3 * 2  # both groups complete: n*(n-1) each
-    for gid in kg.all_groups():
-        members = kg.group_members(gid)
+    for g in range(len(kg.groups)):
+        members = {c for c, k in enumerate(kg.group_at) if k == g}
         for src in members:
-            dsts = {d for _, d in kg.neighbors_in_group(src, gid)}
-            assert dsts == set(members) - {src}
+            assert {d for _, d in int_neighbors(kg, src, g)} == members - {src}
 
 
 def test_edge_count_near_binomial_expectation(tmp_path):
@@ -89,28 +88,28 @@ def test_generated_names_link_back(tmp_path):
     patients = load_corpus(corpus_path)
     assert len(patients) == spec.patients
     for p in patients:
-        ks = link_concepts(p.pre_admission, kg)
-        assert len(ks) == spec.keywords_per_patient
+        keywords = link_concepts(p.pre_admission, kg)
+        assert len(keywords) == spec.keywords_per_patient
         gt = link_concepts(p.reference, kg)
         assert len(gt) == spec.gt_per_patient
-        assert set(gt.concept_ids()).isdisjoint(set(ks.concept_ids()))
+        assert set(gt).isdisjoint(keywords)
 
 
 def test_skew_zero_keeps_ground_truth_in_dominant_group(tmp_path):
     spec, kg, _, _, corpus_path = _generate(tmp_path, skew=0.0)
     for p in load_corpus(corpus_path):
-        dominant = initial_group(link_concepts(p.pre_admission, kg))
-        gt = link_concepts(p.reference, kg).concept_ids()
-        assert all(kg.group_of(c) == dominant for c in gt)
+        dominant = initial_group(link_concepts(p.pre_admission, kg), kg)
+        gt = link_concepts(p.reference, kg)
+        assert all(kg.group_at[c] == dominant for c in gt)
 
 
 def test_skew_one_moves_ground_truth_out_of_dominant_group(tmp_path):
     spec, kg, _, _, corpus_path = _generate(tmp_path, skew=1.0)
     for p in load_corpus(corpus_path):
-        dominant = initial_group(link_concepts(p.pre_admission, kg))
-        gt = link_concepts(p.reference, kg).concept_ids()
+        dominant = initial_group(link_concepts(p.pre_admission, kg), kg)
+        gt = link_concepts(p.reference, kg)
         assert gt, "skew=1 should still produce ground-truth concepts"
-        assert all(kg.group_of(c) != dominant for c in gt)
+        assert all(kg.group_at[c] != dominant for c in gt)
 
 
 def _oracle_reach(relations_path, starts, hops):
@@ -139,8 +138,8 @@ def test_ground_truth_mostly_reachable_within_hops(tmp_path):
     corpus_path = gen_corpus(spec, kg, tmp_path / "patients.jsonl")
     total = reachable = 0
     for p in load_corpus(corpus_path):
-        keywords = link_concepts(p.pre_admission, kg).concept_ids()
-        gt = link_concepts(p.reference, kg).concept_ids()
+        keywords = [kg.ids[c] for c in link_concepts(p.pre_admission, kg)]
+        gt = [kg.ids[c] for c in link_concepts(p.reference, kg)]
         reach = _oracle_reach(rpath, keywords, REACH_HOPS)
         total += len(gt)
         reachable += sum(1 for c in gt if c in reach)
@@ -177,5 +176,5 @@ def test_bfs_matches_brute_force_reach():
         starts = rng.choice(kg.ids, size=3, replace=False).tolist()
         reach = set(starts)
         for depth in range(6):
-            assert _bfs(kg, starts, depth) == reach
+            assert {kg.ids[c] for c in _bfs(kg, ints(kg, starts), depth)} == reach
             reach |= {dst for src, _, dst in edge_rows if src in reach}
