@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,7 @@ from .generation import (
     build_prompt_bundle,
     generate,
     load_template,
-    retrieve_for_patient,
+    retrieve_corpus,
     select_paths,
     stub_generate,
 )
@@ -360,11 +359,13 @@ def cmd_validate(args, opts: _Options) -> int:
 
 
 def cmd_train(args, opts: _Options) -> int:
+    emb = opts.get("embeddings")
+    if not emb and opts.get("embed_dim") < 2:
+        raise UsageError("embed_dim must be >= 2")
     kg = load_kg(opts.require("concepts"), opts.require("relations"))
     corpus = load_corpus(opts.require("corpus"))
     out_dir = Path(opts.require("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    emb = opts.get("embeddings")
     if emb:
         table = load_embeddings(emb, kg)
     else:
@@ -409,7 +410,6 @@ def _retrieval_setup(args, opts: _Options):
 def cmd_retrieve(args, opts: _Options) -> int:
     kg, params, corpus, table, gv = _retrieval_setup(args, opts)
     out = opts.require("out")
-    max_steps = opts.get("max_steps")
     sample = opts.get("sample")
     rng = np.random.default_rng([args.seed, 2]) if sample else None
     only = opts.get("patient")
@@ -417,17 +417,16 @@ def cmd_retrieve(args, opts: _Options) -> int:
         corpus = [p for p in corpus if p.id == only]
         if not corpus:
             raise DataFormatError(f"patient id {only!r} not found in corpus")
+    results = retrieve_corpus(
+        params, corpus, kg, table, gv,
+        max_steps=opts.get("max_steps"), greedy=not sample, rng=rng,
+    )
     records = []
     skipped = 0
-    for patient in corpus:
-        try:
-            paths = retrieve_for_patient(
-                params, patient, kg, table, gv,
-                max_steps=max_steps, greedy=not sample, rng=rng,
-            )
-        except UnlinkableInputError:
+    for patient, paths in zip(corpus, results):
+        if isinstance(paths, UnlinkableInputError):
             if only is not None:
-                raise
+                raise paths
             skipped += 1
             logger.warning("skipping unlinkable patient %s", patient.id)
             continue
@@ -439,9 +438,7 @@ def cmd_retrieve(args, opts: _Options) -> int:
 
 
 def cmd_generate(args, opts: _Options) -> int:
-    kg, params, corpus, table, gv = _retrieval_setup(args, opts)
     out = opts.require("out")
-    max_steps = opts.get("max_steps")
     stub = opts.get("stub")
     endpoint = opts.get("endpoint")
     if not stub and not endpoint:
@@ -460,13 +457,17 @@ def cmd_generate(args, opts: _Options) -> int:
         timeout_s=opts.get("timeout"),
         max_retries=opts.get("retries"),
     )
+    try:
+        gen_cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    kg, params, corpus, table, gv = _retrieval_setup(args, opts)
 
+    results = retrieve_corpus(params, corpus, kg, table, gv, max_steps=opts.get("max_steps"))
     prepared = []
     skipped = 0
-    for patient in corpus:
-        try:
-            paths = retrieve_for_patient(params, patient, kg, table, gv, max_steps=max_steps)
-        except UnlinkableInputError:
+    for patient, paths in zip(corpus, results):
+        if isinstance(paths, UnlinkableInputError):
             skipped += 1
             logger.warning("skipping unlinkable patient %s", patient.id)
             continue
@@ -482,6 +483,8 @@ def cmd_generate(args, opts: _Options) -> int:
             return generate(gen_cfg, item[2])
 
         if args.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 texts = list(pool.map(_call, prepared))
         else:

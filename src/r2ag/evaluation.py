@@ -42,11 +42,11 @@ def _nlg_tokens(text: str) -> list[str]:
 
 def extract_tokens(text: str) -> set[str]:
     """Lowercased content tokens: length >= 2, stopwords removed, deduped."""
-    return {
-        tok
-        for tok in _nlg_tokens(text)
-        if len(tok) >= 2 and tok not in STOPWORDS
-    }
+    return _content_tokens(_nlg_tokens(text))
+
+
+def _content_tokens(tokens: list[str]) -> set[str]:
+    return {tok for tok in tokens if len(tok) >= 2 and tok not in STOPWORDS}
 
 
 @dataclass
@@ -84,8 +84,12 @@ def _ngrams(tokens: list[str], n: int) -> dict[tuple, int]:
 
 def rouge_n(pred_text: str, ref_text: str, n: int) -> float:
     """F1 over clipped n-gram multiset overlap."""
-    pred = _ngrams(_nlg_tokens(pred_text), n)
-    ref = _ngrams(_nlg_tokens(ref_text), n)
+    return _rouge_n(_nlg_tokens(pred_text), _nlg_tokens(ref_text), n)
+
+
+def _rouge_n(pred_tokens: list[str], ref_tokens: list[str], n: int) -> float:
+    pred = _ngrams(pred_tokens, n)
+    ref = _ngrams(ref_tokens, n)
     n_pred = sum(pred.values())
     n_ref = sum(ref.values())
     if n_pred == 0 or n_ref == 0:
@@ -97,24 +101,31 @@ def rouge_n(pred_text: str, ref_text: str, n: int) -> float:
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
+    """Length of the longest common subsequence of ``a`` and ``b``.
+
+    Bit-parallel (Allison-Dix): bit i of a Python int stands for ``a[i]``,
+    and one pass over ``b`` updates the vector ``v`` with a few whole-int
+    operations per token; the zero bits of the final ``v`` count the LCS.
+    """
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    match: dict[str, int] = {}  # token -> bits of the positions it holds in a
+    for i, tok in enumerate(a):
+        match[tok] = match.get(tok, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for tok in b:
+        u = v & match.get(tok, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(pred_text: str, ref_text: str) -> float:
     """LCS-based F-measure with equal precision/recall weighting."""
-    pred = _nlg_tokens(pred_text)
-    ref = _nlg_tokens(ref_text)
+    return _rouge_l(_nlg_tokens(pred_text), _nlg_tokens(ref_text))
+
+
+def _rouge_l(pred: list[str], ref: list[str]) -> float:
     if not pred or not ref:
         return 0.0
     lcs = _lcs_len(pred, ref)
@@ -125,8 +136,10 @@ def rouge_l(pred_text: str, ref_text: str) -> float:
 
 def bleu_n(pred_text: str, ref_text: str, n: int) -> float:
     """Geometric mean of modified 1..n-gram precisions times brevity penalty."""
-    pred = _nlg_tokens(pred_text)
-    ref = _nlg_tokens(ref_text)
+    return _bleu_n(_nlg_tokens(pred_text), _nlg_tokens(ref_text), n)
+
+
+def _bleu_n(pred: list[str], ref: list[str], n: int) -> float:
     if not pred or not ref:
         return 0.0
     precisions: list[float] = []
@@ -240,19 +253,20 @@ def _macro_ce(rows: list[CeRow], skipped: int) -> CeMacro:
 
 def evaluate_pair(generated: str, reference: str, kg: KnowledgeGraph) -> PatientEval:
     """Metric row for one (generated, reference) pair; levels with an empty
-    reference set come back as None."""
-    ngram_ref = extract_tokens(reference)
-    ngram = ce_metrics(extract_tokens(generated), ngram_ref) if ngram_ref else None
+    reference set come back as None. Each text is tokenized once."""
+    gen_tokens, ref_tokens = _nlg_tokens(generated), _nlg_tokens(reference)
+    ngram_ref = _content_tokens(ref_tokens)
+    ngram = ce_metrics(_content_tokens(gen_tokens), ngram_ref) if ngram_ref else None
     concept_ref = set(link_concepts(reference, kg))
     concept = (
         ce_metrics(set(link_concepts(generated, kg)), concept_ref) if concept_ref else None
     )
     nlg = {
-        "rouge1": rouge_n(generated, reference, 1),
-        "rouge2": rouge_n(generated, reference, 2),
-        "rougeL": rouge_l(generated, reference),
-        "bleu1": bleu_n(generated, reference, 1),
-        "bleu2": bleu_n(generated, reference, 2),
+        "rouge1": _rouge_n(gen_tokens, ref_tokens, 1),
+        "rouge2": _rouge_n(gen_tokens, ref_tokens, 2),
+        "rougeL": _rouge_l(gen_tokens, ref_tokens),
+        "bleu1": _bleu_n(gen_tokens, ref_tokens, 1),
+        "bleu2": _bleu_n(gen_tokens, ref_tokens, 2),
     }
     return PatientEval("", ngram, concept, nlg)
 

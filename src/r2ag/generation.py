@@ -13,10 +13,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from http.client import HTTPException
-from urllib.error import HTTPError
 from urllib.parse import urlsplit
-from urllib.request import Request, urlopen
 
 import numpy as np
 
@@ -28,9 +25,10 @@ from .errors import (
     EndpointResponseError,
     EndpointStatusError,
     EndpointTimeoutError,
+    UnlinkableInputError,
     read_text,
 )
-from .gro_trainer import patient_context, run_rollout
+from .gro_trainer import patient_context, run_rollouts
 from .kg_store import KnowledgeGraph
 from .policy_net import PolicyParams, greedy_action, sample_action
 from .retrieval_env import ReasoningPath
@@ -50,6 +48,11 @@ DEFAULT_TEMPLATE = {
 }
 
 _RETRY_BACKOFF_S = 0.05
+
+# patients per lockstep block in retrieve_corpus. It bounds the block's
+# (patients, explored concepts, d) gather: 256 x 64 x 768 float64 is 0.1 GB,
+# where a 10k-patient corpus in one block would gather about 4 GB.
+SERVE_BLOCK = 256
 
 
 @dataclass
@@ -149,6 +152,54 @@ def load_template(path) -> dict:
     return tpl
 
 
+def retrieve_corpus(
+    params: PolicyParams,
+    patients: list[PatientInput],
+    kg: KnowledgeGraph,
+    table: EmbeddingTable,
+    gv: np.ndarray,
+    max_steps: int = 5,
+    greedy: bool = True,
+    rng: np.random.Generator | None = None,
+) -> list[list[ReasoningPath] | UnlinkableInputError]:
+    """One inference rollout per patient (greedy by default; sampled behind
+    a flag): each patient's paths in corpus order, or the
+    ``UnlinkableInputError`` of a patient with no linkable keyword.
+
+    ``gv`` is ``group_vectors(kg, table)``, built once per table. The corpus
+    is linked once, ``SERVE_BLOCK`` patients at a time, and each block's
+    linkable patients run in lockstep. A sampled block draws one
+    (patients, T) uniform block: the same values, in the same order, as T
+    draws per linkable patient in corpus order.
+    """
+    if not greedy and rng is None:
+        raise ValueError("sampled inference needs an rng")
+    results: list = []
+    for lo in range(0, len(patients), SERVE_BLOCK):
+        linked, ctxs = [], []
+        for patient in patients[lo : lo + SERVE_BLOCK]:
+            try:
+                ctxs.append(patient_context(patient.pre_admission, kg, table))
+            except UnlinkableInputError as exc:
+                results.append(exc)
+                continue
+            linked.append(len(results))
+            results.append(None)
+        if not ctxs:
+            continue
+        if greedy:
+            select = lambda i, t, dist: greedy_action(dist)  # noqa: E731
+        else:
+            u = rng.random((len(ctxs), max_steps))
+            select = lambda i, t, dist: sample_action(dist, u[i, t])  # noqa: E731
+        records = run_rollouts(
+            params, ctxs, kg, table, gv, max_steps, select, keep_caches=False
+        )
+        for i, rec in zip(linked, records):
+            results[i] = rec.paths
+    return results
+
+
 def retrieve_for_patient(
     params: PolicyParams,
     patient: PatientInput,
@@ -159,20 +210,13 @@ def retrieve_for_patient(
     greedy: bool = True,
     rng: np.random.Generator | None = None,
 ) -> list[ReasoningPath]:
-    """One inference rollout (greedy by default; sampled behind a flag).
-
-    ``gv`` is ``group_vectors(kg, table)``, built once per table. A sampled
-    rollout draws its T uniforms as one block, as a training rollout does.
-    """
-    ctx = patient_context(patient.pre_admission, kg, table)
-    if greedy:
-        select = greedy_action
-    else:
-        if rng is None:
-            raise ValueError("sampled inference needs an rng")
-        u = iter(rng.random(max_steps))
-        select = lambda dist: sample_action(dist, next(u))  # noqa: E731
-    return run_rollout(params, ctx, kg, table, gv, max_steps, select).paths
+    """One patient's inference paths: the one-patient case of
+    ``retrieve_corpus``, raising ``UnlinkableInputError`` for an
+    unlinkable patient."""
+    [paths] = retrieve_corpus(params, [patient], kg, table, gv, max_steps, greedy, rng)
+    if isinstance(paths, UnlinkableInputError):
+        raise paths
+    return paths
 
 
 def stub_generate(bundle: PromptBundle) -> str:
@@ -202,6 +246,11 @@ def generate(cfg: GeneratorConfig, bundle: PromptBundle) -> str:
     endpoint that is not an http(s) URL with a host. The bearer token, if
     any, comes from the environment variable named by ``cfg.auth_env``.
     """
+    # the HTTP client loads here, not with the package: only this call uses it
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
+
     cfg.validate()
     if not cfg.endpoint:
         raise ValueError("no endpoint configured (use stub mode for offline runs)")

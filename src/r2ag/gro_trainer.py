@@ -9,7 +9,8 @@ log-prob gradients discounted so the final step carries full weight:
     grad = (1/G) * sum_i sum_t gamma^(T-t) * rel_i * dlog pi(a_it | s_it)
 
 Updates are plain gradient ascent after every patient. A patient's G
-rollouts advance in lockstep, one batched environment step at a time.
+rollouts advance in lockstep, one batched environment step at a time; at
+inference, one rollout per patient of a serving block does the same.
 """
 
 from __future__ import annotations
@@ -159,26 +160,29 @@ def link_patient(
 
 def run_rollouts(
     params: PolicyParams,
-    ctx: PatientContext,
+    ctxs: list[PatientContext],
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     gv: np.ndarray,
     max_steps: int,
     select,
-    group_size: int = 1,
+    keep_caches: bool = True,
 ) -> list[RolloutRecord]:
-    """Drive ``group_size`` rollouts of one patient in lockstep.
+    """Drive one rollout per context in ``ctxs``, all in lockstep.
 
-    ``select(i, t, dist) -> action index`` picks rollout ``i``'s group at
-    step ``t``. Each step runs one ``forward`` per rollout, on its own
-    explored-concept average (all G from one batched gather), then one
-    ``step`` over the G rollouts. ``gv`` is ``group_vectors(kg,
-    table)``; action ``a`` is group int ``a``.
+    A training group passes G copies of one patient's context; serving
+    passes one context per patient. ``select(i, t, dist) -> action index``
+    picks rollout ``i``'s group at step ``t``. Each step runs one
+    ``forward`` per rollout, on its own explored-concept average (all from
+    one batched gather), then one ``step`` over every rollout. ``gv`` is
+    ``group_vectors(kg, table)``; action ``a`` is group int ``a``. Without
+    ``keep_caches`` the records hold no forward caches, which only the
+    gradient needs.
     """
     states = [
-        init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps)
-        for _ in range(group_size)
+        init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps) for ctx in ctxs
     ]
+    sq_avgs = [ctx.sq_avg for ctx in ctxs]
     records = [RolloutRecord([], [], rs.paths, rs) for rs in states]
     for t in range(max_steps):
         c_avgs = avg_embeddings(table, [rs.explored for rs in states])
@@ -189,9 +193,10 @@ def run_rollouts(
             cache = forward(params, group_state(rs, gv), c_avgs[i], action_matrix(rs, gv))
             a = select(i, t, cache.dist)
             rec.actions.append(a)
-            rec.caches.append(cache)
+            if keep_caches:
+                rec.caches.append(cache)
             actions.append(a)
-        step(states, actions, kg, table, ctx.sq_avg)
+        step(states, actions, kg, table, sq_avgs)
     return records
 
 
@@ -207,7 +212,7 @@ def run_rollout(
     """One rollout, ``select(dist) -> action index`` picking each group: the
     one-rollout case of ``run_rollouts``."""
     return run_rollouts(
-        params, ctx, kg, table, gv, max_steps, lambda i, t, dist: select(dist)
+        params, [ctx], kg, table, gv, max_steps, lambda i, t, dist: select(dist)
     )[0]
 
 
@@ -273,8 +278,8 @@ def train_patient(
     """
     u = rng.random((cfg.group_size, cfg.max_steps))
     records = run_rollouts(
-        params, ctx, kg, table, gv, cfg.max_steps,
-        lambda i, t, dist: sample_action(dist, u[i, t]), cfg.group_size,
+        params, [ctx] * cfg.group_size, kg, table, gv, cfg.max_steps,
+        lambda i, t, dist: sample_action(dist, u[i, t]),
     )
     rewards = [rollout_reward(rec, gt, table, cfg.reward_weight) for rec in records]
     relative = relative_rewards(rewards)

@@ -7,10 +7,11 @@ cosine similarity to the path average), then extends by one within-group
 neighbor scored against both the keyword average and the path average.
 Paths with no within-group neighbors freeze for the rest of the episode.
 
-A group of rollouts of one patient advances in lockstep: ``step`` applies
-one step to each of them, with one batched gather of path averages and one
-``cosines`` product over every live path of the group. A single rollout is
-a group of one.
+Rollouts advance in lockstep: ``step`` applies one step to each of them,
+with one batched gather of path averages. The rollouts may belong to one
+patient (a training group) or to many (a serving block); ``retrieve``
+scores each patient's live paths in one ``cosines`` product. A single
+rollout is a group of one.
 """
 
 from __future__ import annotations
@@ -174,28 +175,35 @@ def retrieve(
     states: list[RolloutState],
     kg: KnowledgeGraph,
     table: EmbeddingTable,
-    sq_avg: np.ndarray,
+    sq_avgs: list[np.ndarray],
 ) -> None:
     """Extend each live path of every rollout with its best within-group
     neighbor.
 
     score(c) = (cosine(c, keyword average) + cosine(c, path average)) / 2,
     ties -> smallest (label, id). A path whose tail has no neighbors in its
-    rollout's current group freezes permanently. The rollouts share
-    ``sq_avg``, the keyword average of their patient, so one product scores
-    every live path's neighbours against it (column 0) and against every
-    path average (column 1 + p).
+    rollout's current group freezes permanently. ``sq_avgs[i]`` is the
+    keyword average of rollout ``i``'s patient; consecutive rollouts given
+    the same array object are one patient's. One product per patient scores
+    its live paths' neighbours against that average (column 0) and against
+    each of its path averages (column 1 + p), so a patient's products have
+    the same shapes whatever else is in the batch.
     """
     live: list[tuple[RolloutState, int]] = []  # (rollout, path index)
-    tails, groups = [], []
-    for rs in states:
+    tails, groups, owners = [], [], []  # owner: the patient's position in sqs
+    sqs: list[np.ndarray] = []
+    for rs, sq in zip(states, sq_avgs):
+        if not sqs or sq is not sqs[-1]:
+            sqs.append(sq)
         for k, path in enumerate(rs.paths):
             if not rs.frozen[k]:
                 live.append((rs, k))
                 tails.append(path.tail())
                 groups.append(rs.current_group)
+                owners.append(len(sqs) - 1)
     if not live:
         return
+    owners = np.array(owners)
     lo, hi = kg.neighbor_slice(np.array(tails), np.array(groups))
     lens = hi - lo
     has = lens > 0
@@ -205,18 +213,23 @@ def retrieve(
         live = list(compress(live, has))
         if not live:
             return
-        lo, lens = lo[has], lens[has]
+        lo, lens, owners = lo[has], lens[has], owners[has]
     ends = np.cumsum(lens)
     starts = ends - lens
     # CSR position of every candidate, path after path
     pos = np.repeat(lo - starts, lens) + np.arange(int(ends[-1]))
     pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k in live])
-    X = np.empty((table.matrix.shape[1], 1 + len(live)))
-    X[:, 0] = sq_avg
-    X[:, 1:] = pavgs.T
-    cos = cosines(table, kg.indices[pos], X)
-    own = np.repeat(np.arange(1, 1 + len(live)), lens)  # each row's path column
-    score = 0.5 * (cos[:, 0] + cos[np.arange(len(pos)), own])
+    score = np.empty(len(pos))
+    # live paths a:b are one patient's, and so are candidate rows r0:r1
+    cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), len(live)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        r0, r1 = int(starts[a]), int(ends[b - 1])
+        X = np.empty((table.matrix.shape[1], 1 + b - a))
+        X[:, 0] = sqs[owners[a]]
+        X[:, 1:] = pavgs[a:b].T
+        cos = cosines(table, kg.indices[pos[r0:r1]], X)
+        own = np.repeat(np.arange(1, 1 + b - a), lens[a:b])  # each row's path column
+        score[r0:r1] = 0.5 * (cos[:, 0] + cos[np.arange(r1 - r0), own])
     # each slice is in sorted (label, id) order: the first maximum of each
     # segment is its smallest (label, id) among ties
     hits = np.flatnonzero(score == np.repeat(np.maximum.reduceat(score, starts), lens))
@@ -231,12 +244,12 @@ def step(
     actions: list[int],
     kg: KnowledgeGraph,
     table: EmbeddingTable,
-    sq_avg: np.ndarray,
+    sq_avgs: list[np.ndarray],
 ) -> None:
     """Apply one environment step to each rollout ``states[i]`` for group
-    action ``actions[i]``; the rollouts belong to one patient, whose keyword
-    average is ``sq_avg``. A single rollout is the G=1 case,
-    ``step([rs], [a], ...)``.
+    action ``actions[i]``; ``sq_avgs[i]`` is the keyword average of its
+    patient, one array object per patient (see ``retrieve``). A single
+    rollout is ``step([rs], [a], kg, table, [sq_avg])``.
 
     A leap to a group with an empty candidate pool degrades to a stay; the
     group trajectory then keeps the current group for this step.
@@ -253,6 +266,6 @@ def step(
                 rs.current_group = a
     if leaping:
         connect(leaping, table, pools)
-    retrieve(states, kg, table, sq_avg)
+    retrieve(states, kg, table, sq_avgs)
     for rs in states:
         rs.t += 1

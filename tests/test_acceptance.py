@@ -134,7 +134,7 @@ def test_criterion_3_retrieval_oracle_equivalence():
             pool = candidate_pool(rs, kg, action) if action != current else []
             leap = action != current and bool(pool)
             effective = action if leap else current
-            step([rs], [action], kg, table, sq)
+            step([rs], [action], kg, table, [sq])
             for idx, (old, new) in enumerate(zip(prior_paths, rs.paths)):
                 if prior_frozen[idx]:
                     assert new == old

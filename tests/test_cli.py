@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,15 +528,78 @@ def test_generate_negative_max_paths_is_a_usage_error(tmp_path, capsys):
     assert records and all(rec["paths"] == [] for rec in records)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--endpoint", "http://127.0.0.1:9/v1", "--timeout", "0"], "timeout must be > 0"),
+    (["--stub", "--timeout", "0", "--retries", "-1"], "timeout must be > 0"),
+    (["--stub", "--retries", "-1"], "max_retries must be >= 0"),
+    (["--stub", "--temperature", "-1"], "temperature must be >= 0"),
+])
+def test_generate_bad_generator_config_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                        flags, message):
+    import r2ag.cli
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the generator config is checked before any data loads")
+
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data)
+    monkeypatch.setattr(r2ag.cli, "_retrieval_setup", no_setup)
+    capsys.readouterr()
+    rc = main(
+        ["--seed", "3", "generate"] + _kg_args(data)
+        + ["--checkpoint", str(run / "checkpoint.json"),
+           "--corpus", str(data / "patients.jsonl"), "--out", str(run / "out.jsonl")]
+        + flags
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err and "Traceback" not in err
+    assert not (run / "out.jsonl").exists()
+
+
+def test_train_embed_dim_below_two_is_a_usage_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    rc = main(
+        ["train"] + _kg_args(data)
+        + ["--corpus", str(data / "patients.jsonl"), "--out-dir", str(tmp_path / "run"),
+           "--embed-dim", "1"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error: embed_dim must be >= 2" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_cli_import_leaves_the_http_client_and_thread_pool_unloaded():
+    # only generate --endpoint posts and only --jobs > 1 starts a pool; every
+    # other command should not pay for importing them
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, r2ag.cli; "
+        "print(sorted(m for m in ('http.client', 'urllib.request', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("endpoint", ["not-a-url", "ftp://127.0.0.1/x", "http://", "http://[::1"])
 def test_generate_endpoint_that_is_not_an_http_url_exits_3(tmp_path, capsys, monkeypatch,
                                                            endpoint):
-    import r2ag.generation
+    import urllib.request
 
     def no_request(*args, **kwargs):
         raise AssertionError("no request may be opened for a malformed endpoint")
 
-    monkeypatch.setattr(r2ag.generation, "urlopen", no_request)
+    # generate() imports urlopen from urllib.request when it is called
+    monkeypatch.setattr(urllib.request, "urlopen", no_request)
     data = _synth(tmp_path)
     run = _train(tmp_path, data)
     capsys.readouterr()

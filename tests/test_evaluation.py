@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import pytest
@@ -13,13 +14,32 @@ from r2ag.concept_linker import PatientInput
 from r2ag.errors import DataFormatError
 from r2ag.evaluation import (
     STOPWORDS,
+    _lcs_len,
     bleu_n,
     ce_metrics,
     evaluate_corpus,
+    evaluate_pair,
     extract_tokens,
     rouge_l,
     rouge_n,
 )
+
+
+def oracle_lcs_len(a: list[str], b: list[str]) -> int:
+    """Longest common subsequence length by the textbook O(len(a) * len(b))
+    dynamic programme, one row at a time."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
 
 
 def test_stopword_list_has_exactly_100_words():
@@ -261,3 +281,41 @@ def test_csv_rows_shape():
     assert rows[0][0] == "id"
     assert len(rows) == 2
     assert all(len(r) == len(rows[0]) for r in rows)
+
+
+def test_lcs_len_matches_dynamic_programme_oracle():
+    # random token lists of length 0-200 over small alphabets, so that
+    # matches are dense and most lists span several 64-bit words
+    rng = random.Random(2024)
+    long_pairs = 0
+    for _ in range(600):
+        alphabet = [f"t{k}" for k in range(rng.randint(1, 8))]
+        a = [rng.choice(alphabet) for _ in range(rng.randint(0, 200))]
+        b = [rng.choice(alphabet) for _ in range(rng.randint(0, 200))]
+        expect = oracle_lcs_len(a, b)
+        assert _lcs_len(a, b) == expect
+        assert _lcs_len(b, a) == expect
+        long_pairs += len(a) > 64 and len(b) > 64
+    assert long_pairs > 200
+    for a, b in (([], []), (["x"], []), ([], ["x"]), (["x"] * 70, ["x"] * 70),
+                 (["x"] * 130, ["y"] * 130), (["x", "y"] * 65, ["y", "x"] * 65)):
+        assert _lcs_len(a, b) == oracle_lcs_len(a, b)
+
+
+def test_evaluate_pair_equals_the_one_text_metrics():
+    # evaluate_pair tokenizes each text once; every metric equals the public
+    # function that tokenizes on its own
+    kg = make_kg([("C1", "chest pain", "Disorders")], [])
+    rng = random.Random(7)
+    words = ["chest", "pain", "the", "a", "cough", "x", "fever", "9"]
+    for _ in range(200):
+        gen = " ".join(rng.choice(words) for _ in range(rng.randint(0, 30)))
+        ref = " ".join(rng.choice(words) for _ in range(rng.randint(0, 30)))
+        pe = evaluate_pair(gen, ref, kg)
+        assert pe.nlg == {
+            "rouge1": rouge_n(gen, ref, 1), "rouge2": rouge_n(gen, ref, 2),
+            "rougeL": rouge_l(gen, ref), "bleu1": bleu_n(gen, ref, 1),
+            "bleu2": bleu_n(gen, ref, 2),
+        }
+        ref_set = extract_tokens(ref)
+        assert pe.ngram == (ce_metrics(extract_tokens(gen), ref_set) if ref_set else None)

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import MockEndpoint, make_kg
+from helpers import MockEndpoint, make_kg, random_kg
 
+import r2ag.generation
 from r2ag.concept_linker import PatientInput
 from r2ag.embeddings import EmbeddingTable, group_vectors, pseudo_embeddings
 from r2ag.errors import (
@@ -22,10 +23,13 @@ from r2ag.generation import (
     build_prompt_bundle,
     generate,
     render_paths,
+    retrieve_corpus,
     retrieve_for_patient,
     select_paths,
     stub_generate,
 )
+from r2ag.gro_trainer import patient_context, run_rollout
+from r2ag.policy_net import greedy_action, init_params, sample_action
 from r2ag.retrieval_env import GROUP_LEAP, PathStep, ReasoningPath
 
 
@@ -262,6 +266,58 @@ def test_retrieve_for_patient_sampled_mode(inference_setup):
     assert paths
     with pytest.raises(ValueError):
         retrieve_for_patient(params, patient, kg, table, gv, greedy=False, rng=None)
+
+
+@pytest.mark.parametrize("greedy", [True, False])
+def test_lockstep_serving_equals_one_patient_rollouts(monkeypatch, greedy):
+    # criterion-3-style random graphs and corpora of up to 3 blocks with
+    # unlinkable patients mixed in: retrieve_corpus ends exactly as one
+    # rollout per linkable patient run one after another, each drawing its
+    # own T uniforms when sampled
+    monkeypatch.setattr(r2ag.generation, "SERVE_BLOCK", 5)
+    rng = np.random.default_rng(909 if greedy else 910)
+    served = unlinkable = multi_block = leaps = frozen = 0
+    for _ in range(40):
+        n_groups = int(rng.integers(3, 7))
+        per_group = int(rng.integers(4, min(34, 200 // n_groups + 1)))
+        kg = random_kg(rng, n_groups, per_group, p_intra=0.15, p_cross=0.03)
+        table = pseudo_embeddings(kg, 8, seed=int(rng.integers(100_000)))
+        gv = group_vectors(kg, table)
+        params = init_params(8, seed=int(rng.integers(1000)))
+        T = int(rng.integers(1, 7))
+        patients = []
+        for p in range(int(rng.integers(1, 16))):
+            if rng.random() < 0.2:
+                text = "nothing in this text names a concept"
+            else:
+                picks = rng.permutation(len(kg.ids))[: int(rng.integers(1, 8))]
+                text = " and ".join(kg.names[c] for c in picks)
+            patients.append(PatientInput(f"P{p:02d}", text))
+        multi_block += len(patients) > 5
+        seed = int(rng.integers(1000))
+        block_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        results = retrieve_corpus(params, patients, kg, table, gv, T, greedy, block_rng)
+        assert len(results) == len(patients)
+        for patient, got in zip(patients, results):
+            try:
+                ctx = patient_context(patient.pre_admission, kg, table)
+            except UnlinkableInputError:
+                assert isinstance(got, UnlinkableInputError)
+                unlinkable += 1
+                continue
+            if greedy:
+                select = greedy_action
+            else:
+                u = iter(single_rng.random(T))
+                select = lambda dist: sample_action(dist, next(u))  # noqa: E731
+            alone = run_rollout(params, ctx, kg, table, gv, T, select)
+            assert got == alone.paths
+            served += 1
+            leaps += sum(s.label == GROUP_LEAP for p in got for s in p.steps)
+            frozen += sum(alone.state.frozen)
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
+    assert served > 150 and unlinkable > 20 and multi_block > 20
+    assert leaps > 50 and frozen > 50
 
 
 def _bundle():

@@ -72,7 +72,7 @@ def _sq_avg(table, kg, keywords):
 
 
 def _step(rs, gid, kg, table, sq):
-    step([rs], [kg.group_index[gid]], kg, table, sq)
+    step([rs], [kg.group_index[gid]], kg, table, [sq])
 
 
 def test_init_rollout_filters_origins(env_kg):
@@ -154,7 +154,7 @@ def test_connect_matches_bruteforce_oracle(env_kg, env_table):
 
 def test_retrieve_single_neighbor_is_selected(env_kg, env_table):
     rs = _rollout(env_kg, ["B1"], "GB", "GZ", max_steps=5)
-    retrieve([rs], env_kg, env_table, _sq_avg(env_table, env_kg, ["B1"]))
+    retrieve([rs], env_kg, env_table, [_sq_avg(env_table, env_kg, ["B1"])])
     assert rs.paths[0].steps[-1].concept == env_kg.index["B2"]
     assert rs.paths[0].steps[-1].label == "s1"
 
@@ -162,7 +162,7 @@ def test_retrieve_single_neighbor_is_selected(env_kg, env_table):
 def test_retrieve_freezes_paths_without_neighbors(env_kg, env_table):
     rs = _rollout(env_kg, ["Z0"], "GZ", "GA", max_steps=5)
     sq = _sq_avg(env_table, env_kg, ["Z0"])
-    retrieve([rs], env_kg, env_table, sq)
+    retrieve([rs], env_kg, env_table, [sq])
     assert rs.frozen == [True]
     snapshot = copy.deepcopy(rs.paths[0])
     _step(rs, "GZ", env_kg, env_table, sq)
@@ -284,7 +284,7 @@ def test_retrieve_exact_tie_goes_to_smallest_label_then_id(tied):
     rs = _rollout(kg, ["N00", "O"], "GB", "GA", max_steps=2)
     sq = _sq_avg(table, kg, ["N00", "O"])
     before = copy.deepcopy(rs.paths)
-    retrieve([rs], kg, table, sq)
+    retrieve([rs], kg, table, [sq])
     assert rs.frozen == [False, False]
     for prior, path in zip(before, rs.paths):
         got = (path.steps[-1].label, path.steps[-1].concept)
