@@ -28,7 +28,7 @@ from .errors import (
     UnlinkableInputError,
     read_text,
 )
-from .gro_trainer import patient_context, run_rollouts
+from .gro_trainer import PatientContext, patient_context, run_rollouts
 from .kg_store import KnowledgeGraph
 from .policy_net import PolicyParams, greedy_action, sample_action
 from .retrieval_env import ReasoningPath
@@ -49,10 +49,13 @@ DEFAULT_TEMPLATE = {
 
 _RETRY_BACKOFF_S = 0.05
 
-# patients per lockstep block in retrieve_corpus. It bounds the block's
-# (patients, explored concepts, d) gather: 256 x 64 x 768 float64 is 0.1 GB,
-# where a 10k-patient corpus in one block would gather about 4 GB.
-SERVE_BLOCK = 256
+# the bytes a lockstep block of retrieve_corpus may gather. A block's
+# gathers of explored-concept and path averages hold (patients) x (largest
+# explored set) x d floats, and a patient's explored set holds at most
+# 1 + 2T concepts per initial path (each step adds a leap and a neighbour to
+# each path). A block closes before that bound would pass this budget; a
+# patient whose own bound passes it runs alone, as a one-patient rollout.
+SERVE_GATHER_BYTES = 32 << 20
 
 
 @dataclass
@@ -166,57 +169,46 @@ def retrieve_corpus(
     a flag): each patient's paths in corpus order, or the
     ``UnlinkableInputError`` of a patient with no linkable keyword.
 
-    ``gv`` is ``group_vectors(kg, table)``, built once per table. The corpus
-    is linked once, ``SERVE_BLOCK`` patients at a time, and each block's
-    linkable patients run in lockstep. A sampled block draws one
+    ``gv`` is ``group_vectors(kg, table)``, built once per table. Each
+    patient is linked once, and consecutive linkable patients run in
+    lockstep blocks within ``SERVE_GATHER_BYTES``. A sampled block draws one
     (patients, T) uniform block: the same values, in the same order, as T
     draws per linkable patient in corpus order.
     """
     if not greedy and rng is None:
         raise ValueError("sampled inference needs an rng")
     results: list = []
-    for lo in range(0, len(patients), SERVE_BLOCK):
-        linked, ctxs = [], []
-        for patient in patients[lo : lo + SERVE_BLOCK]:
-            try:
-                ctxs.append(patient_context(patient.pre_admission, kg, table))
-            except UnlinkableInputError as exc:
-                results.append(exc)
-                continue
-            linked.append(len(results))
-            results.append(None)
-        if not ctxs:
-            continue
+
+    def serve(block: list[tuple[int, PatientContext]]) -> None:
         if greedy:
             select = lambda i, t, dist: greedy_action(dist)  # noqa: E731
         else:
-            u = rng.random((len(ctxs), max_steps))
+            u = rng.random((len(block), max_steps))
             select = lambda i, t, dist: sample_action(dist, u[i, t])  # noqa: E731
-        records = run_rollouts(
-            params, ctxs, kg, table, gv, max_steps, select, keep_caches=False
-        )
-        for i, rec in zip(linked, records):
-            results[i] = rec.paths
+        ctxs = [ctx for _, ctx in block]
+        records = run_rollouts(params, ctxs, kg, table, gv, max_steps, select, keep_caches=False)
+        for (pos, _), rec in zip(block, records):
+            results[pos] = rec.paths
+
+    path_bytes = (1 + 2 * max_steps) * table.dim * 8  # one path's explored bound
+    block: list[tuple[int, PatientContext]] = []  # (position in results, context)
+    widest = 0  # the block's largest explored-set bound, in bytes
+    for patient in patients:
+        try:
+            ctx = patient_context(patient.pre_admission, kg, table)
+        except UnlinkableInputError as exc:
+            results.append(exc)
+            continue
+        need = path_bytes * sum(kg.group_at[c] == ctx.k_init for c in ctx.keywords)
+        if block and (len(block) + 1) * max(widest, need) > SERVE_GATHER_BYTES:
+            serve(block)
+            block, widest = [], 0
+        block.append((len(results), ctx))
+        widest = max(widest, need)
+        results.append(None)
+    if block:
+        serve(block)
     return results
-
-
-def retrieve_for_patient(
-    params: PolicyParams,
-    patient: PatientInput,
-    kg: KnowledgeGraph,
-    table: EmbeddingTable,
-    gv: np.ndarray,
-    max_steps: int = 5,
-    greedy: bool = True,
-    rng: np.random.Generator | None = None,
-) -> list[ReasoningPath]:
-    """One patient's inference paths: the one-patient case of
-    ``retrieve_corpus``, raising ``UnlinkableInputError`` for an
-    unlinkable patient."""
-    [paths] = retrieve_corpus(params, [patient], kg, table, gv, max_steps, greedy, rng)
-    if isinstance(paths, UnlinkableInputError):
-        raise paths
-    return paths
 
 
 def stub_generate(bundle: PromptBundle) -> str:

@@ -166,12 +166,14 @@ def run_rollouts(
     gv: np.ndarray,
     max_steps: int,
     select,
+    group_size: int = 1,
     keep_caches: bool = True,
 ) -> list[RolloutRecord]:
-    """Drive one rollout per context in ``ctxs``, all in lockstep.
+    """Drive ``group_size`` rollouts of each patient context in ``ctxs``,
+    all in lockstep; rollout ``i`` is of ``ctxs[i // group_size]``.
 
-    A training group passes G copies of one patient's context; serving
-    passes one context per patient. ``select(i, t, dist) -> action index``
+    A training group is one context with G rollouts; a serving block is one
+    rollout for each of its patients. ``select(i, t, dist) -> action index``
     picks rollout ``i``'s group at step ``t``. Each step runs one
     ``forward`` per rollout, on its own explored-concept average (all from
     one batched gather), then one ``step`` over every rollout. ``gv`` is
@@ -180,7 +182,9 @@ def run_rollouts(
     gradient needs.
     """
     states = [
-        init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps) for ctx in ctxs
+        init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps)
+        for ctx in ctxs
+        for _ in range(group_size)
     ]
     sq_avgs = [ctx.sq_avg for ctx in ctxs]
     records = [RolloutRecord([], [], rs.paths, rs) for rs in states]
@@ -196,7 +200,7 @@ def run_rollouts(
             if keep_caches:
                 rec.caches.append(cache)
             actions.append(a)
-        step(states, actions, kg, table, sq_avgs)
+        step(states, actions, kg, table, sq_avgs, group_size)
     return records
 
 
@@ -278,8 +282,8 @@ def train_patient(
     """
     u = rng.random((cfg.group_size, cfg.max_steps))
     records = run_rollouts(
-        params, [ctx] * cfg.group_size, kg, table, gv, cfg.max_steps,
-        lambda i, t, dist: sample_action(dist, u[i, t]),
+        params, [ctx], kg, table, gv, cfg.max_steps,
+        lambda i, t, dist: sample_action(dist, u[i, t]), cfg.group_size,
     )
     rewards = [rollout_reward(rec, gt, table, cfg.reward_weight) for rec in records]
     relative = relative_rewards(rewards)

@@ -8,10 +8,10 @@ neighbor scored against both the keyword average and the path average.
 Paths with no within-group neighbors freeze for the rest of the episode.
 
 Rollouts advance in lockstep: ``step`` applies one step to each of them,
-with one batched gather of path averages. The rollouts may belong to one
-patient (a training group) or to many (a serving block); ``retrieve``
-scores each patient's live paths in one ``cosines`` product. A single
-rollout is a group of one.
+with one batched gather of path averages. The rollouts are ``group_size``
+per patient: G of one patient in a training group, one each of many in a
+serving block. ``retrieve`` scores each patient's live paths in one
+``cosines`` product. A single rollout is a group of one.
 """
 
 from __future__ import annotations
@@ -176,31 +176,33 @@ def retrieve(
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     sq_avgs: list[np.ndarray],
+    group_size: int = 1,
 ) -> None:
     """Extend each live path of every rollout with its best within-group
     neighbor.
 
     score(c) = (cosine(c, keyword average) + cosine(c, path average)) / 2,
     ties -> smallest (label, id). A path whose tail has no neighbors in its
-    rollout's current group freezes permanently. ``sq_avgs[i]`` is the
-    keyword average of rollout ``i``'s patient; consecutive rollouts given
-    the same array object are one patient's. One product per patient scores
+    rollout's current group freezes permanently. ``sq_avgs[j]`` is the
+    keyword average of patient ``j``, whose rollouts are ``states[j * G :
+    (j + 1) * G]`` for G = ``group_size``. One product per patient scores
     its live paths' neighbours against that average (column 0) and against
     each of its path averages (column 1 + p), so a patient's products have
     the same shapes whatever else is in the batch.
     """
+    if len(states) != len(sq_avgs) * group_size:
+        raise ValueError(
+            f"{len(states)} rollouts are not {group_size} for each of {len(sq_avgs)} patients"
+        )
     live: list[tuple[RolloutState, int]] = []  # (rollout, path index)
-    tails, groups, owners = [], [], []  # owner: the patient's position in sqs
-    sqs: list[np.ndarray] = []
-    for rs, sq in zip(states, sq_avgs):
-        if not sqs or sq is not sqs[-1]:
-            sqs.append(sq)
+    tails, groups, owners = [], [], []  # owner: the patient's index in sq_avgs
+    for i, rs in enumerate(states):
         for k, path in enumerate(rs.paths):
             if not rs.frozen[k]:
                 live.append((rs, k))
                 tails.append(path.tail())
                 groups.append(rs.current_group)
-                owners.append(len(sqs) - 1)
+                owners.append(i // group_size)
     if not live:
         return
     owners = np.array(owners)
@@ -225,7 +227,7 @@ def retrieve(
     for a, b in zip(cuts[:-1], cuts[1:]):
         r0, r1 = int(starts[a]), int(ends[b - 1])
         X = np.empty((table.matrix.shape[1], 1 + b - a))
-        X[:, 0] = sqs[owners[a]]
+        X[:, 0] = sq_avgs[owners[a]]
         X[:, 1:] = pavgs[a:b].T
         cos = cosines(table, kg.indices[pos[r0:r1]], X)
         own = np.repeat(np.arange(1, 1 + b - a), lens[a:b])  # each row's path column
@@ -245,11 +247,12 @@ def step(
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     sq_avgs: list[np.ndarray],
+    group_size: int = 1,
 ) -> None:
     """Apply one environment step to each rollout ``states[i]`` for group
-    action ``actions[i]``; ``sq_avgs[i]`` is the keyword average of its
-    patient, one array object per patient (see ``retrieve``). A single
-    rollout is ``step([rs], [a], kg, table, [sq_avg])``.
+    action ``actions[i]``; the rollouts are ``group_size`` for each patient
+    keyword average in ``sq_avgs`` (see ``retrieve``). A single rollout is
+    ``step([rs], [a], kg, table, [sq_avg])``.
 
     A leap to a group with an empty candidate pool degrades to a stay; the
     group trajectory then keeps the current group for this step.
@@ -266,6 +269,6 @@ def step(
                 rs.current_group = a
     if leaping:
         connect(leaping, table, pools)
-    retrieve(states, kg, table, sq_avgs)
+    retrieve(states, kg, table, sq_avgs, group_size)
     for rs in states:
         rs.t += 1

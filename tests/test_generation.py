@@ -24,7 +24,6 @@ from r2ag.generation import (
     generate,
     render_paths,
     retrieve_corpus,
-    retrieve_for_patient,
     select_paths,
     stub_generate,
 )
@@ -207,8 +206,8 @@ def inference_setup(tiny_kg):
 
 def test_retrieve_for_patient_deterministic(inference_setup):
     params, patient, kg, table, gv = inference_setup
-    a = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
-    b = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
+    [a] = retrieve_corpus(params, [patient], kg, table, gv, max_steps=4)
+    [b] = retrieve_corpus(params, [patient], kg, table, gv, max_steps=4)
     assert a == b
     assert len(a) == 3  # one path per keyword in the dominant group
 
@@ -218,7 +217,7 @@ def test_retrieve_for_patient_golden_trace(inference_setup):
     # D4 has none (freezes immediately), and leaps to Anatomy degenerate
     # because no keyword or path concept lies there
     params, patient, kg, table, gv = inference_setup
-    paths = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
+    [paths] = retrieve_corpus(params, [patient], kg, table, gv, max_steps=4)
     assert [p.to_dict(kg) for p in paths] == [
         {"origin": "D3", "steps": [{"label": "finding_of", "concept": "D4"}]},
         {"origin": "D1", "steps": [
@@ -231,7 +230,7 @@ def test_retrieve_for_patient_golden_trace(inference_setup):
 
 def test_retrieve_for_patient_paths_are_valid(inference_setup, tiny_rows):
     params, patient, kg, table, gv = inference_setup
-    paths = retrieve_for_patient(params, patient, kg, table, gv, max_steps=4)
+    [paths] = retrieve_corpus(params, [patient], kg, table, gv, max_steps=4)
     edge_set = set(tiny_rows[1])
     for path in paths:
         assert path.steps[0].label is None
@@ -244,40 +243,51 @@ def test_retrieve_for_patient_paths_are_valid(inference_setup, tiny_rows):
 
 def test_retrieve_for_patient_unlinkable_raises(inference_setup):
     params, _, kg, table, gv = inference_setup
-    with pytest.raises(UnlinkableInputError):
-        retrieve_for_patient(
-            params, PatientInput("P", "nothing matches here"), kg, table, gv
-        )
+    [got] = retrieve_corpus(params, [PatientInput("P", "nothing matches here")], kg, table, gv)
+    assert isinstance(got, UnlinkableInputError)
 
 
 def test_retrieve_for_patient_rejects_table_of_another_row_count(inference_setup):
     params, patient, kg, table, gv = inference_setup
     short = EmbeddingTable(table.dim, table.matrix[:-1])
     with pytest.raises(DataFormatError, match="6 rows, the graph 7 concepts"):
-        retrieve_for_patient(params, patient, kg, short, gv)
+        retrieve_corpus(params, [patient], kg, short, gv)
 
 
 def test_retrieve_for_patient_sampled_mode(inference_setup):
     params, patient, kg, table, gv = inference_setup
     rng = np.random.default_rng(0)
-    paths = retrieve_for_patient(
-        params, patient, kg, table, gv, max_steps=4, greedy=False, rng=rng
+    [paths] = retrieve_corpus(
+        params, [patient], kg, table, gv, max_steps=4, greedy=False, rng=rng
     )
     assert paths
     with pytest.raises(ValueError):
-        retrieve_for_patient(params, patient, kg, table, gv, greedy=False, rng=None)
+        retrieve_corpus(params, [patient], kg, table, gv, greedy=False, rng=None)
 
 
 @pytest.mark.parametrize("greedy", [True, False])
 def test_lockstep_serving_equals_one_patient_rollouts(monkeypatch, greedy):
-    # criterion-3-style random graphs and corpora of up to 3 blocks with
-    # unlinkable patients mixed in: retrieve_corpus ends exactly as one
-    # rollout per linkable patient run one after another, each drawing its
-    # own T uniforms when sampled
-    monkeypatch.setattr(r2ag.generation, "SERVE_BLOCK", 5)
+    # criterion-3-style random graphs, corpora with unlinkable patients mixed
+    # in, and gather budgets that cut them into blocks of one to all of their
+    # patients: retrieve_corpus ends exactly as one rollout per linkable
+    # patient run one after another, each drawing its own T uniforms when
+    # sampled
+    real_run = r2ag.generation.run_rollouts
+    blocks = []  # (patients, largest explored-set bound in bytes) per block
+
+    def spy(params, ctxs, kg, table, gv, T, *rest, **kw):
+        paths = [sum(kg.group_at[c] == ctx.k_init for c in ctx.keywords) for ctx in ctxs]
+        blocks.append((len(ctxs), max(paths) * (1 + 2 * T) * table.dim * 8))
+        return real_run(params, ctxs, kg, table, gv, T, *rest, **kw)
+
+    monkeypatch.setattr(r2ag.generation, "run_rollouts", spy)
     rng = np.random.default_rng(909 if greedy else 910)
     served = unlinkable = multi_block = leaps = frozen = 0
     for _ in range(40):
+        # one path's explored bound is 8 x (1 + 2T) x 8 <= 832 bytes here
+        budget = int(rng.choice([1, 2_000, 8_000, 1 << 25]))
+        monkeypatch.setattr(r2ag.generation, "SERVE_GATHER_BYTES", budget)
+        blocks.clear()
         n_groups = int(rng.integers(3, 7))
         per_group = int(rng.integers(4, min(34, 200 // n_groups + 1)))
         kg = random_kg(rng, n_groups, per_group, p_intra=0.15, p_cross=0.03)
@@ -293,7 +303,6 @@ def test_lockstep_serving_equals_one_patient_rollouts(monkeypatch, greedy):
                 picks = rng.permutation(len(kg.ids))[: int(rng.integers(1, 8))]
                 text = " and ".join(kg.names[c] for c in picks)
             patients.append(PatientInput(f"P{p:02d}", text))
-        multi_block += len(patients) > 5
         seed = int(rng.integers(1000))
         block_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         results = retrieve_corpus(params, patients, kg, table, gv, T, greedy, block_rng)
@@ -316,7 +325,13 @@ def test_lockstep_serving_equals_one_patient_rollouts(monkeypatch, greedy):
             leaps += sum(s.label == GROUP_LEAP for p in got for s in p.steps)
             frozen += sum(alone.state.frozen)
         assert block_rng.bit_generator.state == single_rng.bit_generator.state
-    assert served > 150 and unlinkable > 20 and multi_block > 20
+        sizes = [n for n, _ in blocks]
+        assert sum(sizes) == len(patients) - sum(
+            isinstance(got, UnlinkableInputError) for got in results
+        )
+        assert all(n == 1 or n * widest <= budget for n, widest in blocks)
+        multi_block += 1 < len(sizes) < sum(sizes)
+    assert served > 150 and unlinkable > 20 and multi_block > 5
     assert leaps > 50 and frozen > 50
 
 

@@ -245,7 +245,7 @@ def test_lockstep_group_equals_separate_rollouts():
         params = init_params(8, seed=int(rng.integers(1000)))
         G, T = int(rng.integers(2, 7)), int(rng.integers(1, 7))
         scripts = rng.integers(n_groups, size=(G, T)).tolist()
-        group = run_rollouts(params, [ctx] * G, kg, table, gv, T, lambda i, t, d: scripts[i][t])
+        group = run_rollouts(params, [ctx], kg, table, gv, T, lambda i, t, d: scripts[i][t], G)
         assert len(group) == G
         for script, rec in zip(scripts, group):
             alone = run_rollout(params, ctx, kg, table, gv, T, _scripted(script))

@@ -159,6 +159,25 @@ def test_retrieve_single_neighbor_is_selected(env_kg, env_table):
     assert rs.paths[0].steps[-1].label == "s1"
 
 
+def test_retrieve_scores_each_patient_in_one_product(monkeypatch, env_kg, env_table):
+    # the rollouts split into patients by group_size alone: three rollouts
+    # are one product as one patient's group, three as three patients
+    import r2ag.retrieval_env as env
+
+    calls = []
+    real = env.cosines
+    monkeypatch.setattr(env, "cosines", lambda *a: calls.append(a[2].shape) or real(*a))
+    sq = _sq_avg(env_table, env_kg, ["B1"])
+    for group_size, sqs, shapes in ((3, [sq], [(8, 4)]), (1, [sq] * 3, [(8, 2)] * 3)):
+        calls.clear()
+        states = [_rollout(env_kg, ["B1"], "GB", "GZ", max_steps=5) for _ in range(3)]
+        retrieve(states, env_kg, env_table, sqs, group_size)
+        assert calls == shapes
+        assert all(rs.paths[0].tail() == env_kg.index["B2"] for rs in states)
+    with pytest.raises(ValueError, match="not 2 for each of 1 patients"):
+        retrieve(states, env_kg, env_table, [sq], 2)
+
+
 def test_retrieve_freezes_paths_without_neighbors(env_kg, env_table):
     rs = _rollout(env_kg, ["Z0"], "GZ", "GA", max_steps=5)
     sq = _sq_avg(env_table, env_kg, ["Z0"])
