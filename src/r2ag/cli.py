@@ -384,6 +384,13 @@ def cmd_train(args, opts: _Options) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = train(corpus, kg, table, cfg)
+    diverged = [name for name in ("W1", "W2", "M")
+                if not np.isfinite(getattr(result.params, name)).all()]
+    if diverged:
+        raise UsageError(
+            f"training diverged: {', '.join(diverged)} hold non-finite values at "
+            f"lr {cfg.lr:g}; try a lower --lr (no checkpoint written)"
+        )
     ckpt = out_dir / "checkpoint.json"
     save_checkpoint(result.params, ckpt)
     _write_jsonl(out_dir / "train_log.jsonl", result.log)

@@ -16,6 +16,7 @@ inference, one rollout per patient of a serving block does the same.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,6 @@ from .policy_net import (
 from .retrieval_env import (
     ReasoningPath,
     RolloutState,
-    action_matrix,
-    group_state,
     init_rollout,
     step,
 )
@@ -73,8 +72,10 @@ class TrainConfig:
             raise ValueError("max_steps must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
-        if self.reward_weight < 0.0:
-            raise ValueError("reward_weight must be >= 0")
+        if not 0.0 <= self.reward_weight < math.inf:
+            raise ValueError("reward_weight must be finite and >= 0")
+        if not math.isfinite(self.lr):
+            raise ValueError("lr must be finite")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
         if self.epochs < 1:
@@ -174,12 +175,13 @@ def run_rollouts(
 
     A training group is one context with G rollouts; a serving block is one
     rollout for each of its patients. ``select(i, t, dist) -> action index``
-    picks rollout ``i``'s group at step ``t``. Each step runs one
-    ``forward`` per rollout, on its own explored-concept average (all from
-    one batched gather), then one ``step`` over every rollout. ``gv`` is
-    ``group_vectors(kg, table)``; action ``a`` is group int ``a``. Without
-    ``keep_caches`` the records hold no forward caches, which only the
-    gradient needs.
+    picks rollout ``i``'s group at step ``t``. Each step gathers every
+    rollout's group state [current || scarce group vector] and
+    explored-concept average, runs one ``forward`` over the block, then one
+    ``step`` over every rollout. ``gv`` is ``group_vectors(kg, table)``;
+    action ``a`` is group int ``a``. The records' forward caches are row
+    views of each step's block; without ``keep_caches`` they hold none,
+    which only the gradient needs.
     """
     states = [
         init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps)
@@ -188,19 +190,26 @@ def run_rollouts(
     ]
     sq_avgs = [ctx.sq_avg for ctx in ctxs]
     records = [RolloutRecord([], [], rs.paths, rs) for rs in states]
+    # Group a's action row is [0 || gv[a]]. A current-group half
+    # gv[current] would add the same gv[current] . z[:2d] to every logit of
+    # a row, which the softmax cancels; without it, one matrix serves every
+    # rollout at every step.
+    n, width = gv.shape
+    actions = np.zeros((n, 2 * width))
+    actions[:, width:] = gv
+    scarce = gv[[rs.scarce_group for rs in states]]
     for t in range(max_steps):
+        s_k = np.concatenate([gv[[rs.current_group for rs in states]], scarce], axis=1)
         c_avgs = avg_embeddings(table, [rs.explored for rs in states])
-        actions = []
-        for i, (rs, rec) in enumerate(zip(states, records)):
-            # one matrix-vector product per rollout: a (G, 5d) product rounds
-            # differently and can flip a sampled action
-            cache = forward(params, group_state(rs, gv), c_avgs[i], action_matrix(rs, gv))
-            a = select(i, t, cache.dist)
+        block = forward(params, s_k, c_avgs, actions)
+        picks = []
+        for i, rec in enumerate(records):
+            a = select(i, t, block.dist[i])
             rec.actions.append(a)
             if keep_caches:
-                rec.caches.append(cache)
-            actions.append(a)
-        step(states, actions, kg, table, sq_avgs, group_size)
+                rec.caches.append(block.row(i))
+            picks.append(a)
+        step(states, picks, kg, table, sq_avgs, group_size)
     return records
 
 

@@ -2,15 +2,17 @@
 
 The forward pass projects the explored-concept average with M, concatenates
 it with the group state, pushes the result through W2 . ReLU(W1 . x), and
-scores each candidate action by dot product with its action embedding. The
-backward pass returns exact gradients of log pi(action) with respect to
-W1, W2 and M, suitable for REINFORCE-style updates without an autodiff
-framework; a weighted sum over many steps is one matrix product per
-parameter.
+scores each candidate action by dot product with its action embedding. It
+runs on a block of R states at once, one row each, against one action
+matrix shared by every row. The backward pass returns exact gradients of
+log pi(action) with respect to W1, W2 and M, suitable for REINFORCE-style
+updates without an autodiff framework; a weighted sum over many steps is
+one matrix product per parameter.
 
 Shapes for embedding dimension d: the group state is 4d, the projected
 concept state is d, so W1 is (4d, 5d), W2 is (4d, 4d) and M is (d, d);
-action embeddings are rows of length 4d.
+action embeddings are rows of length 4d. The rollouts score group a with
+the row [0 || group vector a] (see ``gro_trainer.run_rollouts``).
 """
 
 from __future__ import annotations
@@ -46,14 +48,24 @@ def param_shapes(d: int) -> dict[str, tuple[int, int]]:
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray  # (5d,) concatenated input
-    h1: np.ndarray  # (4d,) pre-activation
-    a1: np.ndarray  # (4d,) post-ReLU
-    z: np.ndarray  # (4d,)
-    actions: np.ndarray  # (n, 4d) action embedding matrix
-    logits: np.ndarray  # (n,)
-    dist: np.ndarray  # (n,) softmax over logits
-    c_avg: np.ndarray  # (d,) raw concept average, pre-projection
+    """Activations of a block of R states, or of one state as 1-D rows."""
+
+    x: np.ndarray  # (R, 5d) concatenated input
+    h1: np.ndarray  # (R, 4d) pre-activation
+    a1: np.ndarray  # (R, 4d) post-ReLU
+    z: np.ndarray  # (R, 4d)
+    actions: np.ndarray  # (n, 4d) action embedding matrix, shared by every row
+    logits: np.ndarray  # (R, n)
+    dist: np.ndarray  # (R, n) softmax over each row's logits
+    c_avg: np.ndarray  # (R, d) raw concept average, pre-projection
+
+    def row(self, i: int) -> "ForwardCache":
+        """State ``i`` of a block as a one-state cache of row views; it
+        refers to the block's action matrix, not a copy."""
+        return ForwardCache(
+            self.x[i], self.h1[i], self.a1[i], self.z[i], self.actions,
+            self.logits[i], self.dist[i], self.c_avg[i],
+        )
 
 
 @dataclass
@@ -91,29 +103,37 @@ def forward(
     c_avg: np.ndarray,
     actions: np.ndarray,
 ) -> ForwardCache:
-    """Compute the action distribution and cache activations for backward."""
+    """Compute the action distributions of a block of states and cache
+    activations for backward.
+
+    ``s_k`` is (R, 4d) and ``c_avg`` (R, d), one row per state; every row is
+    scored against the one (n, 4d) ``actions`` matrix. All products run on
+    the last axis, so 1-D ``s_k`` and ``c_avg`` are the one-state case and
+    give 1-D activations and an (n,) ``dist``. A row of a block rounds
+    differently, in the last bits, from the same state run alone.
+    """
     d = params.d
     s_k = np.asarray(s_k, dtype=np.float64)
     c_avg = np.asarray(c_avg, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    if s_k.shape != (4 * d,):
-        raise ValueError(f"group state must have shape ({4 * d},), got {s_k.shape}")
-    if c_avg.shape != (d,):
-        raise ValueError(f"concept average must have shape ({d},), got {c_avg.shape}")
+    if s_k.ndim not in (1, 2) or s_k.shape[-1] != 4 * d:
+        raise ValueError(f"group state must have shape (R, {4 * d}), got {s_k.shape}")
+    if c_avg.shape != s_k.shape[:-1] + (d,):
+        raise ValueError(
+            f"concept average must have shape {s_k.shape[:-1] + (d,)}, got {c_avg.shape}"
+        )
     if actions.ndim != 2 or actions.shape[1] != 4 * d:
         raise ValueError(f"action matrix must be (n, {4 * d}), got {actions.shape}")
     if actions.shape[0] < 1:
         raise ValueError("action matrix must have at least one row")
 
-    s_c = params.M @ c_avg
-    x = np.concatenate([s_k, s_c])
-    h1 = params.W1 @ x
+    x = np.concatenate([s_k, c_avg @ params.M.T], axis=-1)
+    h1 = x @ params.W1.T
     a1 = np.maximum(h1, 0.0)
-    z = params.W2 @ a1
-    logits = actions @ z
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    dist = e / e.sum()
+    z = a1 @ params.W2.T
+    logits = z @ actions.T
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    dist = e / e.sum(axis=-1, keepdims=True)
     return ForwardCache(x, h1, a1, z, actions, logits, dist, c_avg)
 
 
@@ -146,7 +166,8 @@ def logprob_backward_batch(
 ) -> GradientBundle:
     """sum_k weights[k] * gradient of log dist_k[actions[k]], for K cached steps.
 
-    The K steps are stacked as rows (dz, a1, dh1, x, c_avg), so each
+    Each cache is one state's (1-D rows, such as ``ForwardCache.row`` of a
+    block). The K steps are stacked as rows (dz, a1, dh1, x, c_avg), so each
     parameter gradient is one weighted matrix product over them:
     dW2 = (w dZ)^T A1, dW1 = (w dH1)^T X and dM = (w dX[:, 4d:])^T C.
     K = 0 gives zeros. The ReLU subgradient at exactly zero is taken as zero.

@@ -11,7 +11,9 @@ Rollouts advance in lockstep: ``step`` applies one step to each of them,
 with one batched gather of path averages. The rollouts are ``group_size``
 per patient: G of one patient in a training group, one each of many in a
 serving block. ``retrieve`` scores each patient's live paths in one
-``cosines`` product. A single rollout is a group of one.
+``cosines`` product. A single rollout is a group of one. The policy that
+picks each step's group runs in ``gro_trainer.run_rollouts``, one
+``forward`` over all the rollouts of a step.
 """
 
 from __future__ import annotations
@@ -111,21 +113,6 @@ def init_rollout(
         paths=paths,
         frozen=[False] * len(paths),
     )
-
-
-def action_matrix(rs: RolloutState, gv: np.ndarray) -> np.ndarray:
-    """Rows [current-group vector || candidate-group vector], one per group
-    int; ``gv`` is ``group_vectors(kg, table)``."""
-    n, width = gv.shape
-    out = np.empty((n, 2 * width))
-    out[:, :width] = gv[rs.current_group]
-    out[:, width:] = gv
-    return out
-
-
-def group_state(rs: RolloutState, gv: np.ndarray) -> np.ndarray:
-    """[current-group vector || scarce-group vector], length 4d."""
-    return np.concatenate([gv[rs.current_group], gv[rs.scarce_group]])
 
 
 def candidate_pool(rs: RolloutState, kg: KnowledgeGraph, k_next: int) -> list[int]:

@@ -161,6 +161,20 @@ def fd_logprob_grads(params, s_k, c_avg, actions, action, eps=1e-5):
     return grads
 
 
+def per_rollout_dist(params, gv, s_k, c_avg) -> np.ndarray:
+    """One rollout's action distribution as scored before block forwards:
+    matrix-vector products on its own state, with action rows
+    [current-group vector || group vector] (the current-group vector is
+    ``s_k[:2d]``)."""
+    width = gv.shape[1]
+    actions = np.hstack([np.tile(s_k[:width], (len(gv), 1)), gv])
+    x = np.concatenate([s_k, params.M @ c_avg])
+    z = params.W2 @ np.maximum(params.W1 @ x, 0.0)
+    logits = actions @ z
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

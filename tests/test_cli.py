@@ -35,14 +35,14 @@ def _kg_args(data):
     ]
 
 
-def _train(tmp_path, data, seed=3, extra=()):
+def _train(tmp_path, data, seed=3, extra=(), rc=0):
     run = tmp_path / "run"
-    rc = main(
+    got = main(
         ["--seed", str(seed), "train"] + _kg_args(data)
         + ["--corpus", str(data / "patients.jsonl"), "--out-dir", str(run),
            "--epochs", "2", "--embed-dim", "8"] + list(extra)
     )
-    assert rc == 0
+    assert got == rc
     return run
 
 
@@ -118,6 +118,43 @@ def test_train_lr_zero_checkpoint_equals_init(tmp_path):
     assert np.array_equal(params.W1, fresh.W1)
     assert np.array_equal(params.W2, fresh.W2)
     assert np.array_equal(params.M, fresh.M)
+
+
+def test_trained_w2_current_group_rows_stay_at_init(tmp_path):
+    # action rows are [0 || group vector], so every dZ row starts with 2d
+    # exact zeros and W2's first 2d rows never move; the rest do
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data, extra=["--lr", "0.05"])
+    params = load_checkpoint(run / "checkpoint.json")
+    fresh = init_params(8, seed=3)
+    assert np.array_equal(params.W2[:16], fresh.W2[:16])
+    assert not np.array_equal(params.W2[16:], fresh.W2[16:])
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--lr", "nan"], "lr must be finite"),
+    (["--lr", "inf"], "lr must be finite"),
+    (["--reward-weight", "nan"], "reward_weight must be finite"),
+    (["--reward-weight", "inf"], "reward_weight must be finite"),
+])
+def test_non_finite_train_option_is_a_usage_error(tmp_path, capsys, extra, message):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    _train(tmp_path, data, extra=extra, rc=1)
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_diverged_training_writes_no_checkpoint(tmp_path, capsys):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _train(tmp_path, data, extra=["--lr", "1e300"], rc=1)
+    err = capsys.readouterr().err
+    assert "usage error: training diverged" in err and "lower --lr" in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+    assert not (tmp_path / "run" / "train_log.jsonl").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

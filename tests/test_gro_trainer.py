@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_table
-from helpers import make_kg, oracle_avg, oracle_cosine, random_kg
+from helpers import make_kg, oracle_avg, oracle_cosine, per_rollout_dist, random_kg
 
 from r2ag import gro_trainer
 from r2ag.concept_linker import PatientInput, initial_group, scarce_group
@@ -228,7 +228,9 @@ def test_run_rollout_records_T_actions(trainer_kg, trainer_table, trainer_patien
 
 def test_lockstep_group_equals_separate_rollouts():
     # criterion-3-style random graphs and random action scripts: G rollouts
-    # stepped together end exactly as G one-rollout runs of the same scripts
+    # stepped together end exactly as G one-rollout runs of the same scripts.
+    # Their policy scores come from one (G, 5d) product instead of G
+    # one-row ones, so they agree to rounding, not to the bit
     rng = np.random.default_rng(808)
     rollouts = leaps = frozen = 0
     for _ in range(100):
@@ -255,12 +257,86 @@ def test_lockstep_group_equals_separate_rollouts():
             assert rec.state.explored == alone.state.explored
             assert rec.state.current_group == alone.state.current_group
             for cache, single in zip(rec.caches, alone.caches):
-                assert np.array_equal(cache.dist, single.dist)
-                assert np.array_equal(cache.x, single.x)
+                np.testing.assert_allclose(cache.dist, single.dist, rtol=1e-12)
+                np.testing.assert_allclose(cache.x, single.x, rtol=1e-12)
             rollouts += 1
             leaps += sum(s.label == GROUP_LEAP for p in rec.paths for s in p.steps)
             frozen += sum(rec.state.frozen)
     assert rollouts > 300 and leaps > 100 and frozen > 100
+
+
+@pytest.mark.parametrize("d", [2, 8, 32, 128])
+@pytest.mark.parametrize("R", [1, 2, 4, 50])
+def test_block_forward_matches_per_rollout_oracle(d, R):
+    # a serving block of R random patients: every step's one block forward
+    # against [0 || gv] gives each rollout the distribution of its own
+    # matrix-vector forward against [gv[current] || gv]
+    rng = np.random.default_rng([d, R])
+    kg = random_kg(rng, 6, 12, p_intra=0.2, p_cross=0.05)
+    table = pseudo_embeddings(kg, d, seed=int(rng.integers(100_000)))
+    gv = group_vectors(kg, table)
+    params = init_params(d, seed=int(rng.integers(1000)))
+    ctxs = []
+    for _ in range(R):
+        keywords = rng.permutation(len(kg.ids))[: int(rng.integers(2, 7))].tolist()
+        ctxs.append(PatientContext(
+            keywords, initial_group(keywords, kg), scarce_group(keywords, kg),
+            avg_embedding(table, keywords),
+        ))
+    u = rng.random((R, 4))
+    records = run_rollouts(
+        params, ctxs, kg, table, gv, 4, lambda i, t, dist: sample_action(dist, u[i, t])
+    )
+    shared = records[0].caches[0].actions
+    for ctx, rec in zip(ctxs, records):
+        assert np.array_equal(rec.caches[0].x[: 2 * d], gv[ctx.k_init])
+        for cache in rec.caches:
+            assert cache.actions is shared
+            assert np.array_equal(cache.x[2 * d : 4 * d], gv[ctx.k_scarce])
+            oracle = per_rollout_dist(params, gv, cache.x[: 4 * d], cache.c_avg)
+            np.testing.assert_allclose(cache.dist, oracle, rtol=1e-12)
+
+
+def _two_singleton_groups():
+    kg = make_kg([("P", "p", "X"), ("Q", "q", "Y")], [])
+    return kg, direct_table({"P": [1.0, 0.0], "Q": [0.0, 1.0]})
+
+
+def _first_cache(kg, table, scarce):
+    # one rollout from keyword P in group X, staying put for one step
+    p, x = kg.index["P"], kg.group_index["X"]
+    ctx = PatientContext([p], x, kg.group_index[scarce], avg_embedding(table, [p]))
+    rec = run_rollout(init_params(2, seed=0), ctx, kg, table, group_vectors(kg, table),
+                      1, _scripted([x]))
+    return rec.caches[0]
+
+
+def test_rollout_group_state_identical_halves_when_scarce_is_current():
+    kg, table = _two_singleton_groups()
+    s = _first_cache(kg, table, "X").x[:8]
+    assert np.array_equal(s[:4], s[4:])
+
+
+def test_rollout_group_state_manual_concatenation():
+    kg, table = _two_singleton_groups()
+    s = _first_cache(kg, table, "Y").x[:8]
+    # groups are singletons: group vec = [member || member]
+    assert np.array_equal(s, [1, 0, 1, 0, 0, 1, 0, 1])
+
+
+def test_rollout_action_matrix_covers_all_groups_and_is_shared(
+    trainer_kg, trainer_table, trainer_patient
+):
+    d = trainer_table.dim
+    gv = group_vectors(trainer_kg, trainer_table)
+    ctx = _context(trainer_kg, trainer_table, trainer_patient)
+    records = run_rollouts(init_params(d, seed=0), [ctx], trainer_kg, trainer_table, gv, 3,
+                           lambda i, t, dist: (i + t) % 3, 2)
+    actions = records[0].caches[0].actions
+    assert actions.shape == (len(trainer_kg.groups), 4 * d)
+    assert np.all(actions[:, : 2 * d] == 0.0)
+    assert np.array_equal(actions[:, 2 * d :], gv)
+    assert all(cache.actions is actions for rec in records for cache in rec.caches)
 
 
 @pytest.mark.parametrize("G,T", [(2, 1), (4, 5), (3, 8)])
@@ -550,4 +626,8 @@ def test_train_config_validation():
         TrainConfig(group_size=1).validate()
     with pytest.raises(ValueError):
         TrainConfig(max_steps=0).validate()
+    for bad in ({"lr": math.nan}, {"lr": math.inf}, {"lr": -math.inf},
+                {"reward_weight": math.nan}, {"reward_weight": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**bad).validate()
     TrainConfig().validate()

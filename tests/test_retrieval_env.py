@@ -16,17 +16,14 @@ from helpers import (
 
 from r2ag.embeddings import (
     avg_embedding,
-    group_vectors,
     load_embeddings,
     pseudo_embeddings,
 )
 from r2ag.retrieval_env import (
     GROUP_LEAP,
     PathStep,
-    action_matrix,
     candidate_pool,
     connect,
-    group_state,
     init_rollout,
     retrieve,
     step,
@@ -94,26 +91,6 @@ def test_init_rollout_matches_filter_oracle(env_kg):
     assert [env_kg.ids[p.origin] for p in rs.paths] == [
         c for c in ids if env_kg.group_at[env_kg.index[c]] == env_kg.group_index["GA"]
     ]
-
-
-def test_group_state_identical_halves_when_scarce_is_current():
-    kg = make_kg([("P", "p", "X"), ("Q", "q", "Y")], [])
-    table = direct_table({"P": [1.0, 0.0], "Q": [0.0, 1.0]})
-    gv = group_vectors(kg, table)
-    rs = _rollout(kg, ["P"], "X", "X", max_steps=1)
-    s = group_state(rs, gv)
-    assert np.array_equal(s[:4], s[4:])
-
-
-def test_group_state_manual_concatenation():
-    kg = make_kg([("P", "p", "X"), ("Q", "q", "Y")], [])
-    table = direct_table({"P": [1.0, 0.0], "Q": [0.0, 1.0]})
-    gv = group_vectors(kg, table)
-    rs = _rollout(kg, ["P"], "X", "Y", max_steps=1)
-    s = group_state(rs, gv)
-    # groups are singletons: group vec = [member || member]
-    assert np.allclose(s, [1, 0, 1, 0, 0, 1, 0, 1])
-    assert s.shape == (8,)
 
 
 def test_connect_single_candidate_leaps_everywhere(env_kg, env_table):
@@ -233,17 +210,6 @@ def test_full_episode_explored_equals_union(env_kg, env_table):
     assert rs.explored == sorted(union)
     with pytest.raises(ValueError, match="finished"):
         _step(rs, "GA", env_kg, env_table, sq)
-
-
-def test_action_matrix_covers_all_groups(env_kg, env_table):
-    gv = group_vectors(env_kg, env_table)
-    rs = _rollout(env_kg, ["A0"], "GA", "GZ", max_steps=5)
-    actions = action_matrix(rs, gv)
-    assert env_kg.groups == ("GA", "GB", "GZ")
-    assert actions.shape == (3, 4 * env_table.dim)
-    for i, gid in enumerate(env_kg.groups):
-        assert np.array_equal(actions[i, : 2 * env_table.dim], gv[env_kg.group_index["GA"]])
-        assert np.array_equal(actions[i, 2 * env_table.dim :], gv[env_kg.group_index[gid]])
 
 
 def test_rollout_is_deterministic(env_kg, env_table):
