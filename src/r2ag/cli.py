@@ -38,7 +38,7 @@ from .generation import (
     select_paths,
     stub_generate,
 )
-from .gro_trainer import TrainConfig, train
+from .gro_trainer import TrainConfig, TrainingDivergedError, train
 from .kg_store import load_kg
 from .policy_net import load_checkpoint, save_checkpoint
 from .synthetic_data import SynthSpec, gen_corpus, gen_kg
@@ -383,14 +383,12 @@ def cmd_train(args, opts: _Options) -> int:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = train(corpus, kg, table, cfg)
-    diverged = [name for name in ("W1", "W2", "M")
-                if not np.isfinite(getattr(result.params, name)).all()]
-    if diverged:
+    try:
+        result = train(corpus, kg, table, cfg)
+    except TrainingDivergedError as exc:
         raise UsageError(
-            f"training diverged: {', '.join(diverged)} hold non-finite values at "
-            f"lr {cfg.lr:g}; try a lower --lr (no checkpoint written)"
-        )
+            f"{exc}; try a lower --lr than {cfg.lr:g} (no checkpoint written)"
+        ) from exc
     ckpt = out_dir / "checkpoint.json"
     save_checkpoint(result.params, ckpt)
     _write_jsonl(out_dir / "train_log.jsonl", result.log)

@@ -189,23 +189,32 @@ def cosine(u, v) -> float:
     synthetic fixtures where averages can cancel exactly. Each input is
     first divided by its largest magnitude, so squaring inside the norm
     neither underflows nor overflows for very small or very large vectors.
+    The one-row case of ``row_cosines``.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    su = float(np.abs(u).max(initial=0.0))
+    return row_cosines(u[None], v)[0]
+
+
+def row_cosines(P: np.ndarray, v: np.ndarray) -> list[float]:
+    """``cosine(P[i], v)`` for each row of ``P`` (k, d), to the bit: ``v``'s
+    scale, scaled vector and norm are computed once, the rows' scales in one
+    pass, and each row then takes ``cosine``'s float operations. A scaled
+    vector's largest entry is exactly +-1, so its norm is never 0."""
+    out = [0.0] * len(P)
     sv = float(np.abs(v).max(initial=0.0))
-    if su == 0.0 or sv == 0.0:
-        return 0.0
-    u = u / su
+    if sv == 0.0:
+        return out
     v = v / sv
     # sqrt(x . x) is how np.linalg.norm computes a vector's 2-norm
-    nu = math.sqrt(u.dot(u))
     nv = math.sqrt(v.dot(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return min(max(float(u.dot(v)) / (nu * nv), -1.0), 1.0)
+    su = np.abs(P).max(axis=1, initial=0.0)
+    for i in su.nonzero()[0].tolist():
+        u = P[i] / su[i]
+        out[i] = min(max(float(u.dot(v)) / (math.sqrt(u.dot(u)) * nv), -1.0), 1.0)
+    return out
 
 
 def cosines(table: EmbeddingTable, rows, X: np.ndarray) -> np.ndarray:
@@ -215,8 +224,9 @@ def cosines(table: EmbeddingTable, rows, X: np.ndarray) -> np.ndarray:
     Returns a ``(len(rows), k)`` array.
     """
     dots = table.matrix[rows] @ X
-    den = table.norms[rows][:, None] * np.linalg.norm(X, axis=0)
-    out = np.zeros_like(dots)
+    # the column norms as np.linalg.norm(X, axis=0) computes them, to the bit
+    den = table.norms[rows][:, None] * np.sqrt(np.add.reduce(X * X, axis=0))
+    out = np.zeros(dots.shape)
     np.divide(dots, den, out=out, where=den != 0.0)
     return np.clip(out, -1.0, 1.0, out=out)
 

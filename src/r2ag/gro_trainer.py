@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .embeddings import (
     avg_embedding,
     avg_embeddings,
     check_table_rows,
-    cosine,
     fingerprint,
     group_vectors,
+    row_cosines,
 )
 from .errors import MissingReferenceError, NoTrainablePatientsError, UnlinkableInputError
 from .kg_store import KnowledgeGraph
@@ -42,9 +43,9 @@ from .policy_net import (
     ForwardCache,
     GradientBundle,
     PolicyParams,
+    block_backward,
     forward,
     init_params,
-    logprob_backward_batch,
     sample_action,
 )
 from .retrieval_env import (
@@ -55,6 +56,10 @@ from .retrieval_env import (
 )
 
 logger = logging.getLogger(__name__)
+
+
+class TrainingDivergedError(FloatingPointError):
+    """A training update overflowed or left a weight non-finite."""
 
 
 @dataclass
@@ -91,11 +96,15 @@ class GroundTruthConcepts:
 @dataclass
 class RolloutRecord:
     actions: list[int]
-    caches: list[ForwardCache]
+    blocks: list[ForwardCache]  # each step's forward block, shared by the call's records
+    row: int  # this rollout's row in every block
     paths: list[ReasoningPath]
     state: RolloutState
-    reward: float = 0.0
-    relative: float = 0.0
+
+    @property
+    def caches(self) -> list[ForwardCache]:
+        """This rollout's one-state cache of each step, as row views."""
+        return [block.row(self.row) for block in self.blocks]
 
 
 @dataclass
@@ -179,9 +188,9 @@ def run_rollouts(
     rollout's group state [current || scarce group vector] and
     explored-concept average, runs one ``forward`` over the block, then one
     ``step`` over every rollout. ``gv`` is ``group_vectors(kg, table)``;
-    action ``a`` is group int ``a``. The records' forward caches are row
-    views of each step's block; without ``keep_caches`` they hold none,
-    which only the gradient needs.
+    action ``a`` is group int ``a``. The records share one list of the
+    steps' forward blocks, and rollout ``i`` is row ``i`` of each; without
+    ``keep_caches`` the list stays empty, as only the gradient reads it.
     """
     states = [
         init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps)
@@ -189,7 +198,8 @@ def run_rollouts(
         for _ in range(group_size)
     ]
     sq_avgs = [ctx.sq_avg for ctx in ctxs]
-    records = [RolloutRecord([], [], rs.paths, rs) for rs in states]
+    blocks: list[ForwardCache] = []
+    records = [RolloutRecord([], blocks, i, rs.paths, rs) for i, rs in enumerate(states)]
     # Group a's action row is [0 || gv[a]]. A current-group half
     # gv[current] would add the same gv[current] . z[:2d] to every logit of
     # a row, which the softmax cancels; without it, one matrix serves every
@@ -202,13 +212,11 @@ def run_rollouts(
         s_k = np.concatenate([gv[[rs.current_group for rs in states]], scarce], axis=1)
         c_avgs = avg_embeddings(table, [rs.explored for rs in states])
         block = forward(params, s_k, c_avgs, actions)
-        picks = []
-        for i, rec in enumerate(records):
-            a = select(i, t, block.dist[i])
+        if keep_caches:
+            blocks.append(block)
+        picks = [select(i, t, dist) for i, dist in enumerate(block.dist)]
+        for rec, a in zip(records, picks):
             rec.actions.append(a)
-            if keep_caches:
-                rec.caches.append(block.row(i))
-            picks.append(a)
         step(states, picks, kg, table, sq_avgs, group_size)
     return records
 
@@ -236,18 +244,31 @@ def path_rewards(
     reward_weight: float,
 ) -> list[float]:
     """Per path: hits over its distinct concepts + weight * cosine(path avg,
-    gt avg). The path averages come from one batched gather; the cosine
-    stays the scalar ``cosine``."""
+    gt avg). The path averages come from one batched gather, and each
+    cosine is the scalar ``cosine``'s, with the ground-truth side computed
+    once (``row_cosines``)."""
     if not all(p.concepts for p in paths):
         raise ValueError("path has no concepts")
     if not gt.concepts:
         return [0.0] * len(paths)
     pavgs = avg_embeddings(table, [p.concepts for p in paths])
     return [
-        sum(1 for c in p.concepts if c in gt.concepts)
-        + reward_weight * cosine(pavg, gt.avg_vec)
-        for p, pavg in zip(paths, pavgs)
+        len(gt.concepts.intersection(p.concepts)) + reward_weight * cos
+        for p, cos in zip(paths, row_cosines(pavgs, gt.avg_vec))
     ]
+
+
+def rollout_rewards(
+    records: list[RolloutRecord],
+    gt: GroundTruthConcepts,
+    table: EmbeddingTable,
+    reward_weight: float,
+) -> list[float]:
+    """Each rollout's mean path reward, from one ``path_rewards`` pass over all."""
+    if not all(rec.paths for rec in records):
+        raise ValueError("rollout has no paths")
+    scores = iter(path_rewards([p for rec in records for p in rec.paths], gt, table, reward_weight))
+    return [sum(islice(scores, len(rec.paths))) / len(rec.paths) for rec in records]
 
 
 def rollout_reward(
@@ -256,10 +277,8 @@ def rollout_reward(
     table: EmbeddingTable,
     reward_weight: float,
 ) -> float:
-    """Mean path reward over the rollout's paths."""
-    if not rec.paths:
-        raise ValueError("rollout has no paths")
-    return sum(path_rewards(rec.paths, gt, table, reward_weight)) / len(rec.paths)
+    """Mean path reward over the rollout's paths: ``rollout_rewards`` of one."""
+    return rollout_rewards([rec], gt, table, reward_weight)[0]
 
 
 def relative_rewards(rewards) -> np.ndarray:
@@ -294,12 +313,8 @@ def train_patient(
         params, [ctx], kg, table, gv, cfg.max_steps,
         lambda i, t, dist: sample_action(dist, u[i, t]), cfg.group_size,
     )
-    rewards = [rollout_reward(rec, gt, table, cfg.reward_weight) for rec in records]
+    rewards = rollout_rewards(records, gt, table, cfg.reward_weight)
     relative = relative_rewards(rewards)
-    for rec, r, rel in zip(records, rewards, relative):
-        rec.reward = r
-        rec.relative = float(rel)
-
     grad = accumulate_gradient(params, records, relative, cfg.gamma)
     return PatientUpdate(
         grad=grad,
@@ -319,23 +334,23 @@ def accumulate_gradient(
 
     Steps are indexed 1..T, so the weight of step index j (0-based) is
     gamma^(T-1-j); with gamma = 0 only the final step contributes (0^0 = 1).
-    Steps of weight exactly 0 are dropped; the rest go to one batched
-    backward call.
+    Steps of weight exactly 0 are dropped. Records are grouped by the block
+    list they share (one per ``run_rollouts`` call), each group's rows taken
+    from its blocks at once, and all go to one ``block_backward`` call.
     """
-    caches: list[ForwardCache] = []
-    actions: list[int] = []
-    weights: list[float] = []
+    scale = 1.0 / len(records)
+    parts: dict[int, tuple[list, list, list, list]] = {}  # by id of a block list
     for rec, rel in zip(records, relative):
-        T = len(rec.actions)
-        for j, (cache, a) in enumerate(zip(rec.caches, rec.actions)):
+        blocks, rows, actions, weights = parts.setdefault(id(rec.blocks), (rec.blocks, [], [], []))
+        T, R = len(rec.actions), len(blocks[0].x)
+        for j, a in enumerate(rec.actions):
             weight = (gamma ** (T - 1 - j)) * float(rel)
             if weight == 0.0:
                 continue
-            caches.append(cache)
+            rows.append(j * R + rec.row)
             actions.append(a)
-            weights.append(weight)
-    scale = 1.0 / len(records)
-    return logprob_backward_batch(params, caches, actions, np.asarray(weights) * scale)
+            weights.append(weight * scale)
+    return block_backward(params, list(parts.values()))
 
 
 def train(
@@ -344,7 +359,9 @@ def train(
     table: EmbeddingTable,
     cfg: TrainConfig,
 ) -> TrainResult:
-    """Run the full loop: per-patient updates, per-episode JSON-able log."""
+    """Run the full loop: per-patient updates, per-episode JSON-able log. The
+    first update that overflows, or an epoch that leaves a weight
+    non-finite, raises ``TrainingDivergedError``."""
     cfg.validate()
     if not corpus:
         raise NoTrainablePatientsError("corpus is empty")
@@ -374,10 +391,16 @@ def train(
                      "relative_rewards": None, "skipped": True}
                 )
                 continue
-            upd = train_patient(params, *inputs, kg, table, cfg, rng, gv)
-            params.W1 += cfg.lr * upd.grad.dW1
-            params.W2 += cfg.lr * upd.grad.dW2
-            params.M += cfg.lr * upd.grad.dM
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    upd = train_patient(params, *inputs, kg, table, cfg, rng, gv)
+                    params.W1 += cfg.lr * upd.grad.dW1
+                    params.W2 += cfg.lr * upd.grad.dW2
+                    params.M += cfg.lr * upd.grad.dM
+            except FloatingPointError as exc:
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch}, patient {patient.id!r} ({exc})"
+                ) from exc
             mean_r = float(np.mean(upd.rewards))
             epoch_rewards.append(mean_r)
             episodes += 1
@@ -385,6 +408,9 @@ def train(
                 {"epoch": epoch, "patient": patient.id, "mean_R": mean_r,
                  "relative_rewards": upd.relative, "skipped": False}
             )
+        # a NaN or inf that raised nothing, such as one from a BLAS worker thread
+        if not all(np.isfinite(m).all() for m in (params.W1, params.W2, params.M)):
+            raise TrainingDivergedError(f"training diverged in epoch {epoch} (non-finite weights)")
         if epoch_rewards:
             logger.info(
                 "epoch %d: mean rollout reward %.4f over %d episodes",

@@ -7,7 +7,7 @@ runs on a block of R states at once, one row each, against one action
 matrix shared by every row. The backward pass returns exact gradients of
 log pi(action) with respect to W1, W2 and M, suitable for REINFORCE-style
 updates without an autodiff framework; a weighted sum over many steps is
-one matrix product per parameter.
+one ``dlogits @ A`` product per action matrix A, then one per parameter.
 
 Shapes for embedding dimension d: the group state is 4d, the projected
 concept state is d, so W1 is (4d, 5d), W2 is (4d, 4d) and M is (d, d);
@@ -73,14 +73,6 @@ class GradientBundle:
     dW1: np.ndarray
     dW2: np.ndarray
     dM: np.ndarray
-
-    @classmethod
-    def zeros(cls, params: PolicyParams) -> "GradientBundle":
-        return cls(
-            np.zeros_like(params.W1),
-            np.zeros_like(params.W2),
-            np.zeros_like(params.M),
-        )
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -151,10 +143,8 @@ def greedy_action(dist: np.ndarray) -> int:
 def logprob_backward(
     params: PolicyParams, cache: ForwardCache, action: int
 ) -> GradientBundle:
-    """Exact gradient of log dist[action] with respect to W1, W2, M.
-
-    The one-step, weight-1 case of ``logprob_backward_batch``.
-    """
+    """Exact gradient of log dist[action] with respect to W1, W2, M: the
+    one-step, weight-1 case of ``logprob_backward_batch``."""
     return logprob_backward_batch(params, [cache], [action], [1.0])
 
 
@@ -167,33 +157,48 @@ def logprob_backward_batch(
     """sum_k weights[k] * gradient of log dist_k[actions[k]], for K cached steps.
 
     Each cache is one state's (1-D rows, such as ``ForwardCache.row`` of a
-    block). The K steps are stacked as rows (dz, a1, dh1, x, c_avg), so each
-    parameter gradient is one weighted matrix product over them:
+    block) with its own action matrix: ``block_backward`` with one part each."""
+    if len(actions) != len(caches) or len(weights) != len(caches):
+        raise ValueError("need one action and one weight per cached step")
+    if any(c.x.ndim != 1 for c in caches):
+        raise ValueError("cache does not match parameter shapes: one state per cache")
+    return block_backward(
+        params, [([c], [0], [a], [w]) for c, a, w in zip(caches, actions, weights)]
+    )
+
+
+def block_backward(params: PolicyParams, parts: list[tuple]) -> GradientBundle:
+    """sum_k w_k * gradient of log pi(a_k | state k) over K cached rows.
+
+    Each part is (blocks, rows, actions, weights): forward caches that share
+    one action matrix A, the rows taken from their concatenation (a one-state
+    cache is one row), and each row's action and weight. A part's dZ is one
+    ``dlogits @ A`` product; the K rows are then stacked (dz, h1, x, c_avg),
+    so each parameter gradient is one weighted matrix product over them:
     dW2 = (w dZ)^T A1, dW1 = (w dH1)^T X and dM = (w dX[:, 4d:])^T C.
-    K = 0 gives zeros. The ReLU subgradient at exactly zero is taken as zero.
+    No parts give zeros. The ReLU subgradient at exactly zero is taken as zero.
     """
     d = params.d
-    k = len(caches)
-    if len(actions) != k or len(weights) != k:
-        raise ValueError("need one action and one weight per cached step")
-    if k == 0:
-        return GradientBundle.zeros(params)
-    dZ = np.empty((k, 4 * d))
-    for row, (cache, action) in enumerate(zip(caches, actions)):
-        if cache.x.shape != (5 * d,) or cache.actions.shape[1] != 4 * d:
+    if not parts:
+        return GradientBundle(*(np.zeros_like(m) for m in (params.W1, params.W2, params.M)))
+    stacks = []  # per part: dZ, x, h1 and c_avg of its rows, and their weights
+    for blocks, rows, acts, weights in parts:
+        A = blocks[0].actions
+        if blocks[0].x.shape[-1] != 5 * d or A.shape[1] != 4 * d:
             raise ValueError("cache does not match parameter shapes")
-        n = cache.dist.shape[0]
-        if not (0 <= action < n):
-            raise ValueError(f"action index {action} out of range for {n} actions")
-        dlogits = -cache.dist
-        dlogits[action] += 1.0
-        dZ[row] = cache.actions.T @ dlogits
-    w = np.asarray(weights, dtype=np.float64)[:, None]
-    X = np.stack([c.x for c in caches])
-    H1 = np.stack([c.h1 for c in caches])
-    A1 = np.stack([c.a1 for c in caches])
-    C = np.stack([c.c_avg for c in caches])
-    dW2 = (w * dZ).T @ A1
+        bad = [a for a in acts if not 0 <= a < len(A)]
+        if bad:
+            raise ValueError(f"action index {bad[0]} out of range for {len(A)} actions")
+        dist, x, h1, c_avg = (
+            np.concatenate([getattr(b, name) for b in blocks]).reshape(-1, width)[rows]
+            for name, width in (("dist", len(A)), ("x", 5 * d), ("h1", 4 * d), ("c_avg", d))
+        )
+        dlogits = -dist
+        dlogits[np.arange(len(acts)), acts] += 1.0
+        stacks.append((dlogits @ A, x, h1, c_avg, weights))
+    dZ, X, H1, C, w = (np.concatenate(m) for m in zip(*stacks))
+    w = w[:, None]
+    dW2 = (w * dZ).T @ np.maximum(H1, 0.0)
     dH1 = (dZ @ params.W2) * (H1 > 0.0)
     dW1 = (w * dH1).T @ X
     dM = (w * (dH1 @ params.W1[:, 4 * d :])).T @ C

@@ -175,6 +175,37 @@ def per_rollout_dist(params, gv, s_k, c_avg) -> np.ndarray:
     return e / e.sum()
 
 
+def rowwise_gradient(params, records, relative, gamma):
+    """``accumulate_gradient`` as it was computed row by row: one-state row
+    views of every kept (rollout, step), dZ as one ``actions.T @ dlogits``
+    matrix-vector product per row, then the weighted products over the
+    stacked rows. Returns (dW1, dW2, dM)."""
+    d = params.d
+    caches, actions, weights = [], [], []
+    for rec, rel in zip(records, relative):
+        T = len(rec.actions)
+        for j, (cache, a) in enumerate(zip(rec.caches, rec.actions)):
+            weight = (gamma ** (T - 1 - j)) * float(rel)
+            if weight != 0.0:
+                caches.append(cache)
+                actions.append(a)
+                weights.append(weight)
+    w = (np.asarray(weights) * (1.0 / len(records)))[:, None]
+    dZ = np.empty((len(caches), 4 * d))
+    for row, (cache, a) in enumerate(zip(caches, actions)):
+        dlogits = -cache.dist
+        dlogits[a] += 1.0
+        dZ[row] = cache.actions.T @ dlogits
+    X, H1, A1, C = (np.stack([getattr(c, name) for c in caches]).reshape(len(caches), -1)
+                    for name in ("x", "h1", "a1", "c_avg"))
+    dH1 = (dZ @ params.W2) * (H1 > 0.0)
+    return (
+        (w * dH1).T @ X,
+        (w * dZ).T @ A1,
+        (w * (dH1 @ params.W1[:, 4 * d :])).T @ C,
+    )
+
+
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

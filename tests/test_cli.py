@@ -9,7 +9,7 @@ import pytest
 
 from r2ag.cli import DEFAULTS, _load_config, _load_generated, _write_jsonl, build_parser, main
 from r2ag.concept_linker import load_corpus
-from r2ag.embeddings import load_embeddings
+from r2ag.embeddings import load_embeddings, pseudo_embeddings
 from r2ag.errors import DataFormatError
 from r2ag.generation import load_template
 from r2ag.kg_store import load_kg
@@ -153,6 +153,47 @@ def test_diverged_training_writes_no_checkpoint(tmp_path, capsys):
         _train(tmp_path, data, extra=["--lr", "1e300"], rc=1)
     err = capsys.readouterr().err
     assert "usage error: training diverged" in err and "lower --lr" in err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+    assert not (tmp_path / "run" / "train_log.jsonl").exists()
+
+
+def test_diverged_training_stops_at_the_first_overflow(tmp_path, monkeypatch):
+    # the first update that overflows ends training: no later patient is
+    # trained, no RuntimeWarning is printed and neither file is written
+    import subprocess
+    import sys
+
+    from r2ag import gro_trainer
+
+    data = _synth(tmp_path)
+    trained = []
+    real = gro_trainer.train_patient
+
+    def spy(params, ctx, gt, *args):
+        trained.append(ctx)
+        return real(params, ctx, gt, *args)
+
+    monkeypatch.setattr(gro_trainer, "train_patient", spy)
+    corpus = load_corpus(data / "patients.jsonl")
+    kg = load_kg(data / "concepts.tsv", data / "relations.tsv")
+    with pytest.raises(gro_trainer.TrainingDivergedError) as caught:
+        gro_trainer.train(corpus, kg, pseudo_embeddings(kg, 8, 3),
+                          gro_trainer.TrainConfig(lr=1e300, epochs=2, seed=3))
+    # the first update overflows or leaves weights so large that the next
+    # patient's forward does; either way that is the patient named
+    assert 1 <= len(trained) <= 2
+    assert f"epoch 0, patient {corpus[len(trained) - 1].id!r} (overflow" in str(caught.value)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "r2ag.cli", "--seed", "3", "train"] + _kg_args(data)
+        + ["--corpus", str(data / "patients.jsonl"), "--out-dir", str(tmp_path / "run"),
+           "--epochs", "2", "--embed-dim", "8", "--lr", "1e300"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 1
+    assert "usage error: training diverged at epoch 0, patient 'P" in out.stderr
+    assert "lower --lr than 1e+300" in out.stderr
+    assert "RuntimeWarning" not in out.stderr and "Traceback" not in out.stderr
     assert not (tmp_path / "run" / "checkpoint.json").exists()
     assert not (tmp_path / "run" / "train_log.jsonl").exists()
 

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_table
-from helpers import make_kg, oracle_avg, oracle_cosine, per_rollout_dist, random_kg
+from helpers import (
+    make_kg,
+    oracle_avg,
+    oracle_cosine,
+    per_rollout_dist,
+    random_kg,
+    rowwise_gradient,
+)
 
 from r2ag import gro_trainer
 from r2ag.concept_linker import PatientInput, initial_group, scarce_group
@@ -29,6 +36,7 @@ from r2ag.gro_trainer import (
     GroundTruthConcepts,
     PatientContext,
     TrainConfig,
+    TrainingDivergedError,
     accumulate_gradient,
     build_ground_truth,
     link_patient,
@@ -36,12 +44,13 @@ from r2ag.gro_trainer import (
     path_rewards,
     relative_rewards,
     rollout_reward,
+    rollout_rewards,
     run_rollout,
     run_rollouts,
     train,
     train_patient,
 )
-from r2ag.policy_net import init_params, logprob_backward, sample_action
+from r2ag.policy_net import GradientBundle, init_params, logprob_backward, sample_action
 from r2ag.retrieval_env import GROUP_LEAP, PathStep, ReasoningPath
 
 
@@ -390,14 +399,14 @@ def test_train_patient_gamma_zero_uses_only_final_step(
         trainer_kg, trainer_table, cfg, rng, group_vectors(trainer_kg, trainer_table),
     )
     finals = [
-        (rec.relative, logprob_backward(params, rec.caches[-1], rec.actions[-1]))
-        for rec in upd.records
+        (rel, logprob_backward(params, rec.caches[-1], rec.actions[-1]))
+        for rel, rec in zip(upd.relative, upd.records)
     ]
     for name in ("dW1", "dW2", "dM"):
         expected = sum(rel * getattr(g, name) for rel, g in finals) / cfg.group_size
         assert np.allclose(getattr(upd.grad, name), expected, atol=1e-15)
-    for rec in upd.records:
-        assert 0.0 < rec.relative < 1.0
+    for rel in upd.relative:
+        assert 0.0 < rel < 1.0
 
 
 def _sampled_records(kg, table, patient, params, G, T, seed):
@@ -458,6 +467,96 @@ def test_accumulate_gradient_rejects_mismatched_cache_and_bad_action(
         accumulate_gradient(params, records, rel, 0.5)
 
 
+def _random_contexts(rng, kg, table, n):
+    ctxs = []
+    for _ in range(n):
+        keywords = rng.permutation(len(kg.ids))[: int(rng.integers(2, 7))].tolist()
+        ctxs.append(PatientContext(
+            keywords, initial_group(keywords, kg), scarce_group(keywords, kg),
+            avg_embedding(table, keywords),
+        ))
+    return ctxs
+
+
+@pytest.mark.parametrize("d", [2, 8, 32, 128])
+def test_block_gradient_matches_rowwise_oracle(d):
+    # accumulate_gradient takes each group's rows from its step blocks and
+    # forms dZ as one dlogits @ A product; the oracle forms it one row at a
+    # time from row views. Records come from two run_rollouts calls (two
+    # block lists and two action matrices), and one record is repeated
+    rng = np.random.default_rng(d)
+    kg = random_kg(rng, 6, 10, p_intra=0.2, p_cross=0.05)
+    table = pseudo_embeddings(kg, d, seed=d)
+    gv = group_vectors(kg, table)
+    params = init_params(d, seed=d)
+    cases = 0
+    for G in (2, 4, 7):
+        for T in (1, 5):
+            ctx_a, ctx_b = _random_contexts(rng, kg, table, 2)
+            u = rng.random((G, T))
+            pick = lambda i, t, dist: sample_action(dist, u[i, t])  # noqa: E731
+            first = run_rollouts(params, [ctx_a], kg, table, gv, T, pick, G)
+            second = run_rollouts(params, [ctx_b], kg, table, gv, T, pick, G)
+            assert first[0].blocks is not second[0].blocks
+            for records in (first, first + second[:2] + first[:1]):
+                rel = rng.uniform(0.05, 1.0, size=len(records))
+                for gamma in (0.0, 0.1, 1.0):
+                    got = accumulate_gradient(params, records, rel, gamma)
+                    want = rowwise_gradient(params, records, rel, gamma)
+                    for name, expected in zip(("dW1", "dW2", "dM"), want):
+                        # entries that cancel to far below the largest round
+                        # apart in relative terms, so each matrix also gets an
+                        # absolute floor of 1e-12 of its largest entry
+                        scale = np.abs(expected).max()
+                        assert scale > 0.0
+                        np.testing.assert_allclose(getattr(got, name), expected,
+                                                   rtol=1e-12, atol=1e-12 * scale)
+                    cases += 1
+    assert cases == 36
+
+
+def test_rollout_caches_are_row_views_of_the_step_blocks(
+    trainer_kg, trainer_table, trainer_patient
+):
+    gv = group_vectors(trainer_kg, trainer_table)
+    ctx = _context(trainer_kg, trainer_table, trainer_patient)
+    records = run_rollouts(init_params(trainer_table.dim, seed=0), [ctx], trainer_kg,
+                           trainer_table, gv, 3, lambda i, t, dist: (i + t) % 3, 2)
+    blocks = records[0].blocks
+    assert len(blocks) == 3 and all(rec.blocks is blocks for rec in records)
+    for rec in records:
+        for block, cache in zip(blocks, rec.caches):
+            assert np.shares_memory(cache.x, block.x)
+            assert np.array_equal(cache.dist, block.dist[rec.row])
+    served = run_rollouts(init_params(trainer_table.dim, seed=0), [ctx], trainer_kg,
+                          trainer_table, gv, 3, lambda i, t, dist: 0, keep_caches=False)
+    assert served[0].caches == []
+
+
+def test_group_reward_pass_equals_per_rollout_rewards():
+    # one gather and one ground-truth side per group give each rollout the
+    # bits rollout_reward gives it alone, with paths frozen on a sparse graph
+    rng = np.random.default_rng(77)
+    frozen = 0
+    for trial in range(20):
+        kg = random_kg(rng, 4, 12, p_intra=0.06, p_cross=0.05)
+        table = pseudo_embeddings(kg, 8, seed=trial)
+        gv = group_vectors(kg, table)
+        ctx, = _random_contexts(rng, kg, table, 1)
+        records = run_rollouts(init_params(8, seed=trial), [ctx], kg, table, gv, 4,
+                               lambda i, t, dist: int(rng.integers(len(dist))), 5)
+        frozen += sum(sum(rec.state.frozen) for rec in records)
+        concepts = rng.permutation(len(kg.ids))[: int(rng.integers(0, 6))].tolist()
+        gt = GroundTruthConcepts(set(concepts),
+                                 avg_embedding(table, concepts) if concepts else None)
+        for weight in (0.0, 10.0):
+            expected = [rollout_reward(rec, gt, table, weight) for rec in records]
+            assert rollout_rewards(records, gt, table, weight) == expected
+            if not concepts:
+                assert expected == [0.0] * len(records)
+    assert frozen > 0
+
+
 def test_train_patient_gradient_matches_finite_differences(
     trainer_kg, trainer_table, trainer_patient
 ):
@@ -503,6 +602,29 @@ def test_train_patient_gradient_matches_finite_differences(
             worst = max(worst, abs(fd - grad[idx]) / denom)
             it.iternext()
         assert worst <= 1e-4, f"{name}: rel err {worst}"
+
+
+def test_train_stops_at_the_end_of_an_epoch_that_left_a_weight_non_finite(
+    trainer_kg, trainer_table, trainer_patient, monkeypatch
+):
+    # a NaN gradient raises no floating-point error on its way into the
+    # weights, so each epoch ends with a check that every weight is finite
+    calls = []
+
+    def nan_update(params, *args):
+        calls.append(1)
+        return gro_trainer.PatientUpdate(
+            GradientBundle(np.full_like(params.W1, np.nan),
+                           np.zeros_like(params.W2), np.zeros_like(params.M)),
+            [1.0, 1.0], [0.5, 0.5], [],
+        )
+
+    monkeypatch.setattr(gro_trainer, "train_patient", nan_update)
+    cfg = TrainConfig(epochs=3, group_size=2, seed=1)
+    with pytest.raises(TrainingDivergedError,
+                       match=r"diverged in epoch 0 \(non-finite weights\)"):
+        train([trainer_patient] * 2, trainer_kg, trainer_table, cfg)
+    assert calls == [1, 1]
 
 
 def test_train_patient_requires_reference(trainer_kg, trainer_table):

@@ -192,6 +192,16 @@ def test_backward_rejects_mismatched_cache():
         logprob_backward(p4, cache, 0)
 
 
+def test_batch_backward_takes_one_state_per_cache():
+    # a block of two states is not a one-state cache: refused, not read as row 0
+    rng = np.random.default_rng(1)
+    p = init_params(3, seed=0)
+    s_k, c_avg, actions = _random_state(rng, 3, 4)
+    block = forward(p, np.stack([s_k, s_k]), np.stack([c_avg, c_avg]), actions)
+    with pytest.raises(ValueError, match="one state per cache"):
+        logprob_backward_batch(p, [block], [0], [1.0])
+
+
 def test_gradient_bundle_accumulation():
     # a weighted batch of steps accumulates the weighted single-step gradients
     rng = np.random.default_rng(21)
