@@ -182,39 +182,33 @@ def avg_embeddings(table: EmbeddingTable, sets: list[list[int]]) -> np.ndarray:
     return rows.sum(axis=1) / n
 
 
-def cosine(u, v) -> float:
+def cosine(u, v) -> float | list[float]:
     """Cosine similarity in [-1, 1]; zero-norm inputs return 0.0.
 
     Returning 0.0 for degenerate vectors avoids NaN propagation in
     synthetic fixtures where averages can cancel exactly. Each input is
     first divided by its largest magnitude, so squaring inside the norm
     neither underflows nor overflows for very small or very large vectors.
-    The one-row case of ``row_cosines``.
+    A (k, d) block ``u`` gives the list of its rows' cosines with ``v``,
+    each to the bit what the row alone gives; ``v``'s side is computed once.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
+    if v.ndim != 1 or u.ndim not in (1, 2) or u.shape[-1] != len(v):
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return row_cosines(u[None], v)[0]
-
-
-def row_cosines(P: np.ndarray, v: np.ndarray) -> list[float]:
-    """``cosine(P[i], v)`` for each row of ``P`` (k, d), to the bit: ``v``'s
-    scale, scaled vector and norm are computed once, the rows' scales in one
-    pass, and each row then takes ``cosine``'s float operations. A scaled
-    vector's largest entry is exactly +-1, so its norm is never 0."""
-    out = [0.0] * len(P)
+    rows = np.atleast_2d(u)
+    out = [0.0] * len(rows)
     sv = float(np.abs(v).max(initial=0.0))
-    if sv == 0.0:
-        return out
-    v = v / sv
-    # sqrt(x . x) is how np.linalg.norm computes a vector's 2-norm
-    nv = math.sqrt(v.dot(v))
-    su = np.abs(P).max(axis=1, initial=0.0)
-    for i in su.nonzero()[0].tolist():
-        u = P[i] / su[i]
-        out[i] = min(max(float(u.dot(v)) / (math.sqrt(u.dot(u)) * nv), -1.0), 1.0)
-    return out
+    if sv != 0.0:
+        v = v / sv
+        # sqrt(x . x) is how np.linalg.norm computes a vector's 2-norm; a
+        # scaled vector's largest entry is exactly +-1, so its norm is not 0
+        nv = math.sqrt(v.dot(v))
+        su = np.abs(rows).max(axis=1, initial=0.0)
+        for i in su.nonzero()[0].tolist():
+            r = rows[i] / su[i]
+            out[i] = min(max(float(r.dot(v)) / (math.sqrt(r.dot(r)) * nv), -1.0), 1.0)
+    return out if u.ndim == 2 else out[0]
 
 
 def cosines(table: EmbeddingTable, rows, X: np.ndarray) -> np.ndarray:
@@ -224,9 +218,8 @@ def cosines(table: EmbeddingTable, rows, X: np.ndarray) -> np.ndarray:
     Returns a ``(len(rows), k)`` array.
     """
     dots = table.matrix[rows] @ X
-    # the column norms as np.linalg.norm(X, axis=0) computes them, to the bit
-    den = table.norms[rows][:, None] * np.sqrt(np.add.reduce(X * X, axis=0))
-    out = np.zeros(dots.shape)
+    den = table.norms[rows][:, None] * np.linalg.norm(X, axis=0)
+    out = np.zeros_like(dots)
     np.divide(dots, den, out=out, where=den != 0.0)
     return np.clip(out, -1.0, 1.0, out=out)
 

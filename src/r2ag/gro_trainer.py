@@ -33,9 +33,9 @@ from .embeddings import (
     avg_embedding,
     avg_embeddings,
     check_table_rows,
+    cosine,
     fingerprint,
     group_vectors,
-    row_cosines,
 )
 from .errors import MissingReferenceError, NoTrainablePatientsError, UnlinkableInputError
 from .kg_store import KnowledgeGraph
@@ -244,17 +244,16 @@ def path_rewards(
     reward_weight: float,
 ) -> list[float]:
     """Per path: hits over its distinct concepts + weight * cosine(path avg,
-    gt avg). The path averages come from one batched gather, and each
-    cosine is the scalar ``cosine``'s, with the ground-truth side computed
-    once (``row_cosines``)."""
+    gt avg). The path averages come from one batched gather and go to one
+    block ``cosine`` call."""
     if not all(p.concepts for p in paths):
         raise ValueError("path has no concepts")
     if not gt.concepts:
         return [0.0] * len(paths)
     pavgs = avg_embeddings(table, [p.concepts for p in paths])
     return [
-        len(gt.concepts.intersection(p.concepts)) + reward_weight * cos
-        for p, cos in zip(paths, row_cosines(pavgs, gt.avg_vec))
+        sum(1 for c in p.concepts if c in gt.concepts) + reward_weight * cos
+        for p, cos in zip(paths, cosine(pavgs, gt.avg_vec))
     ]
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,8 @@ def _insert(sorted_ints: list[int], c: int) -> None:
         sorted_ints.insert(k, c)
 
 
-class PathStep(NamedTuple):
+@dataclass(frozen=True)
+class PathStep:
     """One path element: incoming edge label (None at the origin) + concept int."""
 
     label: str | None
@@ -184,10 +184,10 @@ def retrieve(
     live: list[tuple[RolloutState, int]] = []  # (rollout, path index)
     tails, groups, owners = [], [], []  # owner: the patient's index in sq_avgs
     for i, rs in enumerate(states):
-        for k, frozen in enumerate(rs.frozen):
-            if not frozen:
+        for k, path in enumerate(rs.paths):
+            if not rs.frozen[k]:
                 live.append((rs, k))
-                tails.append(rs.paths[k].steps[-1].concept)
+                tails.append(path.tail())
                 groups.append(rs.current_group)
                 owners.append(i // group_size)
     if not live:
@@ -203,28 +203,27 @@ def retrieve(
         if not live:
             return
         lo, lens, owners = lo[has], lens[has], owners[has]
-    ends = lens.cumsum()
+    ends = np.cumsum(lens)
     starts = ends - lens
-    # CSR position of every candidate, path after path, and its path's column
-    pos = (lo - starts).repeat(lens) + np.arange(ends[-1])
-    col = (np.arange(len(live)) + 1).repeat(lens)
-    cands = kg.indices[pos]
+    # CSR position of every candidate, path after path
+    pos = np.repeat(lo - starts, lens) + np.arange(int(ends[-1]))
     pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k in live])
     score = np.empty(len(pos))
     # live paths a:b are one patient's, and so are candidate rows r0:r1
-    cuts = [0, *((owners[1:] != owners[:-1]).nonzero()[0] + 1).tolist(), len(live)]
+    cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), len(live)]
     for a, b in zip(cuts[:-1], cuts[1:]):
         r0, r1 = int(starts[a]), int(ends[b - 1])
         X = np.empty((table.matrix.shape[1], 1 + b - a))
         X[:, 0] = sq_avgs[owners[a]]
         X[:, 1:] = pavgs[a:b].T
-        cos = cosines(table, cands[r0:r1], X)
-        score[r0:r1] = 0.5 * (cos[:, 0] + cos[np.arange(r1 - r0), col[r0:r1] - a])
+        cos = cosines(table, kg.indices[pos[r0:r1]], X)
+        own = np.repeat(np.arange(1, 1 + b - a), lens[a:b])  # each row's path column
+        score[r0:r1] = 0.5 * (cos[:, 0] + cos[np.arange(r1 - r0), own])
     # each slice is in sorted (label, id) order: the first maximum of each
     # segment is its smallest (label, id) among ties
-    hits = (score == np.maximum.reduceat(score, starts).repeat(lens)).nonzero()[0]
-    best = hits[hits.searchsorted(starts)]
-    for (rs, k), c, label in zip(live, cands[best].tolist(), kg.labels[pos[best]].tolist()):
+    hits = np.flatnonzero(score == np.repeat(np.maximum.reduceat(score, starts), lens))
+    best = pos[hits[hits.searchsorted(starts)]]
+    for (rs, k), c, label in zip(live, kg.indices[best].tolist(), kg.labels[best].tolist()):
         rs.paths[k].add(kg.label_names[label], c)
         _insert(rs.explored, c)
 

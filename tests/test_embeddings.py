@@ -15,11 +15,9 @@ from r2ag.embeddings import (
     avg_embedding,
     avg_embeddings,
     cosine,
-    cosines,
     group_vectors,
     load_embeddings,
     pseudo_embeddings,
-    row_cosines,
 )
 from r2ag.errors import DataFormatError
 
@@ -211,57 +209,31 @@ def test_cosine_hand_values():
     assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
 
 
+def _norm_based_cosine(u, v) -> float:
+    u_s, v_s = u / np.max(np.abs(u)), v / np.max(np.abs(v))
+    den = float(np.linalg.norm(u_s)) * float(np.linalg.norm(v_s))
+    return float(np.clip(np.dot(u_s, v_s) / den, -1.0, 1.0))
+
+
 def test_cosine_equals_its_norm_based_form_bit_for_bit():
+    # a (k, d) block gives each row's cosine, rows of their own scales
     rng = np.random.default_rng(31)
     for d in (2, 8, 32, 128):
         for _ in range(200):
             u = rng.standard_normal(d) * 10.0 ** int(rng.integers(-300, 300))
             v = rng.standard_normal(d)
-            u_s, v_s = u / np.max(np.abs(u)), v / np.max(np.abs(v))
-            den = float(np.linalg.norm(u_s)) * float(np.linalg.norm(v_s))
-            assert cosine(u, v) == float(np.clip(np.dot(u_s, v_s) / den, -1.0, 1.0))
-
-
-def _norm_based_cosine(u, v) -> float:
-    su, sv = np.max(np.abs(u)), np.max(np.abs(v))
-    if su == 0.0 or sv == 0.0:
-        return 0.0
-    u_s, v_s = u / su, v / sv
-    den = float(np.linalg.norm(u_s)) * float(np.linalg.norm(v_s))
-    return float(np.clip(np.dot(u_s, v_s) / den, -1.0, 1.0))
-
-
-def test_row_cosines_equal_the_norm_based_form_bit_for_bit():
-    # the group reward pass: v's side once, every row as cosine does it
-    rng = np.random.default_rng(32)
-    for d in (2, 3, 8, 32, 128):
-        for _ in range(40):
-            P = rng.standard_normal((int(rng.integers(1, 9)), d))
-            P *= 10.0 ** rng.integers(-300, 300, size=(len(P), 1))
-            P[rng.random(len(P)) < 0.2] = 0.0
-            v = rng.standard_normal(d) * 10.0 ** int(rng.integers(-300, 300))
-            assert row_cosines(P, v) == [_norm_based_cosine(u, v) for u in P]
-            assert row_cosines(P, np.zeros(d)) == [0.0] * len(P)
-
-
-def test_cosines_column_norms_equal_linalg_norm_bit_for_bit():
-    rng = np.random.default_rng(33)
-    for d in (2, 3, 8, 32, 128):
-        table = EmbeddingTable(d, rng.standard_normal((40, d)))
-        for k in (1, 2, 5, 17):
-            X = rng.standard_normal((d, k))
-            X[:, rng.random(k) < 0.2] = 0.0
-            rows = rng.integers(0, 40, size=int(rng.integers(1, 30)))
-            dots = table.matrix[rows] @ X
-            den = table.norms[rows][:, None] * np.linalg.norm(X, axis=0)
-            want = np.clip(np.divide(dots, den, out=np.zeros(dots.shape), where=den != 0.0),
-                           -1.0, 1.0)
-            assert cosines(table, rows, X).tobytes() == want.tobytes()
+            assert cosine(u, v) == _norm_based_cosine(u, v)
+            w = rng.standard_normal(d) * 10.0 ** int(rng.integers(-300, 300))
+            assert cosine(np.stack([u, np.zeros(d), w]), v) == [
+                _norm_based_cosine(u, v), 0.0, _norm_based_cosine(w, v)]
+        assert cosine(np.ones((2, d)), np.zeros(d)) == [0.0, 0.0]
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(ValueError):
         cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        cosine(np.ones((2, 2)), [1.0, 0.0, 0.0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -534,8 +534,8 @@ def test_rollout_caches_are_row_views_of_the_step_blocks(
 
 
 def test_group_reward_pass_equals_per_rollout_rewards():
-    # one gather and one ground-truth side per group give each rollout the
-    # bits rollout_reward gives it alone, with paths frozen on a sparse graph
+    # one gather per group gives each rollout the bits rollout_reward gives
+    # it alone, with paths frozen on a sparse graph
     rng = np.random.default_rng(77)
     frozen = 0
     for trial in range(20):

@@ -22,7 +22,6 @@ from r2ag.embeddings import (
 from r2ag.retrieval_env import (
     GROUP_LEAP,
     PathStep,
-    ReasoningPath,
     candidate_pool,
     connect,
     init_rollout,
@@ -243,23 +242,6 @@ def test_path_dump_shape(env_kg, env_table):
     d = rs.paths[0].to_dict(env_kg)
     assert d["origin"] == "A0"
     assert d["steps"][0] == {"label": "r1", "concept": "A1"}
-
-
-def test_path_step_equality_immutability_and_dump(env_kg):
-    a0, a1 = env_kg.index["A0"], env_kg.index["A1"]
-    step = PathStep("r1", a1)
-    assert step == PathStep(label="r1", concept=a1) and step.concept == a1
-    assert step != PathStep("r1", a0) and step != PathStep(GROUP_LEAP, a1)
-    assert hash(step) == hash(PathStep("r1", a1))
-    with pytest.raises(AttributeError):
-        step.concept = a0
-    path = ReasoningPath(a0, [PathStep(None, a0), step])
-    path.add(GROUP_LEAP, a0)
-    assert path.steps[-1] == PathStep(GROUP_LEAP, a0) and path.concepts == [a0, a1]
-    assert path.to_dict(env_kg) == {
-        "origin": "A0",
-        "steps": [{"label": "r1", "concept": "A1"}, {"label": GROUP_LEAP, "concept": "A0"}],
-    }
 
 
 # exact ties: identical candidate vectors must score identically in the
