@@ -78,14 +78,30 @@ class _Parser(argparse.ArgumentParser):
 _OPTION_NAME = {"timeout_s": "timeout", "max_retries": "retries"}
 
 
-def _field_defaults(cls) -> dict:
-    """Field defaults of dataclass ``cls`` keyed by option name; its
-    ``seed`` comes from --seed instead."""
-    return {
-        _OPTION_NAME.get(f.name, f.name): f.default
+def _field_options(cls) -> list[tuple[dataclasses.Field, str]]:
+    """Each field of dataclass ``cls`` with its option name; its ``seed``
+    comes from --seed instead."""
+    return [
+        (f, _OPTION_NAME.get(f.name, f.name))
         for f in dataclasses.fields(cls)
         if f.name != "seed"
-    }
+    ]
+
+
+def _field_defaults(cls) -> dict:
+    """Field defaults of dataclass ``cls`` keyed by option name."""
+    return {name: f.default for f, name in _field_options(cls)}
+
+
+def _add_field_options(p: _Parser, cls) -> None:
+    """One option per field of ``cls``, typed like the field's default."""
+    for f, name in _field_options(cls):
+        p.add_argument("--" + name.replace("_", "-"), type=type(f.default))
+
+
+def _from_args(cls, args: argparse.Namespace, **extra):
+    """``cls`` built from its field options in ``args``."""
+    return cls(**{f.name: getattr(args, name) for f, name in _field_options(cls)}, **extra)
 
 
 _TRAIN_DEFAULTS = _field_defaults(TrainConfig)
@@ -115,14 +131,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic graph and corpus")
     p.add_argument("--out-dir")
-    p.add_argument("--groups", type=int)
-    p.add_argument("--concepts-per-group", type=int)
-    p.add_argument("--p-intra", type=float)
-    p.add_argument("--p-cross", type=float)
-    p.add_argument("--patients", type=int)
-    p.add_argument("--keywords-per-patient", type=int)
-    p.add_argument("--gt-per-patient", type=int)
-    p.add_argument("--skew", type=float)
+    _add_field_options(p, SynthSpec)
 
     p = sub.add_parser("validate", help="load data files and report statistics")
     p.add_argument("--concepts")
@@ -137,12 +146,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir")
     p.add_argument("--embeddings")
     p.add_argument("--embed-dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--reward-weight", type=float)
-    p.add_argument("--group-size", type=int)
-    p.add_argument("--lr", type=float)
+    _add_field_options(p, TrainConfig)
 
     p = sub.add_parser("retrieve", help="dump greedy reasoning paths")
     p.add_argument("--concepts")
@@ -153,7 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--embeddings")
     p.add_argument("--max-steps", type=int)
     p.add_argument("--patient", help="retrieve for one patient id only")
-    p.add_argument("--sample", action="store_true", default=None,
+    p.add_argument("--sample", action="store_true",
                    help="sample actions instead of greedy selection")
 
     p = sub.add_parser("generate", help="generate instructions for a corpus")
@@ -164,15 +168,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--embeddings")
     p.add_argument("--max-steps", type=int)
-    p.add_argument("--stub", action="store_true", default=None,
+    p.add_argument("--stub", action="store_true",
                    help="use the offline stub generator")
-    p.add_argument("--endpoint")
-    p.add_argument("--model")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--retries", type=int)
-    p.add_argument("--auth-env")
+    _add_field_options(p, GeneratorConfig)
     p.add_argument("--max-paths", type=int)
     p.add_argument("--prompt-template")
 
@@ -216,37 +214,11 @@ def _cast_config(key: str, value, typ: type, path):
     )
 
 
-class _Options:
-    """Flag > config["cmd.key"] > default.
-
-    Config values for the command's options are cast once, here, to the
-    option's type; a null value leaves the option unset.
-    """
-
-    def __init__(self, args: argparse.Namespace, config: dict, command: str,
-                 types: dict[str, type], config_path=None):
-        self._args = vars(args)
-        self._defaults = DEFAULTS[command]
-        self._config = {}
-        for key, value in config.items():
-            cmd, _, name = key.partition(".")
-            if cmd == command and name in types and value is not None:
-                self._config[name] = _cast_config(key, value, types[name], config_path)
-
-    def get(self, name):
-        flag = self._args.get(name)
-        if flag is not None:
-            return flag
-        if name in self._config:
-            return self._config[name]
-        return self._defaults.get(name)
-
-    def require(self, name):
-        value = self.get(name)
-        if value is None:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"missing required option {flag}")
-        return value
+def require(args: argparse.Namespace, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise UsageError(f"missing required option --{name.replace('_', '-')}")
+    return value
 
 
 def _write_jsonl(path, records) -> None:
@@ -277,11 +249,11 @@ def _load_generated(path) -> list[dict]:
     return records
 
 
-def _table_for_checkpoint(opts: _Options, kg, params):
+def _table_for_checkpoint(args, kg, params):
     """The embedding table the checkpoint's weights were trained on: the
     ``--embeddings`` file, else the pseudo table from the checkpoint's d and
     seed. A v2 checkpoint's fingerprint must match the table built."""
-    emb = opts.get("embeddings")
+    emb = args.embeddings
     if emb:
         table = load_embeddings(emb, kg)
         if table.dim != params.d:
@@ -301,24 +273,14 @@ def _table_for_checkpoint(opts: _Options, kg, params):
                 f"the checkpoint was trained on the embedding table {params.embeddings}, "
                 f"but {built} is {found}; pass the graph and --embeddings file "
                 "(or none, for pseudo-embeddings) that train used",
-                path=opts.require("checkpoint"),
+                path=args.checkpoint,
             )
     return table
 
 
-def cmd_synth(args, opts: _Options) -> int:
-    out_dir = Path(opts.require("out_dir"))
-    spec = SynthSpec(
-        groups=opts.get("groups"),
-        concepts_per_group=opts.get("concepts_per_group"),
-        p_intra=opts.get("p_intra"),
-        p_cross=opts.get("p_cross"),
-        patients=opts.get("patients"),
-        keywords_per_patient=opts.get("keywords_per_patient"),
-        gt_per_patient=opts.get("gt_per_patient"),
-        skew=opts.get("skew"),
-        seed=args.seed,
-    )
+def cmd_synth(args) -> int:
+    out_dir = Path(require(args, "out_dir"))
+    spec = _from_args(SynthSpec, args, seed=args.seed)
     try:
         spec.validate()
     except ValueError as exc:
@@ -334,19 +296,19 @@ def cmd_synth(args, opts: _Options) -> int:
     return 0
 
 
-def cmd_validate(args, opts: _Options) -> int:
-    kg = load_kg(opts.require("concepts"), opts.require("relations"))
+def cmd_validate(args) -> int:
+    kg = load_kg(require(args, "concepts"), require(args, "relations"))
     print(f"concepts: {len(kg.ids)}")
     print(f"edges: {len(kg.indices)}")
     print(f"relation labels: {len(kg.label_names)}")
     print(f"groups: {len(kg.groups)}")
     for gid, n in zip(kg.groups, np.bincount(kg.group_at, minlength=len(kg.groups))):
         print(f"  {gid}: {n} concepts")
-    emb = opts.get("embeddings")
+    emb = args.embeddings
     if emb:
         table = load_embeddings(emb, kg)
         print(f"embeddings: dim={table.dim}, rows={len(table.matrix)}")
-    corpus = opts.get("corpus")
+    corpus = args.corpus
     if corpus:
         patients = load_corpus(corpus)
         linkable = sum(1 for p in patients if link_concepts(p.pre_admission, kg))
@@ -358,31 +320,25 @@ def cmd_validate(args, opts: _Options) -> int:
     return 0
 
 
-def cmd_train(args, opts: _Options) -> int:
-    emb = opts.get("embeddings")
-    if not emb and opts.get("embed_dim") < 2:
+def cmd_train(args) -> int:
+    emb = args.embeddings
+    if not emb and args.embed_dim < 2:
         raise UsageError("embed_dim must be >= 2")
-    kg = load_kg(opts.require("concepts"), opts.require("relations"))
-    corpus = load_corpus(opts.require("corpus"))
-    out_dir = Path(opts.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    kg = load_kg(require(args, "concepts"), require(args, "relations"))
+    corpus = load_corpus(require(args, "corpus"))
+    out_dir = Path(require(args, "out_dir"))
     if emb:
         table = load_embeddings(emb, kg)
     else:
-        table = pseudo_embeddings(kg, opts.get("embed_dim"), args.seed)
-    cfg = TrainConfig(
-        max_steps=opts.get("max_steps"),
-        gamma=opts.get("gamma"),
-        reward_weight=opts.get("reward_weight"),
-        group_size=opts.get("group_size"),
-        lr=opts.get("lr"),
-        epochs=opts.get("epochs"),
-        seed=args.seed,
-    )
+        table = pseudo_embeddings(kg, args.embed_dim, args.seed)
+    cfg = _from_args(TrainConfig, args, seed=args.seed)
     try:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # a refused command leaves no out dir; one that cannot be made fails
+    # before training starts
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = train(corpus, kg, table, cfg)
     except TrainingDivergedError as exc:
@@ -402,29 +358,28 @@ def cmd_train(args, opts: _Options) -> int:
     return 0
 
 
-def _retrieval_setup(args, opts: _Options):
-    if opts.get("max_steps") < 1:
+def _retrieval_setup(args):
+    if args.max_steps < 1:
         raise UsageError("max_steps must be >= 1")
-    kg = load_kg(opts.require("concepts"), opts.require("relations"))
-    params = load_checkpoint(opts.require("checkpoint"))
-    corpus = load_corpus(opts.require("corpus"))
-    table = _table_for_checkpoint(opts, kg, params)
+    kg = load_kg(require(args, "concepts"), require(args, "relations"))
+    params = load_checkpoint(require(args, "checkpoint"))
+    corpus = load_corpus(require(args, "corpus"))
+    table = _table_for_checkpoint(args, kg, params)
     return kg, params, corpus, table, group_vectors(kg, table)
 
 
-def cmd_retrieve(args, opts: _Options) -> int:
-    kg, params, corpus, table, gv = _retrieval_setup(args, opts)
-    out = opts.require("out")
-    sample = opts.get("sample")
-    rng = np.random.default_rng([args.seed, 2]) if sample else None
-    only = opts.get("patient")
+def cmd_retrieve(args) -> int:
+    kg, params, corpus, table, gv = _retrieval_setup(args)
+    out = require(args, "out")
+    rng = np.random.default_rng([args.seed, 2]) if args.sample else None
+    only = args.patient
     if only is not None:
         corpus = [p for p in corpus if p.id == only]
         if not corpus:
             raise DataFormatError(f"patient id {only!r} not found in corpus")
     results = retrieve_corpus(
         params, corpus, kg, table, gv,
-        max_steps=opts.get("max_steps"), greedy=not sample, rng=rng,
+        max_steps=args.max_steps, greedy=not args.sample, rng=rng,
     )
     records = []
     skipped = 0
@@ -442,33 +397,23 @@ def cmd_retrieve(args, opts: _Options) -> int:
     return 0
 
 
-def cmd_generate(args, opts: _Options) -> int:
-    out = opts.require("out")
-    stub = opts.get("stub")
-    endpoint = opts.get("endpoint")
-    if not stub and not endpoint:
+def cmd_generate(args) -> int:
+    out = require(args, "out")
+    if not args.stub and not args.endpoint:
         raise UsageError("choose --stub or provide --endpoint")
-    max_paths = opts.get("max_paths")
+    max_paths = args.max_paths
     if max_paths is not None and max_paths < 0:
         raise UsageError("max_paths must be >= 0")
-    tpl_path = opts.get("prompt_template")
+    tpl_path = args.prompt_template
     template = load_template(tpl_path) if tpl_path else DEFAULT_TEMPLATE
-    gen_cfg = GeneratorConfig(
-        endpoint=endpoint or "",
-        model=opts.get("model"),
-        temperature=opts.get("temperature"),
-        max_tokens=opts.get("max_tokens"),
-        auth_env=opts.get("auth_env"),
-        timeout_s=opts.get("timeout"),
-        max_retries=opts.get("retries"),
-    )
+    gen_cfg = _from_args(GeneratorConfig, args)
     try:
         gen_cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    kg, params, corpus, table, gv = _retrieval_setup(args, opts)
+    kg, params, corpus, table, gv = _retrieval_setup(args)
 
-    results = retrieve_corpus(params, corpus, kg, table, gv, max_steps=opts.get("max_steps"))
+    results = retrieve_corpus(params, corpus, kg, table, gv, max_steps=args.max_steps)
     prepared = []
     skipped = 0
     for patient, paths in zip(corpus, results):
@@ -481,7 +426,7 @@ def cmd_generate(args, opts: _Options) -> int:
         bundle = build_prompt_bundle(patient, paths, kg, template=template)
         prepared.append((patient, paths, bundle))
 
-    if stub:
+    if args.stub:
         texts = [stub_generate(bundle) for _, _, bundle in prepared]
     else:
         def _call(item):
@@ -508,13 +453,13 @@ def cmd_generate(args, opts: _Options) -> int:
     return 0
 
 
-def cmd_eval(args, opts: _Options) -> int:
-    kg = load_kg(opts.require("concepts"), opts.require("relations"))
-    generated = _load_generated(opts.require("generated"))
-    patients = load_corpus(opts.require("corpus"))
-    out_dir = Path(opts.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_eval(args) -> int:
+    kg = load_kg(require(args, "concepts"), require(args, "relations"))
+    generated = _load_generated(require(args, "generated"))
+    patients = load_corpus(require(args, "corpus"))
+    out_dir = Path(require(args, "out_dir"))
     report = evaluate_corpus(generated, patients, kg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_dir / "report.json") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -562,10 +507,18 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        config = _load_config(args.config)
-        opts = _Options(args, config, args.command,
-                        parser.commands[args.command].option_types, args.config)
-        return _HANDLERS[args.command](args, opts)
+        # flag > config["cmd.key"] > default: the config's values for the
+        # command's options, cast to the option's type, become the defaults
+        # of a second parse; a null value leaves the option unset
+        command = parser.commands[args.command]
+        defaults = dict(DEFAULTS[args.command])
+        for key, value in _load_config(args.config).items():
+            cmd, _, name = key.partition(".")
+            if cmd == args.command and name in command.option_types and value is not None:
+                defaults[name] = _cast_config(key, value, command.option_types[name], args.config)
+        command.set_defaults(**defaults)
+        args = parser.parse_args(argv)
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"r2ag: usage error: {exc}", file=sys.stderr)
         return 1

@@ -72,7 +72,7 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
     if dim < 1:
         raise DataFormatError("dimension must be positive", path=path, line=1)
 
-    matrix = np.empty((len(kg.ids), dim), dtype=np.float64)
+    matrix = None  # allocated once a row has confirmed the header's dimension
     seen: set[str] = set()
     for no, line in enumerate(lines[1:], start=2):
         if not line:
@@ -90,6 +90,8 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
                 path=path,
                 line=no,
             )
+        if matrix is None:
+            matrix = np.empty((len(kg.ids), dim), dtype=np.float64)
         try:
             v = np.array([float(f) for f in fields], dtype=np.float64)
         except ValueError as exc:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ from r2ag.cli import DEFAULTS, _load_config, _load_generated, _write_jsonl, buil
 from r2ag.concept_linker import load_corpus
 from r2ag.embeddings import load_embeddings, pseudo_embeddings
 from r2ag.errors import DataFormatError
-from r2ag.generation import load_template
+from r2ag.generation import GeneratorConfig, load_template
+from r2ag.gro_trainer import TrainConfig
 from r2ag.kg_store import load_kg
 from r2ag.policy_net import init_params, load_checkpoint
+from r2ag.synthetic_data import SynthSpec
 
 SMALL_SYNTH = [
     "--groups", "5", "--concepts-per-group", "15", "--patients", "8",
@@ -349,6 +352,86 @@ def test_option_defaults_have_the_option_types():
         for name, default in defaults.items():
             if default is not None:
                 assert types[name] is type(default), (command, name)
+
+
+class _Built(Exception):
+    """Carries the object a command built out of ``validate``."""
+
+
+@pytest.fixture(scope="module")
+def plumbing_data(tmp_path_factory):
+    return _synth(tmp_path_factory.mktemp("plumbing"))
+
+
+def _field_cases():
+    for command, cls in (("synth", SynthSpec), ("train", TrainConfig),
+                         ("generate", GeneratorConfig)):
+        for f in fields(cls):
+            if f.name != "seed":
+                yield pytest.param(command, cls, f, id=f"{command}.{f.name}")
+
+
+@pytest.mark.parametrize("command, cls, field", _field_cases())
+def test_each_field_option_resolves_flag_over_config_over_default(
+        tmp_path, monkeypatch, plumbing_data, command, cls, field):
+    def validate(self):
+        raise _Built(self)
+
+    monkeypatch.setattr(cls, "validate", validate)
+    name = {"timeout_s": "timeout", "max_retries": "retries"}.get(field.name, field.name)
+    key, flag = f"{command}.{name}", "--" + name.replace("_", "-")
+    base = {
+        "synth": ["synth", "--out-dir", str(tmp_path / "out")],
+        "train": ["train"] + _kg_args(plumbing_data)
+        + ["--corpus", str(plumbing_data / "patients.jsonl"),
+           "--out-dir", str(tmp_path / "out")],
+        "generate": ["generate", "--stub", "--out", str(tmp_path / "out.jsonl")],
+    }[command]
+
+    def built(flags, config=None):
+        head = ["--seed", "5"]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            head += ["--config", str(tmp_path / "cfg.json")]
+        with pytest.raises(_Built) as caught:
+            main(head + base + flags)
+        obj = caught.value.args[0]
+        if hasattr(obj, "seed"):
+            assert obj.seed == 5
+        value = getattr(obj, field.name)
+        assert type(value) is type(field.default)
+        return value
+
+    if isinstance(field.default, str):
+        by_flag, by_config = "flag-" + field.default, "config-" + field.default
+    else:
+        by_flag, by_config = field.default + 1, field.default + 2
+    assert built([flag, str(by_flag)]) == by_flag
+    assert built([], {key: by_config}) == by_config
+    assert built([flag, str(by_flag)], {key: by_config}) == by_flag
+    assert built([], {key: None}) == field.default
+    assert not (tmp_path / "out").exists()
+
+
+def test_refused_train_leaves_no_out_dir(tmp_path, capsys):
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data, extra=["--lr", "nan"], rc=1)
+    assert "lr must be finite" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_refused_eval_leaves_no_out_dir(tmp_path, capsys):
+    data = _synth(tmp_path)
+    gen = tmp_path / "generated.jsonl"
+    _write_jsonl(gen, [{"id": "nobody", "generated": "text"}])
+    rc = main(
+        ["eval"] + _kg_args(data)
+        + ["--generated", str(gen), "--corpus", str(data / "patients.jsonl"),
+           "--out-dir", str(tmp_path / "eval")]
+    )
+    assert rc == 2
+    assert "missing from the reference corpus, first: 'nobody'" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_jsonl_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):

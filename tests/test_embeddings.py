@@ -102,6 +102,14 @@ def test_load_rejects_bad_header(tmp_path, two_group_kg):
         load_embeddings(path, two_group_kg)
 
 
+def test_load_refuses_a_huge_header_dimension_before_allocating(tmp_path, two_group_kg):
+    # (3, 1e15) float64s are 24 PB: the matrix waits until a row has
+    # confirmed the header's dimension, so the first row's mismatch is reported
+    path = _write_embeddings(tmp_path, 10**15, [("C1", [1, 0])])
+    with pytest.raises(DataFormatError, match=r"emb\.tsv:2: dimension mismatch"):
+        load_embeddings(path, two_group_kg)
+
+
 def test_pseudo_embeddings_deterministic(two_group_kg):
     t1 = pseudo_embeddings(two_group_kg, 8, seed=3)
     t2 = pseudo_embeddings(two_group_kg, 8, seed=3)
