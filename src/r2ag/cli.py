@@ -52,7 +52,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError instead of exiting, and records the value type of
-    each option it declares and the parser of each subcommand."""
+    each option a config file may set and the parser of each subcommand."""
 
     def __init__(self, *args, **kwargs):
         self.option_types: dict[str, type] = {}
@@ -61,8 +61,9 @@ class _Parser(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        # a store_true switch has const True and no type; others parse text
-        self.option_types[action.dest] = bool if action.const is True else action.type or str
+        if action.dest not in ("help", "config"):
+            # a store_true switch has const True and no type; others parse text
+            self.option_types[action.dest] = bool if action.const is True else action.type or str
         return action
 
     def add_subparsers(self, **kwargs):
@@ -492,6 +493,23 @@ _HANDLERS = {
 }
 
 
+def _apply_config(parser: _Parser, command: str, path) -> None:
+    """Config values, cast to their option's type, as defaults of ``parser``
+    (undotted keys) and of subcommand ``command`` (``command.key``). Other
+    commands' keys are allowed and unused, so one config can drive every
+    stage; a null value leaves the option unset."""
+    defaults = {parser: {}, parser.commands[command]: dict(DEFAULTS[command])}
+    for key, value in _load_config(path).items():
+        cmd, dot, name = key.rpartition(".")
+        target = parser.commands.get(cmd) if dot else parser
+        if target is None or name not in target.option_types:
+            raise DataFormatError(f"config key {key!r} names no option", path=path)
+        if target in defaults and value is not None:
+            defaults[target][name] = _cast_config(key, value, target.option_types[name], path)
+    for target, values in defaults.items():
+        target.set_defaults(**values)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -499,25 +517,17 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"r2ag: usage error: {exc}", file=sys.stderr)
         return 1
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        # flag > config > default: a second parse over the config's defaults
+        _apply_config(parser, args.command, args.config)
+        args = parser.parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        # flag > config["cmd.key"] > default: the config's values for the
-        # command's options, cast to the option's type, become the defaults
-        # of a second parse; a null value leaves the option unset
-        command = parser.commands[args.command]
-        defaults = dict(DEFAULTS[args.command])
-        for key, value in _load_config(args.config).items():
-            cmd, _, name = key.partition(".")
-            if cmd == args.command and name in command.option_types and value is not None:
-                defaults[name] = _cast_config(key, value, command.option_types[name], args.config)
-        command.set_defaults(**defaults)
-        args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"r2ag: usage error: {exc}", file=sys.stderr)

@@ -213,14 +213,15 @@ def cosine(u, v) -> float | list[float]:
     return out if u.ndim == 2 else out[0]
 
 
-def cosines(table: EmbeddingTable, rows, X: np.ndarray) -> np.ndarray:
-    """Cosine of table rows ``rows`` against each column of ``X`` (d, k).
+def cosines(table: EmbeddingTable, rows, V: np.ndarray) -> np.ndarray:
+    """Cosine of table row ``rows[i]`` against each row of ``V[i]``, for
+    ``V`` of shape ``(len(rows), k, d)``: a ``(len(rows), k)`` array.
 
-    One matrix product; the same clipping and zero-norm rule as ``cosine``.
-    Returns a ``(len(rows), k)`` array.
+    The same clipping and zero-norm rule as ``cosine``. Each entry depends
+    only on its own pair, so it is the same to the bit in any batch.
     """
-    dots = table.matrix[rows] @ X
-    den = table.norms[rows][:, None] * np.linalg.norm(X, axis=0)
+    dots = np.einsum("cd,ckd->ck", table.matrix[rows], V)
+    den = table.norms[rows][:, None] * np.linalg.norm(V, axis=-1)
     out = np.zeros_like(dots)
     np.divide(dots, den, out=out, where=den != 0.0)
     return np.clip(out, -1.0, 1.0, out=out)

@@ -71,6 +71,8 @@ class GeneratorConfig:
     def validate(self) -> None:
         if self.temperature < 0.0:
             raise ValueError("temperature must be >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
         if self.timeout_s <= 0.0:
             raise ValueError("timeout must be > 0")
         if self.max_retries < 0:

@@ -197,7 +197,7 @@ def run_rollouts(
         for ctx in ctxs
         for _ in range(group_size)
     ]
-    sq_avgs = [ctx.sq_avg for ctx in ctxs]
+    sq_avgs = [ctx.sq_avg for ctx in ctxs for _ in range(group_size)]
     blocks: list[ForwardCache] = []
     records = [RolloutRecord([], blocks, i, rs.paths, rs) for i, rs in enumerate(states)]
     # Group a's action row is [0 || gv[a]]. A current-group half
@@ -217,7 +217,7 @@ def run_rollouts(
         picks = [select(i, t, dist) for i, dist in enumerate(block.dist)]
         for rec, a in zip(records, picks):
             rec.actions.append(a)
-        step(states, picks, kg, table, sq_avgs, group_size)
+        step(states, picks, kg, table, sq_avgs)
     return records
 
 

@@ -8,10 +8,12 @@ neighbor scored against both the keyword average and the path average.
 Paths with no within-group neighbors freeze for the rest of the episode.
 
 Rollouts advance in lockstep: ``step`` applies one step to each of them,
-with one batched gather of path averages. The rollouts are ``group_size``
-per patient: G of one patient in a training group, one each of many in a
-serving block. ``retrieve`` scores each patient's live paths in one
-``cosines`` product. A single rollout is a group of one. The policy that
+each with its own keyword average, so a training group (G rollouts of one
+patient) and a serving block (one rollout of each of many patients) are the
+same call. Both moves score every (live path, candidate) pair as one row of
+a single ``cosines`` call and pick each path's winner with one segment
+first-maximum; a row's score depends only on its own pair, so a path ends
+the same in any batch. A single rollout is a batch of one. The policy that
 picks each step's group runs in ``gro_trainer.run_rollouts``, one
 ``forward`` over all the rollouts of a step.
 """
@@ -123,6 +125,14 @@ def candidate_pool(rs: RolloutState, kg: KnowledgeGraph, k_next: int) -> list[in
     return sorted(pool)
 
 
+def _first_max(score: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat index of the first maximum in each segment of ``score``, the
+    segments being consecutive runs of ``lens`` (each > 0) entries."""
+    starts = np.cumsum(lens) - lens
+    hits = np.flatnonzero(score == np.repeat(np.maximum.reduceat(score, starts), lens))
+    return hits[hits.searchsorted(starts)]
+
+
 def connect(
     states: list[RolloutState],
     table: EmbeddingTable,
@@ -134,27 +144,22 @@ def connect(
 
     Each path leaps to the pool concept with the highest cosine similarity
     to that path's own average embedding (ties -> smallest int, which is the
-    smallest id). The averages of every live path of every rollout come
-    from one batched gather; each rollout's pool is scored in its own
-    product, as the pools differ.
+    smallest id). Every (live path, pool concept) pair of every rollout is
+    one row of one ``cosines`` call.
     """
-    live = [[k for k, frozen in enumerate(rs.frozen) if not frozen] for rs in states]
     leaps: list[list[int | None]] = [[None] * len(rs.paths) for rs in states]
-    sets = [rs.paths[k].concepts for rs, idx in zip(states, live) for k in idx]
-    if not sets:
+    live = [(rs, k, pool, out) for rs, pool, out in zip(states, pools, leaps)
+            for k, frozen in enumerate(rs.frozen) if not frozen]
+    if not live:
         return leaps
-    pavgs = avg_embeddings(table, sets)
-    row = 0
-    for rs, idx, pool, out in zip(states, live, pools, leaps):
-        if not idx:
-            continue
-        # C order, so that the column norms in cosines sum over d in order
-        X = np.ascontiguousarray(pavgs[row : row + len(idx)].T)
-        row += len(idx)
-        for k, best in zip(idx, np.argmax(cosines(table, pool, X), axis=0).tolist()):
-            rs.paths[k].add(GROUP_LEAP, pool[best])
-            _insert(rs.explored, pool[best])
-            out[k] = pool[best]
+    pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k, _, _ in live])
+    lens = np.array([len(pool) for _, _, pool, _ in live])
+    rows = np.concatenate([pool for _, _, pool, _ in live])  # path after path
+    score = cosines(table, rows, np.repeat(pavgs, lens, axis=0)[:, None])[:, 0]
+    for (rs, k, _, out), c in zip(live, rows[_first_max(score, lens)].tolist()):
+        rs.paths[k].add(GROUP_LEAP, c)
+        _insert(rs.explored, c)
+        out[k] = c
     return leaps
 
 
@@ -163,67 +168,48 @@ def retrieve(
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     sq_avgs: list[np.ndarray],
-    group_size: int = 1,
 ) -> None:
     """Extend each live path of every rollout with its best within-group
     neighbor.
 
     score(c) = (cosine(c, keyword average) + cosine(c, path average)) / 2,
     ties -> smallest (label, id). A path whose tail has no neighbors in its
-    rollout's current group freezes permanently. ``sq_avgs[j]`` is the
-    keyword average of patient ``j``, whose rollouts are ``states[j * G :
-    (j + 1) * G]`` for G = ``group_size``. One product per patient scores
-    its live paths' neighbours against that average (column 0) and against
-    each of its path averages (column 1 + p), so a patient's products have
-    the same shapes whatever else is in the batch.
+    rollout's current group freezes permanently. ``sq_avgs[i]`` is the
+    keyword average of ``states[i]``. Each live path's [keyword average,
+    path average] is repeated once per candidate neighbour, and every
+    (path, candidate) pair is one row of one ``cosines`` call.
     """
-    if len(states) != len(sq_avgs) * group_size:
-        raise ValueError(
-            f"{len(states)} rollouts are not {group_size} for each of {len(sq_avgs)} patients"
-        )
-    live: list[tuple[RolloutState, int]] = []  # (rollout, path index)
-    tails, groups, owners = [], [], []  # owner: the patient's index in sq_avgs
-    for i, rs in enumerate(states):
+    if len(states) != len(sq_avgs):
+        raise ValueError(f"{len(states)} rollouts but {len(sq_avgs)} keyword averages")
+    live: list[tuple[RolloutState, int, np.ndarray]] = []  # (rollout, path, sq_avg)
+    tails, groups = [], []
+    for rs, sq in zip(states, sq_avgs):
         for k, path in enumerate(rs.paths):
             if not rs.frozen[k]:
-                live.append((rs, k))
+                live.append((rs, k, sq))
                 tails.append(path.tail())
                 groups.append(rs.current_group)
-                owners.append(i // group_size)
     if not live:
         return
-    owners = np.array(owners)
     lo, hi = kg.neighbor_slice(np.array(tails), np.array(groups))
     lens = hi - lo
     has = lens > 0
     if not has.all():
-        for rs, k in compress(live, ~has):
+        for rs, k, _ in compress(live, ~has):
             rs.frozen[k] = True
         live = list(compress(live, has))
         if not live:
             return
-        lo, lens, owners = lo[has], lens[has], owners[has]
-    ends = np.cumsum(lens)
-    starts = ends - lens
+        lo, lens = lo[has], lens[has]
     # CSR position of every candidate, path after path
-    pos = np.repeat(lo - starts, lens) + np.arange(int(ends[-1]))
-    pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k in live])
-    score = np.empty(len(pos))
-    # live paths a:b are one patient's, and so are candidate rows r0:r1
-    cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), len(live)]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        r0, r1 = int(starts[a]), int(ends[b - 1])
-        X = np.empty((table.matrix.shape[1], 1 + b - a))
-        X[:, 0] = sq_avgs[owners[a]]
-        X[:, 1:] = pavgs[a:b].T
-        cos = cosines(table, kg.indices[pos[r0:r1]], X)
-        own = np.repeat(np.arange(1, 1 + b - a), lens[a:b])  # each row's path column
-        score[r0:r1] = 0.5 * (cos[:, 0] + cos[np.arange(r1 - r0), own])
+    pos = np.repeat(lo + lens - np.cumsum(lens), lens) + np.arange(lens.sum())
+    pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k, _ in live])
+    V = np.stack([np.stack([sq for *_, sq in live]), pavgs], axis=1)  # (paths, 2, d)
+    cos = cosines(table, kg.indices[pos], np.repeat(V, lens, axis=0))
     # each slice is in sorted (label, id) order: the first maximum of each
     # segment is its smallest (label, id) among ties
-    hits = np.flatnonzero(score == np.repeat(np.maximum.reduceat(score, starts), lens))
-    best = pos[hits[hits.searchsorted(starts)]]
-    for (rs, k), c, label in zip(live, kg.indices[best].tolist(), kg.labels[best].tolist()):
+    best = pos[_first_max(0.5 * (cos[:, 0] + cos[:, 1]), lens)]
+    for (rs, k, _), c, label in zip(live, kg.indices[best].tolist(), kg.labels[best].tolist()):
         rs.paths[k].add(kg.label_names[label], c)
         _insert(rs.explored, c)
 
@@ -234,12 +220,10 @@ def step(
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     sq_avgs: list[np.ndarray],
-    group_size: int = 1,
 ) -> None:
     """Apply one environment step to each rollout ``states[i]`` for group
-    action ``actions[i]``; the rollouts are ``group_size`` for each patient
-    keyword average in ``sq_avgs`` (see ``retrieve``). A single rollout is
-    ``step([rs], [a], kg, table, [sq_avg])``.
+    action ``actions[i]`` and keyword average ``sq_avgs[i]``. A single
+    rollout is ``step([rs], [a], kg, table, [sq_avg])``.
 
     A leap to a group with an empty candidate pool degrades to a stay; the
     group trajectory then keeps the current group for this step.
@@ -256,6 +240,6 @@ def step(
                 rs.current_group = a
     if leaping:
         connect(leaping, table, pools)
-    retrieve(states, kg, table, sq_avgs, group_size)
+    retrieve(states, kg, table, sq_avgs)
     for rs in states:
         rs.t += 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -343,6 +344,61 @@ def test_config_values_are_cast_to_option_types(tmp_path):
     ) == 0
     ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.json")
     assert np.array_equal(ckpt.W1, init_params(8, seed=3).W1)
+
+
+@pytest.mark.parametrize("key", ["trian.lr", "train.learning_rate", "lr", "train.help",
+                                 "config", "train.lr.x"])
+def test_config_key_naming_no_option_exits_2(tmp_path, capsys, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 7, key: 9}))
+    rc = main(["--config", str(cfg_path), "synth", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r} names no option" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_of_other_commands_are_allowed_and_unused(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "train.lr": 0.5, "generate.stub": True, "eval.out_dir": str(tmp_path / "eval"),
+    }))
+    assert main(["--config", str(cfg_path), "synth", "--out-dir", str(tmp_path / "a")]
+                + SMALL_SYNTH) == 0
+    assert main(["synth", "--out-dir", str(tmp_path / "b")] + SMALL_SYNTH) == 0
+    assert (tmp_path / "a" / "patients.jsonl").read_bytes() == (
+        tmp_path / "b" / "patients.jsonl").read_bytes()
+
+
+def test_config_supplies_top_level_options_and_flags_win(tmp_path, capsys, monkeypatch):
+    import r2ag.cli
+
+    def corpus(flags, config):
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["--config", str(tmp_path / "cfg.json")] + flags
+                    + ["synth", "--out-dir", str(out)] + SMALL_SYNTH) == 0
+        return (out / "patients.jsonl").read_bytes()
+
+    assert corpus([], {"seed": 7}) == corpus(["--seed", "7"], {})
+    assert corpus([], {"seed": "7"}) == corpus(["--seed", "7"], {})
+    assert corpus(["--seed", "8"], {"seed": 7}) == corpus(["--seed", "8"], {})
+    assert corpus([], {"seed": None}) == corpus([], {})
+    assert corpus([], {"seed": 7}) != corpus([], {})
+    levels = []
+    monkeypatch.setattr(r2ag.cli.logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    corpus([], {"verbose": True})
+    corpus([], {"verbose": False})
+    assert levels == [logging.INFO, logging.WARNING]
+    capsys.readouterr()
+    (tmp_path / "cfg.json").write_text(json.dumps({"jobs": 0}))
+    assert main(["--config", str(tmp_path / "cfg.json"), "synth"]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert main(["--config", str(tmp_path / "cfg.json"), "--jobs", "2", "synth"]) == 1
+    assert "missing required option --out-dir" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({"verbose": 1}))
+    assert main(["--config", str(tmp_path / "cfg.json"), "synth"]) == 2
+    assert "config key 'verbose' has value 1, expected bool" in capsys.readouterr().err
 
 
 def test_option_defaults_have_the_option_types():
@@ -694,6 +750,8 @@ def test_generate_negative_max_paths_is_a_usage_error(tmp_path, capsys):
     (["--stub", "--timeout", "0", "--retries", "-1"], "timeout must be > 0"),
     (["--stub", "--retries", "-1"], "max_retries must be >= 0"),
     (["--stub", "--temperature", "-1"], "temperature must be >= 0"),
+    (["--endpoint", "http://127.0.0.1:9/v1", "--max-tokens", "0"], "max_tokens must be >= 1"),
+    (["--stub", "--max-tokens", "-5"], "max_tokens must be >= 1"),
 ])
 def test_generate_bad_generator_config_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                         flags, message):

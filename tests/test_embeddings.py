@@ -15,6 +15,7 @@ from r2ag.embeddings import (
     avg_embedding,
     avg_embeddings,
     cosine,
+    cosines,
     group_vectors,
     load_embeddings,
     pseudo_embeddings,
@@ -235,6 +236,35 @@ def test_cosine_equals_its_norm_based_form_bit_for_bit():
             assert cosine(np.stack([u, np.zeros(d), w]), v) == [
                 _norm_based_cosine(u, v), 0.0, _norm_based_cosine(w, v)]
         assert cosine(np.ones((2, d)), np.zeros(d)) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("d", [2, 7, 8, 32, 128])
+def test_cosines_entries_equal_each_pair_alone_bit_for_bit(d):
+    # a row-wise score depends only on its own pair, whatever the batch
+    rng = np.random.default_rng(100 + d)
+    table = EmbeddingTable(d, rng.standard_normal((50, d)) * rng.uniform(0.1, 10.0, (50, 1)))
+    for c in (1, 2, 3, 17, 3000):
+        rows = rng.integers(0, 50, size=c)
+        V = rng.standard_normal((c, 2, d))
+        got = cosines(table, rows, V)
+        assert got.shape == (c, 2)
+        alone = [
+            cosines(table, rows[i : i + 1], V[i : i + 1, j : j + 1])[0, 0]
+            for i in range(c)
+            for j in range(2)
+        ]
+        assert got.ravel().tobytes() == np.array(alone).tobytes()
+        for i in range(min(c, 20)):
+            for j in range(2):
+                want = oracle_cosine(table.matrix[rows[i]], V[i, j])
+                assert abs(got[i, j] - want) <= 1e-12
+
+
+def test_cosines_zero_rows_give_zero():
+    table = direct_table({"A": [0.0, 0.0, 0.0], "B": [0.6, 0.8, 0.0]})
+    V = np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.6, 0.8, 0.0]]])
+    got = cosines(table, [0, 1], V)
+    assert got.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
 def test_cosine_dimension_mismatch():

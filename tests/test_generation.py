@@ -408,5 +408,8 @@ def test_generator_config_validation():
         GeneratorConfig(temperature=-1).validate()
     with pytest.raises(ValueError):
         GeneratorConfig(timeout_s=0).validate()
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_tokens must be >= 1"):
+            GeneratorConfig(max_tokens=bad).validate()
     with pytest.raises(ValueError):
         generate(GeneratorConfig(endpoint=""), _bundle())

@@ -136,23 +136,47 @@ def test_retrieve_single_neighbor_is_selected(env_kg, env_table):
     assert rs.paths[0].steps[-1].label == "s1"
 
 
-def test_retrieve_scores_each_patient_in_one_product(monkeypatch, env_kg, env_table):
-    # the rollouts split into patients by group_size alone: three rollouts
-    # are one product as one patient's group, three as three patients
-    import r2ag.retrieval_env as env
+def test_mixed_step_equals_each_rollout_stepped_alone(env_kg, env_table):
+    # three patients with 3, 1 and 2 rollouts, each rollout taking its own
+    # actions: one step over all of them grows every path as a step over
+    # that rollout alone does
+    patients = [
+        (["A0", "A2", "B0"], "GA", 3),
+        (["B1", "B0"], "GB", 1),
+        (["A0", "B3", "Z0"], "GA", 2),
+    ]
+    plans = [
+        ["GB", "GA", "GB", "GB", "GA"],
+        ["GA", "GA", "GB", "GA", "GB"],
+        ["GZ", "GB", "GA", "GB", "GB"],
+        ["GB", "GA", "GA", "GB", "GA"],
+        ["GA", "GB", "GB", "GZ", "GA"],
+        ["GB", "GB", "GA", "GA", "GB"],
+    ]
 
-    calls = []
-    real = env.cosines
-    monkeypatch.setattr(env, "cosines", lambda *a: calls.append(a[2].shape) or real(*a))
-    sq = _sq_avg(env_table, env_kg, ["B1"])
-    for group_size, sqs, shapes in ((3, [sq], [(8, 4)]), (1, [sq] * 3, [(8, 2)] * 3)):
-        calls.clear()
-        states = [_rollout(env_kg, ["B1"], "GB", "GZ", max_steps=5) for _ in range(3)]
-        retrieve(states, env_kg, env_table, sqs, group_size)
-        assert calls == shapes
-        assert all(rs.paths[0].tail() == env_kg.index["B2"] for rs in states)
-    with pytest.raises(ValueError, match="not 2 for each of 1 patients"):
-        retrieve(states, env_kg, env_table, [sq], 2)
+    def start():
+        states, sqs = [], []
+        for keywords, k_init, n in patients:
+            sq = _sq_avg(env_table, env_kg, keywords)
+            for _ in range(n):
+                states.append(_rollout(env_kg, keywords, k_init, "GZ", max_steps=5))
+                sqs.append(sq)
+        return states, sqs
+
+    mixed, sqs = start()
+    alone, _ = start()
+    for t in range(5):
+        step(mixed, [env_kg.group_index[p[t]] for p in plans], env_kg, env_table, sqs)
+        for rs, sq, plan in zip(alone, sqs, plans):
+            _step(rs, plan[t], env_kg, env_table, sq)
+    assert any(any(s.label == GROUP_LEAP for s in p.steps) for rs in mixed for p in rs.paths)
+    for got, want in zip(mixed, alone):
+        assert got.paths == want.paths
+        assert (got.frozen, got.explored, got.current_group) == (
+            want.frozen, want.explored, want.current_group
+        )
+    with pytest.raises(ValueError, match="6 rollouts but 5 keyword averages"):
+        retrieve(mixed, env_kg, env_table, sqs[:5])
 
 
 def test_retrieve_freezes_paths_without_neighbors(env_kg, env_table):
