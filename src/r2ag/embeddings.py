@@ -137,16 +137,17 @@ def pseudo_embeddings(kg: KnowledgeGraph, d: int, seed: int) -> EmbeddingTable:
     """
     if d < 2:
         raise ValueError("embedding dimension must be >= 2")
-    bias: dict[str, np.ndarray] = {}
+    # each group's weighted bias, scaled once; a norm is sqrt(v . v), as
+    # np.linalg.norm computes it for a 1-D vector
+    bias = []
     for gid in kg.groups:
         raw = _hash_rng(str(seed), "group-bias", gid).standard_normal(d)
-        bias[gid] = raw / np.linalg.norm(raw)
+        bias.append(_GROUP_BIAS_WEIGHT * (raw / math.sqrt(raw.dot(raw))))
     matrix = np.empty((len(kg.ids), d), dtype=np.float64)
-    for i, cid in enumerate(kg.ids):
-        group = kg.groups[kg.group_at[i]]
-        raw = _hash_rng(str(seed), "concept", cid, group).standard_normal(d)
-        v = _GROUP_BIAS_WEIGHT * bias[group] + raw / np.linalg.norm(raw)
-        matrix[i] = v / np.linalg.norm(v)
+    for i, (cid, g) in enumerate(zip(kg.ids, kg.group_at)):
+        raw = _hash_rng(str(seed), "concept", cid, kg.groups[g]).standard_normal(d)
+        v = bias[g] + raw / math.sqrt(raw.dot(raw))
+        matrix[i] = v / math.sqrt(v.dot(v))
     return EmbeddingTable(d, matrix)
 
 

@@ -226,8 +226,14 @@ def step(
     rollout is ``step([rs], [a], kg, table, [sq_avg])``.
 
     A leap to a group with an empty candidate pool degrades to a stay; the
-    group trajectory then keeps the current group for this step.
+    group trajectory then keeps the current group for this step. Bad
+    arguments raise ``ValueError`` before any rollout changes.
     """
+    if not len(states) == len(actions) == len(sq_avgs):
+        raise ValueError(
+            f"{len(states)} rollouts but {len(actions)} actions and "
+            f"{len(sq_avgs)} keyword averages"
+        )
     if any(rs.t >= rs.max_steps for rs in states):
         raise ValueError("rollout already finished")
     leaping, pools = [], []

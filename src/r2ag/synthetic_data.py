@@ -24,6 +24,10 @@ from .kg_store import CONCEPTS_HEADER, RELATIONS_HEADER, KnowledgeGraph
 
 REACH_HOPS = 5
 
+# bytes of one row block of gen_kg's n x n draws (float64 uniforms, then
+# int64 labels); a memory bound, not an option: no output byte depends on it
+SYNTH_BLOCK_BYTES = 1 << 20
+
 RELATION_LABELS = (
     "associated_with",
     "caused_by",
@@ -99,7 +103,6 @@ def gen_kg(spec: SynthSpec, out_dir) -> tuple[Path, Path]:
     group_names = [_new_word(rng, used_words).capitalize() for _ in range(spec.groups)]
     concept_rows: list[tuple[str, str, str]] = []
     ids: list[str] = []
-    group_of: list[int] = []
     for gi, gname in enumerate(group_names):
         for ci in range(spec.concepts_per_group):
             cid = f"C{gi:02d}{ci:03d}"
@@ -109,36 +112,39 @@ def gen_kg(spec: SynthSpec, out_dir) -> tuple[Path, Path]:
                 name = _new_word(rng, used_words)
             concept_rows.append((cid, name, gname))
             ids.append(cid)
-            group_of.append(gi)
 
+    # Bernoulli edge draws for every ordered pair, then a label for every
+    # pair, each drawn in blocks of rows: row blocks of one stream give the
+    # same numbers as one (n, n) draw. Each block keeps the row-major flat
+    # positions of its edges, so memory grows with n * rows, not n * n.
     n = len(ids)
-    gvec = np.array(group_of)
-    same = gvec[:, None] == gvec[None, :]
-    probs = np.where(same, spec.p_intra, spec.p_cross)
-    mask = rng.random((n, n)) < probs
-    np.fill_diagonal(mask, False)
-    label_idx = rng.integers(0, len(RELATION_LABELS), size=(n, n))
-
-    edges: list[tuple[str, str, str]] = []
-    pair_seen: set[tuple[str, str]] = set()
-    src_idx, dst_idx = np.nonzero(mask)
-    for si, di in zip(src_idx.tolist(), dst_idx.tolist()):
-        pair = (ids[si], ids[di])
-        pair_seen.add(pair)
-        edges.append((ids[si], RELATION_LABELS[label_idx[si, di]], ids[di]))
+    gvec = np.arange(n) // spec.concepts_per_group  # group of each concept
+    rows = max(1, SYNTH_BLOCK_BYTES // (8 * n))
+    starts = range(0, n, rows)
+    hits = []
+    for lo in starts:
+        probs = np.where(gvec[lo : lo + rows, None] == gvec, spec.p_intra, spec.p_cross)
+        hit = rng.random(probs.shape) < probs
+        hit.reshape(-1)[lo :: n + 1] = False  # the block's diagonal: no self-loops
+        hits.append(np.flatnonzero(hit))
+    label = np.concatenate([
+        rng.integers(0, len(RELATION_LABELS), size=(min(rows, n - lo), n)).reshape(-1)[h]
+        for lo, h in zip(starts, hits)
+    ])
+    key = np.concatenate([h + lo * n for lo, h in zip(starts, hits)])
+    drawn = np.stack([key // n, label, key % n], axis=1)  # (src, label, dst) rows
 
     # forced spanning tree keeps every group internally connected; pairs the
-    # mask already covers need no extra edge
+    # draws already cover need no extra edge
+    tree = []  # (parent, label, child)
     for gi in range(spec.groups):
-        members = [i for i, g in enumerate(group_of) if g == gi]
-        for pos in range(1, len(members)):
-            parent = members[int(rng.integers(pos))]
-            child = members[pos]
-            label = RELATION_LABELS[int(rng.integers(len(RELATION_LABELS)))]
-            pair = (ids[parent], ids[child])
-            if pair not in pair_seen:
-                pair_seen.add(pair)
-                edges.append((pair[0], label, pair[1]))
+        first = gi * spec.concepts_per_group
+        for pos in range(1, spec.concepts_per_group):
+            parent = first + int(rng.integers(pos))
+            tree.append((parent, int(rng.integers(len(RELATION_LABELS))), first + pos))
+    tree = np.array(tree, dtype=np.int64).reshape(-1, 3)
+    t_key = tree[:, 0] * n + tree[:, 2]
+    new = np.searchsorted(key, t_key) == np.searchsorted(key, t_key, side="right")
 
     concepts_path = out_dir / "concepts.tsv"
     relations_path = out_dir / "relations.tsv"
@@ -148,25 +154,29 @@ def gen_kg(spec: SynthSpec, out_dir) -> tuple[Path, Path]:
             fh.write(f"{cid}\t{name}\t{gname}\n")
     with atomic_open(relations_path) as fh:
         fh.write(RELATIONS_HEADER + "\n")
-        for src, label, dst in edges:
-            fh.write(f"{src}\t{label}\t{dst}\n")
+        for s, lab, d in np.concatenate([drawn, tree[new]]).tolist():
+            fh.write(f"{ids[s]}\t{RELATION_LABELS[lab]}\t{ids[d]}\n")
     return concepts_path, relations_path
 
 
-def _bfs(kg: KnowledgeGraph, starts, depth: int) -> set[int]:
-    """Concept ints within ``depth`` forward hops of ``starts``, walked over
-    the CSR."""
-    # plain lists: per-node NumPy slices cost more than one conversion
-    bounds = kg.indptr[:: len(kg.groups)].tolist()
-    nbrs = kg.indices.tolist()
-    seen = set(starts)
-    frontier = seen
+def _bfs(kg: KnowledgeGraph, starts, depth: int) -> np.ndarray:
+    """Sorted concept ints within ``depth`` forward hops of ``starts``,
+    walked over the CSR one frontier array per hop."""
+    bounds = kg.indptr[:: len(kg.groups)]  # concept i's edges: bounds[i]:bounds[i + 1]
+    seen = np.zeros(len(kg.ids), dtype=bool)
+    frontier = np.asarray(starts, dtype=np.int64)
+    seen[frontier] = True
     for _ in range(depth):
-        frontier = {d for i in frontier for d in nbrs[bounds[i] : bounds[i + 1]]} - seen
-        if not frontier:
+        lo, lens = bounds[frontier], bounds[frontier + 1] - bounds[frontier]
+        # CSR position of every out-edge of the frontier, node after node
+        pos = np.repeat(lo + lens - np.cumsum(lens), lens) + np.arange(lens.sum())
+        hit = np.zeros_like(seen)
+        hit[kg.indices[pos]] = True
+        frontier = np.flatnonzero(hit & ~seen)
+        if not frontier.size:
             break
-        seen |= frontier
-    return seen
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 def _sample(rng: np.random.Generator, pool: list[int], k: int) -> list[int]:
@@ -254,6 +264,7 @@ def gen_corpus(spec: SynthSpec, kg: KnowledgeGraph, out_path) -> Path:
     members: list[list[int]] = [[] for _ in range(n_groups)]
     for c, g in enumerate(kg.group_at):
         members[g].append(c)
+    group_at = np.asarray(kg.group_at)
     n_sup, per_sup = _keyword_split(spec.keywords_per_patient, n_groups)
     supplements = sorted(rng.permutation(n_groups)[:n_sup].tolist())
 
@@ -276,8 +287,6 @@ def gen_corpus(spec: SynthSpec, kg: KnowledgeGraph, out_path) -> Path:
             out_count = int(round(spec.skew * spec.gt_per_patient)) if out_groups else 0
             in_count = spec.gt_per_patient - out_count
 
-            gt: list[int] = []
-
             def _take(pools, want):
                 got: list[int] = []
                 for pool in pools:
@@ -289,17 +298,18 @@ def gen_corpus(spec: SynthSpec, kg: KnowledgeGraph, out_path) -> Path:
                     taken.update(picked)
                 return got
 
-            near_dom = {c for c in reach if kg.group_at[c] == dominant}
-            gt.extend(_take([near_dom, members[dominant]], in_count))
-
-            for j in range(out_count):
-                g = out_groups[j % len(out_groups)]
+            reach_group = group_at[reach]
+            gt = _take([reach[reach_group == dominant].tolist(), members[dominant]], in_count)
+            # each supplement group's pools in order of preference, built once
+            pools = {}
+            for g in out_groups:
                 one_hop = set()
                 for a in anchors[g]:
                     lo, hi = kg.neighbor_slice(a, g)
                     one_hop.update(kg.indices[lo:hi].tolist())
-                near = {c for c in reach if kg.group_at[c] == g}
-                gt.extend(_take([one_hop, near, members[g]], 1))
+                pools[g] = [one_hop, reach[reach_group == g].tolist(), members[g]]
+            for j in range(out_count):
+                gt.extend(_take(pools[out_groups[j % len(out_groups)]], 1))
 
             record = {
                 "id": f"P{i:04d}",

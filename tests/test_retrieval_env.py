@@ -179,6 +179,20 @@ def test_mixed_step_equals_each_rollout_stepped_alone(env_kg, env_table):
         retrieve(mixed, env_kg, env_table, sqs[:5])
 
 
+@pytest.mark.parametrize("n_actions, n_sqs", [(2, 0), (1, 2), (3, 2)])
+def test_step_with_mismatched_arguments_changes_no_rollout(env_kg, env_table, n_actions, n_sqs):
+    # two rollouts, each asked to leap: a mismatch must raise before the
+    # first leap, not after connect has moved some of them
+    keywords = ["A0", "A2", "B4"]
+    states = [_rollout(env_kg, keywords, "GA", "GZ", max_steps=5) for _ in range(2)]
+    sq = _sq_avg(env_table, env_kg, keywords)
+    before = copy.deepcopy(states)
+    leap = env_kg.group_index["GB"]
+    with pytest.raises(ValueError, match="2 rollouts but"):
+        step(states, [leap] * n_actions, env_kg, env_table, [sq] * n_sqs)
+    assert states == before
+
+
 def test_retrieve_freezes_paths_without_neighbors(env_kg, env_table):
     rs = _rollout(env_kg, ["Z0"], "GZ", "GA", max_steps=5)
     sq = _sq_avg(env_table, env_kg, ["Z0"])

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import int_neighbors, ints, make_kg, random_graph_rows
 
+import r2ag.synthetic_data
 from r2ag.concept_linker import initial_group, link_concepts, load_corpus
 from r2ag.kg_store import load_kg
 from r2ag.synthetic_data import REACH_HOPS, SynthSpec, _bfs, gen_corpus, gen_kg
@@ -178,3 +181,66 @@ def test_bfs_matches_brute_force_reach():
         for depth in range(6):
             assert {kg.ids[c] for c in _bfs(kg, ints(kg, starts), depth)} == reach
             reach |= {dst for src, _, dst in edge_rows if src in reach}
+
+
+def test_bfs_edge_cases():
+    # A0 -> A1 -> B0 -> A0 is a cycle across groups; B1 has no out-edges
+    kg = make_kg(
+        [("A0", "a zero", "GA"), ("A1", "a one", "GA"),
+         ("B0", "b zero", "GB"), ("B1", "b one", "GB")],
+        [("A0", "r", "A1"), ("A1", "r", "B0"), ("B0", "r", "A0")],
+    )
+
+    def reach(starts, depth):
+        return sorted(kg.ids[c] for c in _bfs(kg, ints(kg, starts), depth))
+
+    assert reach(["A1", "A0", "A1"], 0) == ["A0", "A1"]  # duplicates, depth 0
+    assert reach(["A0", "A0"], 1) == ["A0", "A1"]
+    assert reach(["A0"], 5) == ["A0", "A1", "B0"]  # the cycle ends the walk
+    assert reach(["B1"], 3) == ["B1"]  # no out-edges
+    assert reach(["B1", "A1"], 1) == ["A1", "B0", "B1"]
+
+
+# sha256 of each synth file at 12 groups x 100 concepts, made before gen_kg
+# drew its n x n edges in row blocks: 1,200 concepts span 11 default blocks
+BLOCK_SPEC = dict(
+    groups=12, concepts_per_group=100, p_intra=0.08, p_cross=0.01, patients=20,
+)
+PINNED = {
+    5: {
+        "concepts.tsv": "84459734ffa94ea3932c26f4bbef23321a9cfbc53909c62767d876b463ec207c",
+        "relations.tsv": "651fde1375d3d73e302911fe3157212ad8ff4acd2fc101e6cecf52c5db796826",
+        "patients.jsonl": "804f53a98ab3a5275522ec3fa9f89f38dd3cfde87f23207267eaf3dc9f21e8cc",
+    },
+    11: {
+        "concepts.tsv": "c9d61e1400309701d9c47d13e81801a1a23f36d1dd27f3478a7bdcde25b38928",
+        "relations.tsv": "bf9805f1c7c94bcc86a1208f24f9605040dcf30742f2cf90a8c4b0f80a0996f1",
+        "patients.jsonl": "7b6896cf5a62ea23a697b157201a0d37a2dc5e02f3cc378f7b6b237815fe6ef2",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+@pytest.mark.parametrize("block_rows", [None, 1, 7, 1200])  # default, one row, prime, whole
+def test_multi_block_synth_matches_pinned_bytes(tmp_path, monkeypatch, seed, block_rows):
+    n = BLOCK_SPEC["groups"] * BLOCK_SPEC["concepts_per_group"]
+    if block_rows is not None:
+        monkeypatch.setattr(r2ag.synthetic_data, "SYNTH_BLOCK_BYTES", 8 * n * block_rows)
+    spec = SynthSpec(**BLOCK_SPEC, seed=seed)
+    cpath, rpath = gen_kg(spec, tmp_path)
+    corpus_path = gen_corpus(spec, load_kg(cpath, rpath), tmp_path / "patients.jsonl")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (cpath, rpath, corpus_path)}
+    assert got == PINNED[seed]
+
+
+def test_gen_kg_memory_grows_slower_than_concept_pairs(tmp_path):
+    # one (n, n) float64 or int64 draw alone would be 8 bytes per pair
+    spec = SynthSpec(groups=20, concepts_per_group=100, seed=2)
+    n = spec.groups * spec.concepts_per_group
+    tracemalloc.start()
+    try:
+        gen_kg(spec, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n
