@@ -300,9 +300,10 @@ def train_patient(
     cfg: TrainConfig,
     rng: np.random.Generator,
     gv: np.ndarray,
+    out: GradientBundle | None = None,
 ) -> PatientUpdate:
     """Sample G rollouts for one linked patient (see ``link_patient``) and
-    accumulate the policy gradient.
+    accumulate the policy gradient, into ``out`` when it is given.
 
     The G x T uniforms come as one block: the same values, and the same
     generator state after, as G x T single draws taken rollout by rollout.
@@ -314,7 +315,7 @@ def train_patient(
     )
     rewards = rollout_rewards(records, gt, table, cfg.reward_weight)
     relative = relative_rewards(rewards)
-    grad = accumulate_gradient(params, records, relative, cfg.gamma)
+    grad = accumulate_gradient(params, records, relative, cfg.gamma, out)
     return PatientUpdate(
         grad=grad,
         rewards=rewards,
@@ -328,6 +329,7 @@ def accumulate_gradient(
     records: list[RolloutRecord],
     relative: np.ndarray,
     gamma: float,
+    out: GradientBundle | None = None,
 ) -> GradientBundle:
     """(1/G) sum_i sum_t gamma^(T-t) rel_i dlog pi; final step weight is 1.
 
@@ -335,7 +337,8 @@ def accumulate_gradient(
     gamma^(T-1-j); with gamma = 0 only the final step contributes (0^0 = 1).
     Steps of weight exactly 0 are dropped. Records are grouped by the block
     list they share (one per ``run_rollouts`` call), each group's rows taken
-    from its blocks at once, and all go to one ``block_backward`` call.
+    from its blocks at once, and all go to one ``block_backward`` call,
+    which writes into ``out`` when it is given.
     """
     scale = 1.0 / len(records)
     parts: dict[int, tuple[list, list, list, list]] = {}  # by id of a block list
@@ -349,7 +352,7 @@ def accumulate_gradient(
             rows.append(j * R + rec.row)
             actions.append(a)
             weights.append(weight * scale)
-    return block_backward(params, list(parts.values()))
+    return block_backward(params, list(parts.values()), out)
 
 
 def train(
@@ -368,6 +371,9 @@ def train(
     params.embeddings = fingerprint(table)
     rng = np.random.default_rng([cfg.seed, 1])
     gv = group_vectors(kg, table)
+    weights = (params.W1, params.W2, params.M)  # updated in place, never rebound
+    # every patient's gradient is built in this one bundle, then applied
+    grad = GradientBundle(*(np.empty_like(m) for m in weights))
 
     linked: list[tuple] = []  # (patient, (ctx, gt) or the reason to skip it)
     for patient in corpus:
@@ -392,10 +398,12 @@ def train(
                 continue
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    upd = train_patient(params, *inputs, kg, table, cfg, rng, gv)
-                    params.W1 += cfg.lr * upd.grad.dW1
-                    params.W2 += cfg.lr * upd.grad.dW2
-                    params.M += cfg.lr * upd.grad.dM
+                    upd = train_patient(params, *inputs, kg, table, cfg, rng, gv, grad)
+                    # in place, W1 then W2 then M: dW *= lr; W += dW gives
+                    # the floats of W += lr * dW without a full-size temporary
+                    for W, dW in zip(weights, (upd.grad.dW1, upd.grad.dW2, upd.grad.dM)):
+                        dW *= cfg.lr
+                        W += dW
             except FloatingPointError as exc:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, patient {patient.id!r} ({exc})"
@@ -407,8 +415,9 @@ def train(
                 {"epoch": epoch, "patient": patient.id, "mean_R": mean_r,
                  "relative_rewards": upd.relative, "skipped": False}
             )
-        # a NaN or inf that raised nothing, such as one from a BLAS worker thread
-        if not all(np.isfinite(m).all() for m in (params.W1, params.W2, params.M)):
+        # a NaN or inf that raised nothing, such as one from a BLAS worker
+        # thread; min and max carry any NaN or inf, with no full-size mask
+        if not all(math.isfinite(v) for m in weights for v in (m.min(), m.max())):
             raise TrainingDivergedError(f"training diverged in epoch {epoch} (non-finite weights)")
         if epoch_rewards:
             logger.info(

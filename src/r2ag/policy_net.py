@@ -27,6 +27,8 @@ from .atomic_file import atomic_open
 from .errors import DataFormatError
 
 CHECKPOINT_VERSION = 2
+# bytes of a matrix base64-encoded at a time by ``save_checkpoint``
+CHECKPOINT_BLOCK_BYTES = 24 << 12
 
 
 @dataclass
@@ -167,7 +169,9 @@ def logprob_backward_batch(
     )
 
 
-def block_backward(params: PolicyParams, parts: list[tuple]) -> GradientBundle:
+def block_backward(
+    params: PolicyParams, parts: list[tuple], out: GradientBundle | None = None
+) -> GradientBundle:
     """sum_k w_k * gradient of log pi(a_k | state k) over K cached rows.
 
     Each part is (blocks, rows, actions, weights): forward caches that share
@@ -177,10 +181,17 @@ def block_backward(params: PolicyParams, parts: list[tuple]) -> GradientBundle:
     so each parameter gradient is one weighted matrix product over them:
     dW2 = (w dZ)^T A1, dW1 = (w dH1)^T X and dM = (w dX[:, 4d:])^T C.
     No parts give zeros. The ReLU subgradient at exactly zero is taken as zero.
+    The three products are written into ``out``, a bundle of the parameters'
+    shapes, when one is given (a trainer reuses one bundle for every update),
+    else into a new one; either way the bundle is returned.
     """
     d = params.d
+    if out is None:
+        out = GradientBundle(*(np.empty_like(m) for m in (params.W1, params.W2, params.M)))
     if not parts:
-        return GradientBundle(*(np.zeros_like(m) for m in (params.W1, params.W2, params.M)))
+        for m in (out.dW1, out.dW2, out.dM):
+            m.fill(0.0)
+        return out
     stacks = []  # per part: dZ, x, h1 and c_avg of its rows, and their weights
     for blocks, rows, acts, weights in parts:
         A = blocks[0].actions
@@ -198,11 +209,11 @@ def block_backward(params: PolicyParams, parts: list[tuple]) -> GradientBundle:
         stacks.append((dlogits @ A, x, h1, c_avg, weights))
     dZ, X, H1, C, w = (np.concatenate(m) for m in zip(*stacks))
     w = w[:, None]
-    dW2 = (w * dZ).T @ np.maximum(H1, 0.0)
+    np.matmul((w * dZ).T, np.maximum(H1, 0.0), out=out.dW2)
     dH1 = (dZ @ params.W2) * (H1 > 0.0)
-    dW1 = (w * dH1).T @ X
-    dM = (w * (dH1 @ params.W1[:, 4 * d :])).T @ C
-    return GradientBundle(dW1, dW2, dM)
+    np.matmul((w * dH1).T, X, out=out.dW1)
+    np.matmul((w * (dH1 @ params.W1[:, 4 * d :])).T, C, out=out.dM)
+    return out
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:
@@ -211,18 +222,25 @@ def save_checkpoint(params: PolicyParams, path) -> None:
 
     Each matrix is the base64 of its C-order little-endian float64 bytes,
     so floats round-trip bit-exactly and equal parameters give equal bytes.
-    The matrices are encoded one at a time, and the file is replaced
-    atomically.
+    Each matrix is encoded from a view of its bytes in blocks of
+    ``CHECKPOINT_BLOCK_BYTES``, rounded down to whole floats and whole
+    base64 groups (24 bytes), so the blocks' base64 is the whole matrix's
+    and no copy of a matrix is made. The file is replaced atomically.
     """
     header = {
         "version": CHECKPOINT_VERSION, "d": params.d, "seed": params.seed,
         "embeddings": params.embeddings,
     }
+    block = max(24, CHECKPOINT_BLOCK_BYTES // 24 * 24)
     with atomic_open(path) as fh:
         fh.write(json.dumps(header)[:-1])
         for name in param_shapes(params.d):
-            raw = np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
-            fh.write(f', "{name}": "{base64.b64encode(raw).decode("ascii")}"')
+            m = np.ascontiguousarray(getattr(params, name), dtype="<f8")
+            raw = memoryview(m.reshape(-1).view(np.uint8))
+            fh.write(f', "{name}": "')
+            for start in range(0, len(raw), block):
+                fh.write(base64.b64encode(raw[start : start + block]).decode("ascii"))
+            fh.write('"')
         fh.write("}\n")
 
 
@@ -257,7 +275,11 @@ def _read_matrix(value, version: int, name: str, shape: tuple[int, int], path) -
 def load_checkpoint(path) -> PolicyParams:
     """Read a version-2 checkpoint, or a version-1 one (matrices as nested
     JSON lists, no embedding fingerprint). Malformed content of any kind
-    raises ``DataFormatError``."""
+    raises ``DataFormatError``.
+
+    ``json.load`` drops the file's text once it is parsed, before any matrix
+    is decoded, and each matrix's stored form leaves the payload as it is
+    decoded."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -281,7 +303,7 @@ def load_checkpoint(path) -> PolicyParams:
     if embeddings is not None and not isinstance(embeddings, str):
         raise DataFormatError(f"embeddings must be a string, got {embeddings!r}", path=path)
     mats = {
-        name: _read_matrix(payload[name], version, name, shape, path)
+        name: _read_matrix(payload.pop(name), version, name, shape, path)
         for name, shape in param_shapes(d).items()
     }
     return PolicyParams(d, seed, mats["W1"], mats["W2"], mats["M"], embeddings)

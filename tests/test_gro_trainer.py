@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +51,13 @@ from r2ag.gro_trainer import (
     train,
     train_patient,
 )
-from r2ag.policy_net import GradientBundle, init_params, logprob_backward, sample_action
+from r2ag.policy_net import (
+    GradientBundle,
+    init_params,
+    logprob_backward,
+    param_shapes,
+    sample_action,
+)
 from r2ag.retrieval_env import GROUP_LEAP, PathStep, ReasoningPath
 
 
@@ -657,6 +664,24 @@ def test_train_is_deterministic(trainer_kg, trainer_table, trainer_patient):
     assert np.array_equal(r1.params.W2, r2.params.W2)
     assert np.array_equal(r1.params.M, r2.params.M)
     assert r1.log == r2.log
+
+
+def test_train_keeps_one_gradient_alive(trainer_kg, trainer_patient):
+    # the weights plus one gradient are 2x the parameter bytes; a second
+    # gradient, kept from the previous patient, or a full-size lr * dW
+    # temporary would take the traced peak past 2.6x
+    d = 128
+    table = pseudo_embeddings(trainer_kg, d, seed=2)
+    cfg = TrainConfig(max_steps=3, group_size=4, lr=0.01, epochs=1, seed=1)
+    param_bytes = sum(8 * rows * cols for rows, cols in param_shapes(d).values())
+    tracemalloc.start()
+    try:
+        result = train([trainer_patient] * 4, trainer_kg, table, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.episodes == 4
+    assert peak <= 2.6 * param_bytes
 
 
 def test_train_logs_skipped_patients(trainer_kg, trainer_table, trainer_patient):

@@ -4,6 +4,7 @@ import base64
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +12,18 @@ import pytest
 
 from helpers import fd_logprob_grads, max_rel_err
 
+import r2ag.policy_net
 from r2ag.errors import DataFormatError
 from r2ag.policy_net import (
+    GradientBundle,
+    block_backward,
     forward,
     greedy_action,
     init_params,
     load_checkpoint,
     logprob_backward,
     logprob_backward_batch,
+    param_shapes,
     sample_action,
     save_checkpoint,
 )
@@ -222,6 +227,21 @@ def test_batch_backward_with_no_steps_is_zeros():
     assert not g.dW1.any() and not g.dW2.any() and not g.dM.any()
 
 
+def test_block_backward_into_a_used_bundle_equals_a_new_one():
+    # a trainer builds every update in one bundle: its old values must not leak
+    rng = np.random.default_rng(4)
+    p = init_params(3, seed=0)
+    _, _, actions = _random_state(rng, 3, 4)
+    block = forward(p, rng.standard_normal((3, 12)), rng.standard_normal((3, 3)), actions)
+    parts = [([block], [0, 2], [1, 3], [0.5, -2.0])]
+    used = GradientBundle(*(np.full_like(m, np.nan) for m in (p.W1, p.W2, p.M)))
+    for parts_ in (parts, []):
+        fresh = block_backward(p, parts_)
+        assert block_backward(p, parts_, used) is used
+        for name in ("dW1", "dW2", "dM"):
+            assert getattr(used, name).tobytes() == getattr(fresh, name).tobytes()
+
+
 def test_batch_backward_needs_one_action_and_weight_per_step():
     rng = np.random.default_rng(0)
     p = init_params(3, seed=0)
@@ -294,6 +314,35 @@ def test_checkpoint_bytes_equal_json_dump_of_payload(tmp_path):
         q.embeddings = "sha256:" + "cd" * 32
         save_checkpoint(q, path)
         assert path.read_bytes() == _json_dump_bytes(q)
+
+
+@pytest.mark.parametrize("block_bytes", [24, 1000, None])  # one group, not a power of two, default
+@pytest.mark.parametrize("d", [2, 6, 64])
+def test_checkpoint_written_in_blocks_equals_json_dump_of_payload(
+        tmp_path, monkeypatch, d, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(r2ag.policy_net, "CHECKPOINT_BLOCK_BYTES", block_bytes)
+    p = init_params(d, seed=d)
+    p.embeddings = "sha256:" + "ef" * 32
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(p, path)
+    assert path.read_bytes() == _json_dump_bytes(p)
+
+
+def test_checkpoint_write_memory_is_a_block_not_a_matrix(tmp_path):
+    # a whole matrix's raw bytes, base64 and text would be about 2x the
+    # parameter bytes above them; blocks keep the writer's own use small
+    d = 128
+    p = init_params(d, seed=0)
+    param_bytes = sum(8 * rows * cols for rows, cols in param_shapes(d).values())
+    tracemalloc.start()
+    try:
+        save_checkpoint(p, tmp_path / "ckpt.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * param_bytes
+    assert (tmp_path / "ckpt.json").read_bytes() == _json_dump_bytes(p)
 
 
 def test_two_saves_of_equal_params_are_byte_identical(tmp_path):
