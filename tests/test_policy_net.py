@@ -235,9 +235,9 @@ def test_block_backward_into_a_used_bundle_equals_a_new_one():
     block = forward(p, rng.standard_normal((3, 12)), rng.standard_normal((3, 3)), actions)
     parts = [([block], [0, 2], [1, 3], [0.5, -2.0])]
     used = GradientBundle(*(np.full_like(m, np.nan) for m in (p.W1, p.W2, p.M)))
-    for parts_ in (parts, []):
-        fresh = block_backward(p, parts_)
-        assert block_backward(p, parts_, used) is used
+    for given in (parts, []):
+        fresh = block_backward(p, given)
+        assert block_backward(p, given, used) is used
         for name in ("dW1", "dW2", "dM"):
             assert getattr(used, name).tobytes() == getattr(fresh, name).tobytes()
 
