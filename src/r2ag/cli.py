@@ -253,7 +253,14 @@ def _load_generated(path) -> list[dict]:
 def _table_for_checkpoint(args, kg, params):
     """The embedding table the checkpoint's weights were trained on: the
     ``--embeddings`` file, else the pseudo table from the checkpoint's d and
-    seed. A v2 checkpoint's fingerprint must match the table built."""
+    seed. Its fingerprint must match the checkpoint's, so a checkpoint that
+    names no table is refused."""
+    if params.embeddings is None:
+        raise DataFormatError(
+            "the checkpoint names no embedding table (its embeddings fingerprint "
+            "is null); serve a checkpoint written by train",
+            path=args.checkpoint,
+        )
     emb = args.embeddings
     if emb:
         table = load_embeddings(emb, kg)
@@ -267,15 +274,14 @@ def _table_for_checkpoint(args, kg, params):
     else:
         table = pseudo_embeddings(kg, params.d, params.seed)
         built = f"the pseudo-embedding table (d={params.d}, seed={params.seed})"
-    if params.embeddings is not None:
-        found = fingerprint(table)
-        if found != params.embeddings:
-            raise DataFormatError(
-                f"the checkpoint was trained on the embedding table {params.embeddings}, "
-                f"but {built} is {found}; pass the graph and --embeddings file "
-                "(or none, for pseudo-embeddings) that train used",
-                path=args.checkpoint,
-            )
+    found = fingerprint(table)
+    if found != params.embeddings:
+        raise DataFormatError(
+            f"the checkpoint was trained on the embedding table {params.embeddings}, "
+            f"but {built} is {found}; pass the graph and --embeddings file "
+            "(or none, for pseudo-embeddings) that train used",
+            path=args.checkpoint,
+        )
     return table
 
 

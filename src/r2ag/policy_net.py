@@ -39,7 +39,7 @@ class PolicyParams:
     W2: np.ndarray  # (4d, 4d)
     M: np.ndarray  # (d, d)
     # fingerprint of the embedding table the weights were trained on (see
-    # ``embeddings.fingerprint``); None when unknown, as for a v1 checkpoint
+    # ``embeddings.fingerprint``); None when unknown, as for fresh weights
     embeddings: str | None = None
 
 
@@ -57,7 +57,6 @@ class ForwardCache:
     a1: np.ndarray  # (R, 4d) post-ReLU
     z: np.ndarray  # (R, 4d)
     actions: np.ndarray  # (n, 4d) action embedding matrix, shared by every row
-    logits: np.ndarray  # (R, n)
     dist: np.ndarray  # (R, n) softmax over each row's logits
     c_avg: np.ndarray  # (R, d) raw concept average, pre-projection
 
@@ -66,7 +65,7 @@ class ForwardCache:
         refers to the block's action matrix, not a copy."""
         return ForwardCache(
             self.x[i], self.h1[i], self.a1[i], self.z[i], self.actions,
-            self.logits[i], self.dist[i], self.c_avg[i],
+            self.dist[i], self.c_avg[i],
         )
 
 
@@ -128,7 +127,7 @@ def forward(
     logits = z @ actions.T
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     dist = e / e.sum(axis=-1, keepdims=True)
-    return ForwardCache(x, h1, a1, z, actions, logits, dist, c_avg)
+    return ForwardCache(x, h1, a1, z, actions, dist, c_avg)
 
 
 def sample_action(dist: np.ndarray, u: float) -> int:
@@ -145,28 +144,12 @@ def greedy_action(dist: np.ndarray) -> int:
 def logprob_backward(
     params: PolicyParams, cache: ForwardCache, action: int
 ) -> GradientBundle:
-    """Exact gradient of log dist[action] with respect to W1, W2, M: the
-    one-step, weight-1 case of ``logprob_backward_batch``."""
-    return logprob_backward_batch(params, [cache], [action], [1.0])
-
-
-def logprob_backward_batch(
-    params: PolicyParams,
-    caches: list[ForwardCache],
-    actions: list[int],
-    weights: np.ndarray | list[float],
-) -> GradientBundle:
-    """sum_k weights[k] * gradient of log dist_k[actions[k]], for K cached steps.
-
-    Each cache is one state's (1-D rows, such as ``ForwardCache.row`` of a
-    block) with its own action matrix: ``block_backward`` with one part each."""
-    if len(actions) != len(caches) or len(weights) != len(caches):
-        raise ValueError("need one action and one weight per cached step")
-    if any(c.x.ndim != 1 for c in caches):
+    """Exact gradient of log dist[action] with respect to W1, W2, M for a
+    one-state cache (1-D rows, such as ``ForwardCache.row`` of a block): the
+    one-row, weight-1 case of ``block_backward``."""
+    if cache.x.ndim != 1:
         raise ValueError("cache does not match parameter shapes: one state per cache")
-    return block_backward(
-        params, [([c], [0], [a], [w]) for c, a, w in zip(caches, actions, weights)]
-    )
+    return block_backward(params, [([cache], [0], [action], [1.0])])
 
 
 def block_backward(
@@ -244,38 +227,30 @@ def save_checkpoint(params: PolicyParams, path) -> None:
         fh.write("}\n")
 
 
-def _read_matrix(value, version: int, name: str, shape: tuple[int, int], path) -> np.ndarray:
-    """Matrix ``name`` as stored in a checkpoint of ``version``: nested JSON
-    lists (v1) or the base64 of C-order little-endian float64 bytes (v2)."""
-    if version == 1:
-        try:
-            arr = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"malformed {name}: {exc}", path=path) from exc
-    else:
-        if not isinstance(value, str):
-            raise DataFormatError(f"{name} must be a base64 string", path=path)
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except ValueError as exc:  # binascii.Error, or a non-ASCII character
-            raise DataFormatError(f"{name} is not valid base64: {exc}", path=path) from exc
-        size = 8 * shape[0] * shape[1]
-        if len(raw) != size:
-            raise DataFormatError(
-                f"{name} has {len(raw)} bytes, expected {size} for shape {shape}", path=path
-            )
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    if arr.shape != shape:
-        raise DataFormatError(f"{name} has shape {arr.shape}, expected {shape}", path=path)
+def _read_matrix(value, name: str, shape: tuple[int, int], path) -> np.ndarray:
+    """Matrix ``name`` from the base64 of its C-order little-endian float64
+    bytes."""
+    if not isinstance(value, str):
+        raise DataFormatError(f"{name} must be a base64 string", path=path)
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataFormatError(f"{name} is not valid base64: {exc}", path=path) from exc
+    size = 8 * shape[0] * shape[1]
+    if len(raw) != size:
+        raise DataFormatError(
+            f"{name} has {len(raw)} bytes, expected {size} for shape {shape}", path=path
+        )
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise DataFormatError(f"{name} contains non-finite values", path=path)
     return arr
 
 
 def load_checkpoint(path) -> PolicyParams:
-    """Read a version-2 checkpoint, or a version-1 one (matrices as nested
-    JSON lists, no embedding fingerprint). Malformed content of any kind
-    raises ``DataFormatError``.
+    """Read a version-2 checkpoint; any other version, and malformed content
+    of any kind, raises ``DataFormatError``. A ``null`` fingerprint loads as
+    ``embeddings=None``.
 
     ``json.load`` drops the file's text once it is parsed, before any matrix
     is decoded, and each matrix's stored form leaves the payload as it is
@@ -288,10 +263,9 @@ def load_checkpoint(path) -> PolicyParams:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
     version = payload.get("version") if isinstance(payload, dict) else None
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version!r}", path=path)
-    required = ["d", "seed", "W1", "W2", "M"] + (["embeddings"] if version == 2 else [])
-    missing = [key for key in required if key not in payload]
+    missing = [key for key in ("d", "seed", "embeddings", "W1", "W2", "M") if key not in payload]
     if missing:
         raise DataFormatError(f"malformed checkpoint: missing {missing}", path=path)
     d, seed = payload["d"], payload["seed"]
@@ -299,11 +273,11 @@ def load_checkpoint(path) -> PolicyParams:
         raise DataFormatError(
             f"d must be an int >= 2 and seed an int, got {d!r} and {seed!r}", path=path
         )
-    embeddings = payload["embeddings"] if version == 2 else None
+    embeddings = payload["embeddings"]
     if embeddings is not None and not isinstance(embeddings, str):
         raise DataFormatError(f"embeddings must be a string, got {embeddings!r}", path=path)
     mats = {
-        name: _read_matrix(payload.pop(name), version, name, shape, path)
+        name: _read_matrix(payload.pop(name), name, shape, path)
         for name, shape in param_shapes(d).items()
     }
     return PolicyParams(d, seed, mats["W1"], mats["W2"], mats["M"], embeddings)

@@ -71,6 +71,11 @@ class SynthSpec:
             raise ValueError("need at least 2 groups")
         if self.concepts_per_group < 1:
             raise ValueError("need at least 1 concept per group")
+        if self.groups > 100 and self.concepts_per_group > 1000:
+            # ids are C{group:02d}{concept:03d}; once both fields outgrow
+            # their widths, group 10's concept 1000 and group 101's concept 0
+            # are both C101000
+            raise ValueError("more than 100 groups needs at most 1000 concepts per group")
         for name in ("p_intra", "p_cross", "skew"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

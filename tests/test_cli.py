@@ -16,7 +16,7 @@ from r2ag.errors import DataFormatError
 from r2ag.generation import GeneratorConfig, load_template
 from r2ag.gro_trainer import TrainConfig
 from r2ag.kg_store import load_kg
-from r2ag.policy_net import init_params, load_checkpoint
+from r2ag.policy_net import init_params, load_checkpoint, save_checkpoint
 from r2ag.synthetic_data import SynthSpec
 
 SMALL_SYNTH = [
@@ -215,6 +215,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert rc == 1  # neither --stub nor --endpoint
     err = capsys.readouterr().err
     assert "usage error" in err
+
+
+def test_synth_shape_past_both_id_widths_exits_1_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["synth", "--out-dir", str(out), "--groups", "101", "--concepts-per-group", "1001"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "at most 1000 concepts per group" in err
+    assert not out.exists()
 
 
 def test_unknown_command_exits_1():
@@ -626,15 +635,6 @@ def _serve(command, data, run, extra=()):
     )
 
 
-def _as_v1(run):
-    """Rewrite the run's checkpoint in the version-1 layout (no fingerprint)."""
-    p = load_checkpoint(run / "checkpoint.json")
-    (run / "checkpoint.json").write_text(json.dumps({
-        "version": 1, "d": p.d, "seed": p.seed,
-        "W1": p.W1.tolist(), "W2": p.W2.tolist(), "M": p.M.tolist(),
-    }))
-
-
 @pytest.mark.parametrize("command", ["retrieve", "generate"])
 def test_checkpoint_refuses_a_table_other_than_the_trained_one(tmp_path, capsys, command):
     data = _synth(tmp_path)
@@ -660,29 +660,46 @@ def test_checkpoint_refuses_pseudo_table_of_another_graph(tmp_path, capsys):
     assert "trained on the embedding table sha256:" in capsys.readouterr().err
 
 
-def test_v1_checkpoint_keeps_only_the_dimension_check(tmp_path, capsys):
+def test_serve_refuses_checkpoint_that_names_no_table(tmp_path, capsys):
+    # only a version-2 checkpoint with a fingerprint is served: a v1 one (no
+    # fingerprint) and a v2 one whose fingerprint is null exit 2, with or
+    # without an --embeddings file of the right dimension
     data = _synth(tmp_path)
-    run = _train(tmp_path, data, extra=["--embeddings", str(_embedding_file(tmp_path, data, 8))])
-    _as_v1(run)
-    other = _embedding_file(tmp_path, data, 8, seed=1)
-    assert _serve("retrieve", data, run, ["--embeddings", str(other)]) == 0
-    assert _serve("retrieve", data, run, ["--embeddings", str(_embedding_file(tmp_path, data, 16))]) == 2
-    assert "embedding dimension 16" in capsys.readouterr().err
+    emb = _embedding_file(tmp_path, data, 8)
+    run = _train(tmp_path, data, extra=["--embeddings", str(emb)])
+    ckpt = run / "checkpoint.json"
+    unnamed = {**json.loads(ckpt.read_text()), "embeddings": None}
+    v1 = (Path(__file__).parent / "data" / "checkpoint_v1_d2.json").read_text()
+    for text, message in ((v1, "unsupported checkpoint version 1"),
+                          (json.dumps(unnamed), "the checkpoint names no embedding table")):
+        ckpt.write_text(text)
+        for command in ("retrieve", "generate"):
+            for extra in ([], ["--embeddings", str(emb)]):
+                capsys.readouterr()
+                assert _serve(command, data, run, extra) == 2
+                err = capsys.readouterr().err
+                assert f"r2ag: data error: {ckpt}: {message}" in err
+                assert "Traceback" not in err
+                assert not (run / "out.jsonl").exists()
 
 
 def test_retrieval_setup_refuses_table_of_another_row_count(tmp_path, capsys, monkeypatch):
     import r2ag.cli as cli
-    from r2ag.embeddings import EmbeddingTable
+    from r2ag.embeddings import EmbeddingTable, fingerprint
 
     data = _synth(tmp_path)
     run = _train(tmp_path, data)
-    _as_v1(run)  # no fingerprint, so the row count is the check that fires
     real = cli.pseudo_embeddings
 
     def short_table(kg, d, seed):
         table = real(kg, d, seed)
         return EmbeddingTable(table.dim, table.matrix[:-1])
 
+    # the checkpoint names the short table, so the row count is the check that fires
+    p = load_checkpoint(run / "checkpoint.json")
+    kg = load_kg(data / "concepts.tsv", data / "relations.tsv")
+    p.embeddings = fingerprint(short_table(kg, p.d, p.seed))
+    save_checkpoint(p, run / "checkpoint.json")
     monkeypatch.setattr(cli, "pseudo_embeddings", short_table)
     assert _serve("retrieve", data, run) == 2
     err = capsys.readouterr().err

@@ -22,7 +22,6 @@ from r2ag.policy_net import (
     init_params,
     load_checkpoint,
     logprob_backward,
-    logprob_backward_batch,
     param_shapes,
     sample_action,
     save_checkpoint,
@@ -197,23 +196,26 @@ def test_backward_rejects_mismatched_cache():
         logprob_backward(p4, cache, 0)
 
 
-def test_batch_backward_takes_one_state_per_cache():
+def test_logprob_backward_takes_one_state_per_cache():
     # a block of two states is not a one-state cache: refused, not read as row 0
     rng = np.random.default_rng(1)
     p = init_params(3, seed=0)
     s_k, c_avg, actions = _random_state(rng, 3, 4)
     block = forward(p, np.stack([s_k, s_k]), np.stack([c_avg, c_avg]), actions)
     with pytest.raises(ValueError, match="one state per cache"):
-        logprob_backward_batch(p, [block], [0], [1.0])
+        logprob_backward(p, block, 0)
 
 
 def test_gradient_bundle_accumulation():
-    # a weighted batch of steps accumulates the weighted single-step gradients
+    # weighted parts of one-state caches accumulate the weighted single-step
+    # gradients, a cache taken twice counting twice
     rng = np.random.default_rng(21)
     p = init_params(3, seed=0)
     caches = [forward(p, *_random_state(rng, 3, 4)) for _ in range(2)]
     singles = [logprob_backward(p, c, a) for c, a in zip(caches, (1, 3))]
-    acc = logprob_backward_batch(p, caches + caches[:1], [1, 3, 1], [2.0, -0.5, 0.25])
+    acc = block_backward(p, [
+        ([c], [0], [a], [w]) for c, a, w in zip(caches + caches[:1], (1, 3, 1), (2.0, -0.5, 0.25))
+    ])
     for name in ("dW1", "dW2", "dM"):
         expected = 2.25 * getattr(singles[0], name) - 0.5 * getattr(singles[1], name)
         assert np.allclose(getattr(acc, name), expected, rtol=1e-12, atol=1e-15)
@@ -221,7 +223,7 @@ def test_gradient_bundle_accumulation():
 
 def test_batch_backward_with_no_steps_is_zeros():
     p = init_params(3, seed=0)
-    g = logprob_backward_batch(p, [], [], [])
+    g = block_backward(p, [])
     assert g.dW1.shape == p.W1.shape and g.dW2.shape == p.W2.shape
     assert g.dM.shape == p.M.shape
     assert not g.dW1.any() and not g.dW2.any() and not g.dM.any()
@@ -240,16 +242,6 @@ def test_block_backward_into_a_used_bundle_equals_a_new_one():
         assert block_backward(p, given, used) is used
         for name in ("dW1", "dW2", "dM"):
             assert getattr(used, name).tobytes() == getattr(fresh, name).tobytes()
-
-
-def test_batch_backward_needs_one_action_and_weight_per_step():
-    rng = np.random.default_rng(0)
-    p = init_params(3, seed=0)
-    cache = forward(p, *_random_state(rng, 3, 2))
-    with pytest.raises(ValueError, match="one action and one weight"):
-        logprob_backward_batch(p, [cache], [0, 1], [1.0])
-    with pytest.raises(ValueError, match="one action and one weight"):
-        logprob_backward_batch(p, [cache], [0], [])
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
@@ -359,14 +351,13 @@ def test_two_saves_of_equal_params_are_byte_identical(tmp_path):
     assert load_checkpoint(a).embeddings == p.embeddings
 
 
-def test_v1_checkpoint_still_loads():
-    # written by the version-1 writer: matrices as nested JSON lists
+def test_v1_checkpoint_is_refused():
+    # written by the version-1 writer: matrices as nested JSON lists, no
+    # fingerprint; only version 2 is read
     path = Path(__file__).parent / "data" / "checkpoint_v1_d2.json"
-    loaded = load_checkpoint(path)
-    expected = _special_params(2)
-    assert (loaded.d, loaded.seed, loaded.embeddings) == (2, 5, None)
-    for name in ("W1", "W2", "M"):
-        assert getattr(loaded, name).tobytes() == getattr(expected, name).tobytes()
+    assert json.loads(path.read_text())["version"] == 1
+    with pytest.raises(DataFormatError, match="unsupported checkpoint version 1$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
@@ -402,14 +393,11 @@ def test_checkpoint_rejects_bad_version(tmp_path):
 
 
 def test_checkpoint_rejects_bad_shape(tmp_path):
-    p = init_params(3, seed=0)
-    payload = {
-        "version": 1, "d": 3, "seed": 0,
-        "W1": p.W1.tolist(), "W2": p.W2.tolist(), "M": [[1.0]],
-    }
+    # a (1, 1) M where d=3 needs (3, 3): the byte count names the shape
+    payload = {**_v2_payload(3), "M": base64.b64encode(np.ones(1, "<f8").tobytes()).decode()}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(DataFormatError, match="shape"):
+    with pytest.raises(DataFormatError, match=r"M has 8 bytes, expected 72 for shape \(3, 3\)"):
         load_checkpoint(path)
 
 

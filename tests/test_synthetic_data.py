@@ -160,6 +160,21 @@ def test_spec_validation():
     SynthSpec().validate()
 
 
+def test_spec_refuses_shapes_whose_ids_outgrow_both_widths():
+    # ids are C{group:02d}{concept:03d}: unique while either field keeps its
+    # width; past both they collide from 102 groups of 1001 concepts on
+    def ids(groups, per_group):
+        return {f"C{g:02d}{c:03d}" for g in range(groups) for c in range(per_group)}
+
+    for groups, per_group in ((100, 1001), (101, 1000)):
+        SynthSpec(groups=groups, concepts_per_group=per_group).validate()
+        assert len(ids(groups, per_group)) == groups * per_group
+    assert len(ids(102, 1001)) < 102 * 1001  # group 10's C101000 is group 101's
+    for groups in (101, 102):
+        with pytest.raises(ValueError, match="at most 1000 concepts per group"):
+            SynthSpec(groups=groups, concepts_per_group=1001).validate()
+
+
 def test_corpus_rejects_mismatched_graph(tmp_path):
     spec, kg, _, _, _ = _generate(tmp_path)
     other = SynthSpec(**{**SMALL, "groups": 5, "seed": 0})
