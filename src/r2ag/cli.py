@@ -25,6 +25,8 @@ from .errors import (
     EndpointError,
     R2agError,
     UnlinkableInputError,
+    parse_json,
+    read_records,
     read_text,
 )
 from .evaluation import evaluate_corpus
@@ -101,8 +103,14 @@ def _add_field_options(p: _Parser, cls) -> None:
 
 
 def _from_args(cls, args: argparse.Namespace, **extra):
-    """``cls`` built from its field options in ``args``."""
-    return cls(**{f.name: getattr(args, name) for f, name in _field_options(cls)}, **extra)
+    """``cls`` built from its field options in ``args``; a value its
+    ``validate`` refuses is a usage error."""
+    built = cls(**{f.name: getattr(args, name) for f, name in _field_options(cls)}, **extra)
+    try:
+        built.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return built
 
 
 _TRAIN_DEFAULTS = _field_defaults(TrainConfig)
@@ -187,11 +195,7 @@ def build_parser() -> _Parser:
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    text = read_text(path)
-    try:
-        cfg = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DataFormatError(f"invalid JSON config: {exc}", path=path) from exc
+    cfg = parse_json(read_text(path), path)
     if not isinstance(cfg, dict):
         raise DataFormatError("config must be a JSON object", path=path)
     return cfg
@@ -229,25 +233,7 @@ def _write_jsonl(path, records) -> None:
 
 
 def _load_generated(path) -> list[dict]:
-    lines = read_text(path).splitlines()
-    records = []
-    seen: set[str] = set()
-    for no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataFormatError(f"invalid JSON: {exc}", path=path, line=no) from exc
-        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-            raise DataFormatError("expected an object with an 'id'", path=path, line=no)
-        if obj["id"] in seen:
-            raise DataFormatError(f"duplicate patient id {obj['id']!r}", path=path, line=no)
-        seen.add(obj["id"])
-        records.append(obj)
-    if not records:
-        raise DataFormatError("no generated records", path=path)
-    return records
+    return [obj for _, obj in read_records(path)]
 
 
 def _table_for_checkpoint(args, kg, params):
@@ -288,10 +274,6 @@ def _table_for_checkpoint(args, kg, params):
 def cmd_synth(args) -> int:
     out_dir = Path(require(args, "out_dir"))
     spec = _from_args(SynthSpec, args, seed=args.seed)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     concepts_path, relations_path = gen_kg(spec, out_dir)
     kg = load_kg(concepts_path, relations_path)
     corpus_path = gen_corpus(spec, kg, out_dir / "patients.jsonl")
@@ -339,10 +321,6 @@ def cmd_train(args) -> int:
     else:
         table = pseudo_embeddings(kg, args.embed_dim, args.seed)
     cfg = _from_args(TrainConfig, args, seed=args.seed)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     # a refused command leaves no out dir; one that cannot be made fails
     # before training starts
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -414,10 +392,6 @@ def cmd_generate(args) -> int:
     tpl_path = args.prompt_template
     template = load_template(tpl_path) if tpl_path else DEFAULT_TEMPLATE
     gen_cfg = _from_args(GeneratorConfig, args)
-    try:
-        gen_cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     kg, params, corpus, table, gv = _retrieval_setup(args)
 
     results = retrieve_corpus(params, corpus, kg, table, gv, max_steps=args.max_steps)

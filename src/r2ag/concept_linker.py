@@ -7,17 +7,13 @@ keywords) semantic groups that drive retrieval.
 
 from __future__ import annotations
 
-import json
-import re
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, read_text
-from .kg_store import KnowledgeGraph, normalize_name
-
-_WORD_RE = re.compile(r"[A-Za-z0-9]+")
+from .errors import DataFormatError, read_records
+from .kg_store import KnowledgeGraph, tokens
 
 
 @dataclass
@@ -30,17 +26,17 @@ class PatientInput:
 
 
 class _Lexicon:
-    """Token-tuple lookup of normalized concept names, to graph ints."""
+    """Token-tuple lookup of concept names, to graph ints."""
 
     def __init__(self, kg: KnowledgeGraph):
         entries: dict[tuple[str, ...], int] = {}
         for c, name in enumerate(kg.names):
-            tokens = tuple(normalize_name(name).split())
-            if not tokens:
+            key = tuple(tokens(name))
+            if not key:
                 continue
             # smallest int (so smallest id) wins when two concepts share a
             # normalized name
-            entries.setdefault(tokens, c)
+            entries.setdefault(key, c)
         self.entries = entries
         self.max_len = max((len(t) for t in entries), default=0)
 
@@ -62,17 +58,18 @@ def link_concepts(text: str, kg: KnowledgeGraph) -> list[int]:
     """Graph ints of the concepts in ``text``, distinct, in first-occurrence
     order, by greedy longest-match, left-to-right, non-overlapping linking.
 
-    Matching runs over lowercase alphanumeric tokens, so punctuation and
-    whitespace differences are ignored.
+    Matching runs over ``kg_store.tokens``, the rule that also splits the
+    concept names, so punctuation, whitespace and case differences are
+    ignored.
     """
     lex = _lexicon(kg)
-    tokens = [t.lower() for t in _WORD_RE.findall(text)]
+    toks = tokens(text)
     found: dict[int, None] = {}
     i = 0
-    n = len(tokens)
+    n = len(toks)
     while i < n:
         for length in range(min(lex.max_len, n - i), 0, -1):
-            c = lex.entries.get(tuple(tokens[i : i + length]))
+            c = lex.entries.get(tuple(toks[i : i + length]))
             if c is not None:
                 found.setdefault(c)
                 i += length
@@ -103,32 +100,15 @@ def scarce_group(keywords: list[int], kg: KnowledgeGraph) -> int:
 
 
 def load_corpus(path) -> list[PatientInput]:
-    """Read a JSON-lines patient corpus: {id, pre_admission, reference?}."""
-    lines = read_text(path).splitlines()
+    """Read a JSON-lines patient corpus: {id, pre_admission, reference?},
+    under the record rule of ``errors.read_records``."""
     patients: list[PatientInput] = []
-    seen: set[str] = set()
-    for no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataFormatError(f"invalid JSON: {exc}", path=path, line=no) from exc
-        if not isinstance(obj, dict):
-            raise DataFormatError("expected a JSON object", path=path, line=no)
-        pid = obj.get("id")
+    for no, obj in read_records(path):
         pre = obj.get("pre_admission")
         ref = obj.get("reference")
-        if not isinstance(pid, str) or not pid:
-            raise DataFormatError("missing or empty 'id'", path=path, line=no)
         if not isinstance(pre, str) or not pre:
             raise DataFormatError("missing or empty 'pre_admission'", path=path, line=no)
         if ref is not None and not isinstance(ref, str):
             raise DataFormatError("'reference' must be a string", path=path, line=no)
-        if pid in seen:
-            raise DataFormatError(f"duplicate patient id {pid!r}", path=path, line=no)
-        seen.add(pid)
-        patients.append(PatientInput(pid, pre, ref))
-    if not patients:
-        raise DataFormatError("empty corpus", path=path)
+        patients.append(PatientInput(obj["id"], pre, ref))
     return patients

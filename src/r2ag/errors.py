@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the reader of input text
-files that raises them.
+"""Exception types shared across the package, and the readers of input
+files that raise them: one per format (text, JSON, JSON lines, TSV rows).
 
 The CLI maps these onto exit codes: data problems exit 2, endpoint problems
 exit 3. Programming-contract violations use plain ValueError/KeyError.
 """
 
 from __future__ import annotations
+
+import json
+from itertools import islice
 
 
 class R2agError(Exception):
@@ -77,3 +80,57 @@ def read_text(path) -> str:
         raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from exc
+
+
+def parse_json(text: str, path, line: int | None = None):
+    """The value of JSON ``text`` read from ``path`` (at ``line`` of a
+    JSON-lines file). Text that is not JSON, or nests past the decoder's
+    limit, raises ``DataFormatError``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataFormatError(f"invalid JSON: {exc}", path=path, line=line) from exc
+
+
+def read_records(path) -> list[tuple[int, dict]]:
+    """The records of JSON-lines file ``path`` as (line number, object)
+    pairs. Blank lines are skipped; every other line is a JSON object whose
+    ``id`` is a non-empty string that no earlier record holds, and the file
+    holds at least one record."""
+    records: list[tuple[int, dict]] = []
+    seen: set[str] = set()
+    for no, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        obj = parse_json(line, path, no)
+        if not isinstance(obj, dict):
+            raise DataFormatError("expected a JSON object", path=path, line=no)
+        pid = obj.get("id")
+        if not isinstance(pid, str) or not pid:
+            raise DataFormatError("missing or empty 'id'", path=path, line=no)
+        if pid in seen:
+            raise DataFormatError(f"duplicate patient id {pid!r}", path=path, line=no)
+        seen.add(pid)
+        records.append((no, obj))
+    if not records:
+        raise DataFormatError("no records (empty file)", path=path)
+    return records
+
+
+def read_tsv(path, header: str):
+    """The rows of TSV file ``path`` as (line number, fields) pairs. Line 1
+    must be ``header``; blank lines are skipped, and every other line has as
+    many non-empty tab-separated fields as the header."""
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != header:
+        raise DataFormatError(f"expected header {header!r}", path=path, line=1)
+    width = header.count("\t") + 1
+    for no, line in enumerate(islice(lines, 1, None), start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != width or "" in fields:
+            raise DataFormatError(
+                f"expected {width} non-empty tab-separated fields", path=path, line=no
+            )
+        yield no, fields

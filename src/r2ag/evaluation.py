@@ -10,12 +10,11 @@ per-patient rows, never recomputed from macro precision/recall.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import asdict, dataclass, field
 
 from .concept_linker import PatientInput, link_concepts
 from .errors import DataFormatError
-from .kg_store import KnowledgeGraph
+from .kg_store import KnowledgeGraph, tokens
 
 # 100 words; tokens shorter than 2 characters are dropped before this filter.
 STOPWORDS = frozenset(
@@ -33,20 +32,14 @@ STOPWORDS = frozenset(
     """.split()
 )
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-def _nlg_tokens(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
-
 
 def extract_tokens(text: str) -> set[str]:
     """Lowercased content tokens: length >= 2, stopwords removed, deduped."""
-    return _content_tokens(_nlg_tokens(text))
+    return _content_tokens(tokens(text))
 
 
-def _content_tokens(tokens: list[str]) -> set[str]:
-    return {tok for tok in tokens if len(tok) >= 2 and tok not in STOPWORDS}
+def _content_tokens(toks: list[str]) -> set[str]:
+    return {tok for tok in toks if len(tok) >= 2 and tok not in STOPWORDS}
 
 
 @dataclass
@@ -74,17 +67,17 @@ def ce_metrics(pred: set, ref: set) -> CeRow:
     return CeRow(p, r, f1, j, 1.0 - r, pred_empty=not pred)
 
 
-def _ngrams(tokens: list[str], n: int) -> dict[tuple, int]:
+def _ngrams(toks: list[str], n: int) -> dict[tuple, int]:
     counts: dict[tuple, int] = {}
-    for i in range(len(tokens) - n + 1):
-        g = tuple(tokens[i : i + n])
+    for i in range(len(toks) - n + 1):
+        g = tuple(toks[i : i + n])
         counts[g] = counts.get(g, 0) + 1
     return counts
 
 
 def rouge_n(pred_text: str, ref_text: str, n: int) -> float:
     """F1 over clipped n-gram multiset overlap."""
-    return _rouge_n(_nlg_tokens(pred_text), _nlg_tokens(ref_text), n)
+    return _rouge_n(tokens(pred_text), tokens(ref_text), n)
 
 
 def _rouge_n(pred_tokens: list[str], ref_tokens: list[str], n: int) -> float:
@@ -122,7 +115,7 @@ def _lcs_len(a: list[str], b: list[str]) -> int:
 
 def rouge_l(pred_text: str, ref_text: str) -> float:
     """LCS-based F-measure with equal precision/recall weighting."""
-    return _rouge_l(_nlg_tokens(pred_text), _nlg_tokens(ref_text))
+    return _rouge_l(tokens(pred_text), tokens(ref_text))
 
 
 def _rouge_l(pred: list[str], ref: list[str]) -> float:
@@ -136,7 +129,7 @@ def _rouge_l(pred: list[str], ref: list[str]) -> float:
 
 def bleu_n(pred_text: str, ref_text: str, n: int) -> float:
     """Geometric mean of modified 1..n-gram precisions times brevity penalty."""
-    return _bleu_n(_nlg_tokens(pred_text), _nlg_tokens(ref_text), n)
+    return _bleu_n(tokens(pred_text), tokens(ref_text), n)
 
 
 def _bleu_n(pred: list[str], ref: list[str], n: int) -> float:
@@ -254,7 +247,7 @@ def _macro_ce(rows: list[CeRow], skipped: int) -> CeMacro:
 def evaluate_pair(generated: str, reference: str, kg: KnowledgeGraph) -> PatientEval:
     """Metric row for one (generated, reference) pair; levels with an empty
     reference set come back as None. Each text is tokenized once."""
-    gen_tokens, ref_tokens = _nlg_tokens(generated), _nlg_tokens(reference)
+    gen_tokens, ref_tokens = tokens(generated), tokens(reference)
     ngram_ref = _content_tokens(ref_tokens)
     ngram = ce_metrics(_content_tokens(gen_tokens), ngram_ref) if ngram_ref else None
     concept_ref = set(link_concepts(reference, kg))

@@ -26,6 +26,7 @@ from .errors import (
     EndpointStatusError,
     EndpointTimeoutError,
     UnlinkableInputError,
+    parse_json,
     read_text,
 )
 from .gro_trainer import PatientContext, patient_context, run_rollouts
@@ -144,11 +145,7 @@ def build_prompt_bundle(
 
 
 def load_template(path) -> dict:
-    text = read_text(path)
-    try:
-        tpl = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
+    tpl = parse_json(read_text(path), path)
     if not isinstance(tpl, dict):
         raise DataFormatError("expected a JSON object", path=path)
     for key in ("version", "system", "instruction"):

@@ -14,7 +14,7 @@ from array import array
 
 import numpy as np
 
-from .errors import DataFormatError, read_text
+from .errors import DataFormatError, read_tsv
 
 CONCEPTS_HEADER = "id\tname\tgroup"
 RELATIONS_HEADER = "src\trelation\tdst"
@@ -22,12 +22,17 @@ RELATIONS_HEADER = "src\trelation\tdst"
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-def normalize_name(text: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace.
+def tokens(text: str) -> list[str]:
+    """The lowercase alphanumeric tokens of ``text``: the one token rule of
+    concept names, concept linking and evaluation. Text is lowercased before
+    it is split, so a character whose lowercase is ASCII (such as U+212A
+    KELVIN SIGN) tokenizes the same everywhere."""
+    return _TOKEN_RE.findall(text.lower())
 
-    Single normalization point shared with the concept linker.
-    """
-    return " ".join(_TOKEN_RE.findall(text.lower()))
+
+def normalize_name(text: str) -> str:
+    """Lowercase, strip punctuation, collapse whitespace."""
+    return " ".join(tokens(text))
 
 
 def concept_ints(ids) -> dict[str, int]:
@@ -97,21 +102,8 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
     edges whose endpoints are missing, and self-loop edges. Duplicate
     (src, relation, dst) triples are dropped silently.
     """
-    lines = read_text(concepts_path).splitlines()
-    if not lines or lines[0] != CONCEPTS_HEADER:
-        raise DataFormatError(
-            "expected header 'id\\tname\\tgroup'", path=concepts_path, line=1
-        )
     concepts: dict[str, tuple[str, str]] = {}
-    for no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or not all(parts):
-            raise DataFormatError(
-                "expected 3 non-empty tab-separated fields", path=concepts_path, line=no
-            )
-        cid, name, group = parts
+    for no, (cid, name, group) in read_tsv(concepts_path, CONCEPTS_HEADER):
         if cid in concepts:
             raise DataFormatError(
                 f"duplicate concept id {cid!r}", path=concepts_path, line=no
@@ -120,24 +112,12 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
     if not concepts:
         raise DataFormatError("no concepts loaded (empty graph)", path=concepts_path)
 
-    lines = read_text(relations_path).splitlines()
-    if not lines or lines[0] != RELATIONS_HEADER:
-        raise DataFormatError(
-            "expected header 'src\\trelation\\tdst'", path=relations_path, line=1
-        )
     index = concept_ints(concepts)
     src = array("q")
     labels: list[str] = []
     dst = array("q")
-    for no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or not all(parts):
-            raise DataFormatError(
-                "expected 3 non-empty tab-separated fields", path=relations_path, line=no
-            )
-        s_id, label, d_id = parts
+    # the reader frees each file's text once its last row is read
+    for no, (s_id, label, d_id) in read_tsv(relations_path, RELATIONS_HEADER):
         s, d = index.get(s_id), index.get(d_id)
         if s is None or d is None:
             unknown = s_id if s is None else d_id
@@ -152,7 +132,6 @@ def load_kg(concepts_path, relations_path) -> KnowledgeGraph:
         labels.append(sys.intern(label))  # one string per distinct label
         dst.append(d)
 
-    del lines  # the text is parsed; free it before the columns are built
     kg = KnowledgeGraph(concepts, src, labels, dst)
     if len(kg.groups) < 2:
         raise DataFormatError(

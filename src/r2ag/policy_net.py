@@ -54,7 +54,6 @@ class ForwardCache:
 
     x: np.ndarray  # (R, 5d) concatenated input
     h1: np.ndarray  # (R, 4d) pre-activation
-    a1: np.ndarray  # (R, 4d) post-ReLU
     z: np.ndarray  # (R, 4d)
     actions: np.ndarray  # (n, 4d) action embedding matrix, shared by every row
     dist: np.ndarray  # (R, n) softmax over each row's logits
@@ -64,7 +63,7 @@ class ForwardCache:
         """State ``i`` of a block as a one-state cache of row views; it
         refers to the block's action matrix, not a copy."""
         return ForwardCache(
-            self.x[i], self.h1[i], self.a1[i], self.z[i], self.actions,
+            self.x[i], self.h1[i], self.z[i], self.actions,
             self.dist[i], self.c_avg[i],
         )
 
@@ -122,12 +121,11 @@ def forward(
 
     x = np.concatenate([s_k, c_avg @ params.M.T], axis=-1)
     h1 = x @ params.W1.T
-    a1 = np.maximum(h1, 0.0)
-    z = a1 @ params.W2.T
+    z = np.maximum(h1, 0.0) @ params.W2.T
     logits = z @ actions.T
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     dist = e / e.sum(axis=-1, keepdims=True)
-    return ForwardCache(x, h1, a1, z, actions, dist, c_avg)
+    return ForwardCache(x, h1, z, actions, dist, c_avg)
 
 
 def sample_action(dist: np.ndarray, u: float) -> int:

@@ -196,8 +196,9 @@ def rowwise_gradient(params, records, relative, gamma):
         dlogits = -cache.dist
         dlogits[a] += 1.0
         dZ[row] = cache.actions.T @ dlogits
-    X, H1, A1, C = (np.stack([getattr(c, name) for c in caches]).reshape(len(caches), -1)
-                    for name in ("x", "h1", "a1", "c_avg"))
+    X, H1, C = (np.stack([getattr(c, name) for c in caches]).reshape(len(caches), -1)
+                for name in ("x", "h1", "c_avg"))
+    A1 = np.maximum(H1, 0.0)
     dH1 = (dZ @ params.W2) * (H1 > 0.0)
     return (
         (w * dH1).T @ X,

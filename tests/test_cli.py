@@ -867,6 +867,13 @@ def test_eval_generated_repeated_id_exits_2(tmp_path, capsys):
     assert not (tmp_path / "eval" / "report.json").exists()
 
 
+def test_generated_record_with_empty_id_is_refused_at_its_line(tmp_path):
+    gen = tmp_path / "generated.jsonl"
+    _write_jsonl(gen, [{"id": "P1", "generated": "x"}, {"id": "", "generated": "y"}])
+    with pytest.raises(DataFormatError, match=r"generated\.jsonl:2: missing or empty 'id'"):
+        _load_generated(gen)
+
+
 def test_default_scale_loop_is_fast(tmp_path):
     # synth -> validate -> train -> retrieve -> generate --stub -> eval on
     # the default spec (15 groups x 50 concepts, 50 patients) in one epoch

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ints, make_kg
 
@@ -41,6 +43,27 @@ def test_relink_is_deterministic(tiny_kg):
 def test_shared_name_links_the_smallest_id():
     kg = make_kg([("C2", "Chest Pain", "A"), ("C1", "chest pain", "B"), ("C3", "x", "A")], [])
     assert link_concepts("chest pain", kg) == ints(kg, ["C1"])
+
+
+def test_names_whose_lowercase_is_ascii_link_from_themselves():
+    # U+212A KELVIN SIGN lowercases to "k"; U+0130 to "i" and a combining dot
+    kg = make_kg([("C1", "\u212aidney stone", "A"), ("C2", "\u0130leus", "A"),
+                  ("C3", "fever", "B")], [])
+    assert [link_concepts(name, kg) for name in kg.names] == [[0], [1], [2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="ab9K\u212a\u0130\u0307 -.", min_size=1, max_size=10),
+                min_size=1, max_size=6))
+def test_every_concept_links_from_its_own_name(names):
+    kg = make_kg([(f"C{i}", name, "AB"[i % 2]) for i, name in enumerate(names)], [])
+    for c, name in enumerate(kg.names):
+        key = normalize_name(name)
+        if key:
+            # the whole name is the longest match; of the concepts sharing
+            # its tokens the smallest int wins
+            owner = min(o for o, other in enumerate(kg.names) if normalize_name(other) == key)
+            assert link_concepts(name, kg) == [owner]
 
 
 def _oracle_greedy(text, kg):
