@@ -62,8 +62,12 @@ def link_concepts(text: str, kg: KnowledgeGraph) -> list[int]:
     concept names, so punctuation, whitespace and case differences are
     ignored.
     """
+    return link_tokens(tokens(text), kg)
+
+
+def link_tokens(toks: list[str], kg: KnowledgeGraph) -> list[int]:
+    """``link_concepts`` of a text whose ``kg_store.tokens`` are ``toks``."""
     lex = _lexicon(kg)
-    toks = tokens(text)
     found: dict[int, None] = {}
     i = 0
     n = len(toks)

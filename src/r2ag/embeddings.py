@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DataFormatError, read_text
+from .errors import DataFormatError, read_lines
 from .kg_store import KnowledgeGraph
 
 _DIM_RE = re.compile(r"^dim=(\d+)$")
@@ -62,7 +62,7 @@ def load_embeddings(path, kg: KnowledgeGraph) -> EmbeddingTable:
     covered; rows for ids outside the graph are checked like the rest and
     then dropped.
     """
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines:
         raise DataFormatError("empty embedding file", path=path, line=1)
     m = _DIM_RE.match(lines[0])
@@ -214,15 +214,21 @@ def cosine(u, v) -> float | list[float]:
     return out if u.ndim == 2 else out[0]
 
 
-def cosines(table: EmbeddingTable, rows, V: np.ndarray) -> np.ndarray:
+def cosines(table: EmbeddingTable, rows, V: np.ndarray, lens=None) -> np.ndarray:
     """Cosine of table row ``rows[i]`` against each row of ``V[i]``, for
     ``V`` of shape ``(len(rows), k, d)``: a ``(len(rows), k)`` array.
 
+    With ``lens``, ``V[p]`` serves the next ``lens[p]`` rows, as
+    ``np.repeat(V, lens, axis=0)`` would; its norms are taken before the
+    repeat, so no squared copy of the repeated block is made.
     The same clipping and zero-norm rule as ``cosine``. Each entry depends
     only on its own pair, so it is the same to the bit in any batch.
     """
+    norms = np.linalg.norm(V, axis=-1)
+    if lens is not None:
+        V, norms = np.repeat(V, lens, axis=0), np.repeat(norms, lens, axis=0)
     dots = np.einsum("cd,ckd->ck", table.matrix[rows], V)
-    den = table.norms[rows][:, None] * np.linalg.norm(V, axis=-1)
+    den = table.norms[rows][:, None] * norms
     out = np.zeros_like(dots)
     np.divide(dots, den, out=out, where=den != 0.0)
     return np.clip(out, -1.0, 1.0, out=out)

@@ -70,16 +70,28 @@ class EndpointResponseError(EndpointError):
     """The endpoint body could not be parsed as a completion response."""
 
 
-def read_text(path) -> str:
-    """The whole of UTF-8 text file ``path``. A file that cannot be read, or
-    holds bytes that are not UTF-8, raises ``DataFormatError``."""
+def read_text(path, newline: str | None = None) -> str:
+    """The whole of UTF-8 text file ``path``, its line ends translated as
+    ``open(path, newline=newline)`` translates them. A file that cannot be
+    read, or holds bytes that are not UTF-8, raises ``DataFormatError``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from exc
+
+
+def read_lines(path) -> list[str]:
+    """The lines of UTF-8 text file ``path``, broken at "\\n" only, as JSON
+    lines and ``sed`` break them (not at U+2028 or the other breaks of
+    ``str.splitlines``), each without one trailing "\\r", so CRLF files read
+    as LF files. A final line end starts no line."""
+    lines = read_text(path, newline="").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def parse_json(text: str, path, line: int | None = None):
@@ -99,7 +111,7 @@ def read_records(path) -> list[tuple[int, dict]]:
     holds at least one record."""
     records: list[tuple[int, dict]] = []
     seen: set[str] = set()
-    for no, line in enumerate(read_text(path).splitlines(), start=1):
+    for no, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         obj = parse_json(line, path, no)
@@ -121,7 +133,7 @@ def read_tsv(path, header: str):
     """The rows of TSV file ``path`` as (line number, fields) pairs. Line 1
     must be ``header``; blank lines are skipped, and every other line has as
     many non-empty tab-separated fields as the header."""
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != header:
         raise DataFormatError(f"expected header {header!r}", path=path, line=1)
     width = header.count("\t") + 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .concept_linker import PatientInput, link_concepts
+from .concept_linker import PatientInput, link_tokens
 from .errors import DataFormatError
 from .kg_store import KnowledgeGraph, tokens
 
@@ -250,10 +250,8 @@ def evaluate_pair(generated: str, reference: str, kg: KnowledgeGraph) -> Patient
     gen_tokens, ref_tokens = tokens(generated), tokens(reference)
     ngram_ref = _content_tokens(ref_tokens)
     ngram = ce_metrics(_content_tokens(gen_tokens), ngram_ref) if ngram_ref else None
-    concept_ref = set(link_concepts(reference, kg))
-    concept = (
-        ce_metrics(set(link_concepts(generated, kg)), concept_ref) if concept_ref else None
-    )
+    concept_ref = set(link_tokens(ref_tokens, kg))
+    concept = ce_metrics(set(link_tokens(gen_tokens, kg)), concept_ref) if concept_ref else None
     nlg = {
         "rouge1": _rouge_n(gen_tokens, ref_tokens, 1),
         "rouge2": _rouge_n(gen_tokens, ref_tokens, 2),

@@ -155,7 +155,7 @@ def connect(
     pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k, _, _ in live])
     lens = np.array([len(pool) for _, _, pool, _ in live])
     rows = np.concatenate([pool for _, _, pool, _ in live])  # path after path
-    score = cosines(table, rows, np.repeat(pavgs, lens, axis=0)[:, None])[:, 0]
+    score = cosines(table, rows, pavgs[:, None], lens)[:, 0]
     for (rs, k, _, out), c in zip(live, rows[_first_max(score, lens)].tolist()):
         rs.paths[k].add(GROUP_LEAP, c)
         _insert(rs.explored, c)
@@ -205,7 +205,7 @@ def retrieve(
     pos = np.repeat(lo + lens - np.cumsum(lens), lens) + np.arange(lens.sum())
     pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k, _ in live])
     V = np.stack([np.stack([sq for *_, sq in live]), pavgs], axis=1)  # (paths, 2, d)
-    cos = cosines(table, kg.indices[pos], np.repeat(V, lens, axis=0))
+    cos = cosines(table, kg.indices[pos], V, lens)
     # each slice is in sorted (label, id) order: the first maximum of each
     # segment is its smallest (label, id) among ties
     best = pos[_first_max(0.5 * (cos[:, 0] + cos[:, 1]), lens)]

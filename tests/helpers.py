@@ -7,6 +7,7 @@ of what they check.
 
 from __future__ import annotations
 
+import base64
 import http.server
 import json
 import math
@@ -15,8 +16,9 @@ import time
 
 import numpy as np
 
+from r2ag.errors import DataFormatError
 from r2ag.kg_store import KnowledgeGraph, concept_ints
-from r2ag.policy_net import forward
+from r2ag.policy_net import CHECKPOINT_VERSION, PolicyParams, forward, param_shapes
 
 
 def make_kg(concept_rows, edge_rows) -> KnowledgeGraph:
@@ -214,6 +216,57 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # mock chat-completion endpoint
+
+def _oracle_matrix(value, name: str, shape: tuple[int, int], path) -> np.ndarray:
+    if not isinstance(value, str):
+        raise DataFormatError(f"{name} must be a base64 string", path=path)
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataFormatError(f"{name} is not valid base64: {exc}", path=path) from exc
+    size = 8 * shape[0] * shape[1]
+    if len(raw) != size:
+        raise DataFormatError(
+            f"{name} has {len(raw)} bytes, expected {size} for shape {shape}", path=path
+        )
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise DataFormatError(f"{name} contains non-finite values", path=path)
+    return arr
+
+
+def oracle_load_checkpoint(path) -> PolicyParams:
+    """The checkpoint reader as one ``json.load`` of the whole file, then a
+    whole-string ``b64decode`` of each matrix: the reference that the
+    streaming ``policy_net.load_checkpoint`` must match, bit for bit and
+    message for message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise DataFormatError(f"unsupported checkpoint version {version!r}", path=path)
+    missing = [key for key in ("d", "seed", "embeddings", "W1", "W2", "M") if key not in payload]
+    if missing:
+        raise DataFormatError(f"malformed checkpoint: missing {missing}", path=path)
+    d, seed = payload["d"], payload["seed"]
+    if type(d) is not int or d < 2 or type(seed) is not int:
+        raise DataFormatError(
+            f"d must be an int >= 2 and seed an int, got {d!r} and {seed!r}", path=path
+        )
+    embeddings = payload["embeddings"]
+    if embeddings is not None and not isinstance(embeddings, str):
+        raise DataFormatError(f"embeddings must be a string, got {embeddings!r}", path=path)
+    mats = {
+        name: _oracle_matrix(payload.pop(name), name, shape, path)
+        for name, shape in param_shapes(d).items()
+    }
+    return PolicyParams(d, seed, mats["W1"], mats["W2"], mats["M"], embeddings)
+
 
 class MockEndpoint:
     """Tiny local HTTP server with a scriptable response plan.

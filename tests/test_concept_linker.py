@@ -12,11 +12,12 @@ from helpers import ints, make_kg
 from r2ag.concept_linker import (
     initial_group,
     link_concepts,
+    link_tokens,
     load_corpus,
     scarce_group,
 )
 from r2ag.errors import DataFormatError
-from r2ag.kg_store import normalize_name
+from r2ag.kg_store import normalize_name, tokens
 
 
 def test_single_concept_match(tiny_kg):
@@ -267,3 +268,25 @@ def test_load_corpus_rejects_empty_file(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(DataFormatError, match="empty"):
         load_corpus(path)
+
+
+def test_corpus_lines_break_at_newline_only(tmp_path):
+    # a raw U+2028 inside a JSON string is part of the record, and a bad
+    # record's line number is the one `sed -n` shows; CRLF reads as LF
+    rows = [{"id": "P1", "pre_admission": "fever\u2028cough\x85"},
+            {"id": "P2", "pre_admission": "x"}]
+    text = "\n".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\n"
+    path = tmp_path / "corpus.jsonl"
+    for end in ("\n", "\r\n"):
+        path.write_text(text.replace("\n", end), encoding="utf-8", newline="")
+        patients = load_corpus(path)
+        assert [(p.id, p.pre_admission) for p in patients] == [
+            ("P1", "fever\u2028cough\x85"), ("P2", "x")]
+    path.write_text(text + "not json\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"corpus\.jsonl:3: invalid JSON"):
+        load_corpus(path)
+
+
+def test_link_tokens_is_link_concepts_of_the_text(tiny_kg):
+    for text in ("Exertional chest pain, then cough.", "", "lung heart LUNG"):
+        assert link_tokens(tokens(text), tiny_kg) == link_concepts(text, tiny_kg)

@@ -332,3 +332,26 @@ def test_group_vectors_index(tiny_kg, tiny_table):
     for gid, g in tiny_kg.group_index.items():
         rows = tiny_table.matrix[[i for i, k in enumerate(tiny_kg.group_at) if k == g]]
         assert np.array_equal(gv[g], np.concatenate([rows.mean(axis=0), rows.max(axis=0)]))
+
+
+def test_embedding_lines_break_at_newline_only(tmp_path):
+    kg = make_kg([("C\u20281", "one", "G1"), ("C2", "two", "G2")], [])
+    path = _write_embeddings(tmp_path, 2, [("C\u20281", [1, 0]), ("C2", [0, 3])])
+    for text in (path.read_text(), path.read_text().replace("\n", "\r\n")):
+        path.write_text(text, newline="")
+        table = load_embeddings(path, kg)
+        assert table.matrix[kg.index["C\u20281"]].tolist() == [1.0, 0.0]
+        assert table.matrix[kg.index["C2"]].tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("d", [2, 7, 128])
+def test_cosines_with_lens_equal_the_repeated_block_bit_for_bit(d):
+    # norms taken before the repeat are the norms of the repeated rows
+    rng = np.random.default_rng(200 + d)
+    table = EmbeddingTable(d, rng.standard_normal((50, d)))
+    lens = np.array([1, 4, 2, 9, 1])
+    V = rng.standard_normal((len(lens), 2, d)) * rng.uniform(0.1, 10.0, (len(lens), 1, 1))
+    V[2, 1] = 0.0
+    rows = rng.integers(0, 50, size=lens.sum())
+    got = cosines(table, rows, V, lens)
+    assert got.tobytes() == cosines(table, rows, np.repeat(V, lens, axis=0)).tobytes()

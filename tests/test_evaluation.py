@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import make_kg
 
+import r2ag.concept_linker
+import r2ag.evaluation
+from r2ag import kg_store
 from r2ag.concept_linker import PatientInput
 from r2ag.errors import DataFormatError
 from r2ag.evaluation import (
@@ -319,3 +322,21 @@ def test_evaluate_pair_equals_the_one_text_metrics():
         }
         ref_set = extract_tokens(ref)
         assert pe.ngram == (ce_metrics(extract_tokens(gen), ref_set) if ref_set else None)
+
+
+def test_evaluate_pair_tokenizes_each_text_once(monkeypatch):
+    # the concept level links the tokens the other metrics use, so a pair
+    # costs two `tokens` calls, not four
+    kg = make_kg([("C1", "chest pain", "Disorders"), ("C2", "cough", "Disorders")], [])
+    evaluate_pair("", "cough", kg)  # builds the graph's lexicon
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return kg_store.tokens(text)
+
+    for module in (r2ag.evaluation, r2ag.concept_linker):
+        monkeypatch.setattr(module, "tokens", counted)
+    pe = evaluate_pair("chest pain and cough", "cough, then chest pain", kg)
+    assert sorted(calls) == ["chest pain and cough", "cough, then chest pain"]
+    assert pe.concept.precision == pe.concept.recall == 1.0

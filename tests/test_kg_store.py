@@ -251,3 +251,18 @@ def test_load_handles_larger_graphs_quickly(tmp_path):
     assert len(kg.indices) == 4 * n
     assert len(kg.groups) == n // per_group
     assert elapsed < 30.0
+
+
+def test_tsv_lines_break_at_newline_only(write_kg):
+    # a concept name holding U+2028 (or U+0085) stays one row, a bad row's
+    # line number is the one `sed -n` shows, and CRLF reads as LF
+    rows = [("C1", "aspirin\u2028tablet", "Drugs"), ("C2", "chest\x85pain", "Disorders")]
+    cpath, rpath = write_kg(rows, MINI_EDGES)
+    kg = load_kg(cpath, rpath)
+    assert kg.names == ("aspirin\u2028tablet", "chest\x85pain")
+    for path in (cpath, rpath):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_kg(cpath, rpath).names == kg.names
+    cpath.write_bytes(cpath.read_bytes() + b"C3\tno group\n")
+    with pytest.raises(DataFormatError, match=r"concepts\.tsv:4: expected 3"):
+        load_kg(cpath, rpath)

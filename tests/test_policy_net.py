@@ -4,13 +4,16 @@ import base64
 import io
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import fd_logprob_grads, max_rel_err
+from helpers import fd_logprob_grads, max_rel_err, oracle_load_checkpoint
 
 import r2ag.policy_net
 from r2ag.errors import DataFormatError
@@ -464,3 +467,199 @@ def test_undecodable_checkpoint_raises_data_format_error(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(DataFormatError, match="invalid JSON"):
         load_checkpoint(path)
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives: its error message, or every bit it loads."""
+    try:
+        p = read(path)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    for name in ("W1", "W2", "M"):
+        m = getattr(p, name)
+        assert m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
+    mats = (getattr(p, name).tobytes() for name in ("W1", "W2", "M"))
+    return "ok", p.d, p.seed, p.embeddings, *mats
+
+
+def _assert_reads_as_oracle(path, block_bytes=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            mp.setattr(r2ag.policy_net, "CHECKPOINT_BLOCK_BYTES", block_bytes)
+        got = _outcome(load_checkpoint, path)
+    assert got == _outcome(oracle_load_checkpoint, path)
+
+
+def _b64(m) -> str:
+    return base64.b64encode(np.asarray(m, dtype="<f8").tobytes()).decode()
+
+
+_WS = st.text(alphabet=" \t\n\r", max_size=2)
+
+
+@st.composite
+def _checkpoint_bytes(draw):
+    """A checkpoint file's bytes: the v2 keys in any order, with any
+    whitespace, extra and repeated keys, matrix strings that decode as they
+    stand and ones that do not, then maybe a cut or an inserted byte."""
+    d = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix(name):
+        shape = param_shapes(d)[name]
+        m = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-300, 300))
+        kind = draw(st.sampled_from(
+            ["ok"] * 6 + ["slash", "nan", "size", "junk", "raw", "escape", "json"]))
+        if kind == "nan":
+            bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            m.flat[draw(st.integers(0, m.size - 1))] = bad
+        text = _b64(m[: -1 if kind == "size" else None])
+        if kind == "junk":  # a character put in, or in place of another
+            at = draw(st.integers(0, len(text) - 1))
+            text = (text[:at] + draw(st.sampled_from(list("*=-_ \u00fc\\\"A")))
+                    + text[at + draw(st.integers(0, 1)):])
+        if kind == "json":
+            return draw(st.sampled_from(["null", "[[0.0]]", "7", '""', '"AAAA"', '"AA=="']))
+        value = json.dumps(text, ensure_ascii=kind != "raw")
+        if kind == "slash":
+            value = value.replace("/", "\\/")
+        if kind == "escape":
+            value = '"\\u0041' + value[1:]
+        return value
+
+    def key(name):  # plain, or its first letter as a \u escape
+        escaped = f'"\\u{ord(name[0]):04x}{name[1:]}"'
+        return draw(st.sampled_from([json.dumps(name)] * 3 + [escaped]))
+
+    items = [
+        ('"version"', draw(st.sampled_from(["2"] * 8 + ["3", '"2"']))),
+        ('"d"', str(d)),
+        ('"seed"', str(draw(st.integers(-5, 5)))),
+        ('"embeddings"', draw(st.sampled_from(["null", '"sha256:ab"', '"AAAA"']))),
+        *((key(n), matrix(n)) for n in ("W1", "W2", "M")),
+    ]
+    items = list(draw(st.permutations(items)))
+    for _ in range(draw(st.integers(0, 3))):  # extra and repeated keys
+        extra = draw(st.sampled_from(["W1", "W2", "M", "note", "W1x", "nested"]))
+        if extra in ("note", "W1x"):
+            tail = draw(st.sampled_from(["", "/", "\u00e9"]))
+            value = json.dumps("A" * draw(st.integers(0, 200)) + tail)
+        elif extra == "nested":
+            value = '{"W1": "AAAA", "M": ["W2", {"M": "AA=="}], "W2": "AAAA"}'
+        else:
+            value = matrix(extra)
+        items.insert(draw(st.integers(0, len(items))), (json.dumps(extra), value))
+    text = draw(_WS) + "{" + ",".join(
+        draw(_WS) + k + draw(_WS) + ":" + draw(_WS) + v + draw(_WS) for k, v in items
+    ) + "}" + draw(_WS)
+    data = text.encode("utf-8")
+    change = draw(st.sampled_from(["none"] * 4 + ["cut", "insert", "bom"]))
+    if change == "cut":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif change == "insert":
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from([b"\xff", b"\xc3", b'"', b"\\", b",", b"}", b"\r"]))
+        data = data[:at] + byte + data[at:]
+    elif change == "bom":
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_checkpoint_bytes(), block_bytes=st.one_of(st.none(), st.integers(4, 48)))
+def test_checkpoint_reads_as_one_json_load_of_the_file(tmp_path_factory, data, block_bytes):
+    # every file gives the bits, or the message, of the whole-file reader
+    path = tmp_path_factory.getbasetemp() / "oracle.json"
+    path.write_bytes(data)
+    _assert_reads_as_oracle(path, block_bytes)
+
+
+def _saved(tmp_path, d=3) -> bytes:
+    p = _special_params(d)
+    p.embeddings = "sha256:" + "ab" * 32
+    save_checkpoint(p, tmp_path / "ckpt.json")
+    return (tmp_path / "ckpt.json").read_bytes()
+
+
+@pytest.mark.parametrize("block_bytes", [4, 7, 24, None])
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda t: t,
+        lambda t: t.replace(b", ", b",\r\n "),  # CRLF line ends
+        lambda t: t.replace(b'"W2": "', b'"W2": "\\u0041', 1),  # an escape reads W2 inline
+        lambda t: t.replace(b"/", b"\\/"),
+        lambda t: t.replace(b'"M": "', b'"M": null, "M": "', 1),  # the last repeat wins
+        lambda t: t.replace(b'"M": "', b'"M": "AAAA", "M": 5, "x": "', 1),
+        lambda t: t.replace(b'"d": 3', b'"note": "' + b"B" * 300 + b'", "d": 3'),
+        lambda t: t[:-4],  # cut inside M: the string is unterminated
+        lambda t: t[: len(t) // 2],  # cut inside W2
+        lambda t: t[:-2] + b",}\n",  # a JSON error after every matrix
+        lambda t: t[:-2] + b'\r\n\r\n"\xc3\x28"}\n',  # a UTF-8 error after every matrix
+        lambda t: t.replace(b'"W2"', b'"W2" "W2"', 1),
+        lambda t: t.replace(b'", "M"', b'=", "M"', 1),  # W2 padded past its length
+        lambda t: t.replace(b'"W1": "', b'"W1": "\xc3\xa9', 1),
+        lambda t: t.replace(b'"W1": "', b'"W1": "AA=A', 1),  # "=" inside: W1 reads inline
+        lambda t: t.replace(b'", "W2"', b'===", "W2"', 1),  # three "="
+        lambda t: t.replace(b'"W1": "', b'"W1": "AAAA", "x": {"a": [1, {"W1": "', 1),
+        lambda t: t.replace(b'{', b'[{', 1).replace(b'}\n', b'}]\n'),
+        lambda t: t.replace(b'}\n', b', "\\u00572": ""}\n'),  # an escaped key is W2 too
+        lambda t: t.replace(b'"M": "', b'"\\u004d": null, "\\u004d": "', 1),
+    ],
+)
+def test_checkpoint_edits_read_as_one_json_load_of_the_file(tmp_path, change, block_bytes):
+    path = tmp_path / "edited.json"
+    path.write_bytes(change(_saved(tmp_path)))
+    _assert_reads_as_oracle(path, block_bytes)
+
+
+def test_checkpoint_changed_between_passes_is_a_data_error(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(3, seed=1), path)
+    real = r2ag.policy_net._matrix_spans
+
+    def spans_then_overwrite(fh, block):
+        spans = real(fh, block)
+        with open(path, "r+b") as out:  # same length, but "*" decodes to nothing
+            out.seek(spans[0][1])
+            out.write(b"****")
+        return spans
+
+    monkeypatch.setattr(r2ag.policy_net, "_matrix_spans", spans_then_overwrite)
+    with pytest.raises(DataFormatError, match="W1 changed while it was read"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_reads_from_a_pipe(tmp_path):
+    # a pipe cannot seek back for the second pass, so it is read whole
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(_special_params(2), path)
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes())  # a d=2 file fits the pipe's buffer
+        os.close(w)
+        w = None
+        got = _outcome(load_checkpoint, f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+    assert got == _outcome(load_checkpoint, path)
+
+
+def test_checkpoint_read_memory_is_one_copy_of_the_weights(tmp_path):
+    # the file text and each whole base64 string held at once were 2.67x
+    # the parameter bytes; streaming leaves the arrays and a few blocks
+    d = 128
+    p = init_params(d, seed=0)
+    save_checkpoint(p, tmp_path / "ckpt.json")
+    param_bytes = sum(8 * rows * cols for rows, cols in param_shapes(d).values())
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(tmp_path / "ckpt.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * param_bytes + 4 * r2ag.policy_net.CHECKPOINT_BLOCK_BYTES
+    for name in ("W1", "W2", "M"):
+        assert getattr(loaded, name).tobytes() == getattr(p, name).tobytes()
