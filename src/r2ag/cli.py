@@ -40,7 +40,7 @@ from .generation import (
     select_paths,
     stub_generate,
 )
-from .gro_trainer import TrainConfig, TrainingDivergedError, train
+from .gro_trainer import COUNT_LIMIT, TrainConfig, TrainingDivergedError, train
 from .kg_store import load_kg
 from .policy_net import load_checkpoint, save_checkpoint
 from .synthetic_data import SynthSpec, gen_corpus, gen_kg
@@ -346,6 +346,8 @@ def cmd_train(args) -> int:
 def _retrieval_setup(args):
     if args.max_steps < 1:
         raise UsageError("max_steps must be >= 1")
+    if args.max_steps > COUNT_LIMIT:
+        raise UsageError(f"max_steps must be <= {COUNT_LIMIT}")
     kg = load_kg(require(args, "concepts"), require(args, "relations"))
     params = load_checkpoint(require(args, "checkpoint"))
     corpus = load_corpus(require(args, "corpus"))

@@ -62,6 +62,12 @@ class TrainingDivergedError(FloatingPointError):
     """A training update overflowed or left a weight non-finite."""
 
 
+# the most retrieval steps (T) and rollouts per patient (G) a run takes: a
+# cycling greedy path never freezes, and G x T uniforms are drawn up front,
+# so a huge count would hang or exhaust memory. The paper's are single digits.
+COUNT_LIMIT = 1000
+
+
 @dataclass
 class TrainConfig:
     max_steps: int = 5  # T: retrieval steps per rollout
@@ -85,6 +91,9 @@ class TrainConfig:
             raise ValueError("group_size must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for name in ("max_steps", "group_size"):
+            if getattr(self, name) > COUNT_LIMIT:
+                raise ValueError(f"{name} must be <= {COUNT_LIMIT}")
 
 
 @dataclass

@@ -18,21 +18,24 @@ the row [0 || group vector a] (see ``gro_trainer.run_rollouts``).
 from __future__ import annotations
 
 import base64
-import binascii
-import io
+import hashlib
 import json
-import re
-import sys
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic_file import atomic_open
-from .errors import DataFormatError
+from .errors import DataFormatError, parse_json
 
-CHECKPOINT_VERSION = 2
-# bytes of a matrix base64-encoded at a time by ``save_checkpoint``
+# the first line of a version-3 checkpoint; no JSON text starts with "R"
+CHECKPOINT_MAGIC = b"R2AG-CHECKPOINT 3\n"
+# bytes of a matrix written, or read, at a time by the checkpoint I/O
 CHECKPOINT_BLOCK_BYTES = 24 << 12
+# longest header line read: far above any the writer makes, whose longest
+# part, the seed, has at most 4300 digits (Python's int-to-text limit)
+_HEADER_BYTES = 1 << 16
 
 
 @dataclass
@@ -202,262 +205,138 @@ def block_backward(
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:
-    """Write a version-2 checkpoint: one JSON object {version, d, seed,
-    embeddings, W1, W2, M}.
+    """Write a version-3 checkpoint: the line ``CHECKPOINT_MAGIC``, one JSON
+    header line {d, seed, embeddings, weights}, then W1, W2 and M as their
+    C-order little-endian float64 bytes, back to back.
 
-    Each matrix is the base64 of its C-order little-endian float64 bytes,
-    so floats round-trip bit-exactly and equal parameters give equal bytes.
-    Each matrix is encoded from a view of its bytes in blocks of
-    ``CHECKPOINT_BLOCK_BYTES``, rounded down to whole floats and whole
-    base64 groups (24 bytes), so the blocks' base64 is the whole matrix's
-    and no copy of a matrix is made. The file is replaced atomically.
+    ``weights`` is ``sha256:<hex>`` of those bytes. Floats round-trip
+    bit-exactly and equal parameters give equal bytes. Each matrix is hashed
+    and written from a view of its bytes, in blocks of
+    ``CHECKPOINT_BLOCK_BYTES``, so no copy of a matrix is made. The file is
+    replaced atomically.
     """
+    views = [
+        np.ascontiguousarray(getattr(params, name), dtype="<f8").reshape(-1).view(np.uint8)
+        for name in param_shapes(params.d)
+    ]
+    digest = hashlib.sha256()
+    for raw in views:
+        digest.update(raw)
     header = {
-        "version": CHECKPOINT_VERSION, "d": params.d, "seed": params.seed,
-        "embeddings": params.embeddings,
+        "d": params.d, "seed": params.seed, "embeddings": params.embeddings,
+        "weights": "sha256:" + digest.hexdigest(),
     }
-    block = max(24, CHECKPOINT_BLOCK_BYTES // 24 * 24)
+    block = CHECKPOINT_BLOCK_BYTES
     with atomic_open(path) as fh:
-        fh.write(json.dumps(header)[:-1])
-        for name in param_shapes(params.d):
-            m = np.ascontiguousarray(getattr(params, name), dtype="<f8")
-            raw = memoryview(m.reshape(-1).view(np.uint8))
-            fh.write(f', "{name}": "')
+        fh.write(CHECKPOINT_MAGIC.decode("ascii") + json.dumps(header) + "\n")
+        fh.flush()
+        for raw in views:
             for start in range(0, len(raw), block):
-                fh.write(base64.b64encode(raw[start : start + block]).decode("ascii"))
-            fh.write('"')
-        fh.write("}\n")
-
-
-_NAMES = ("W1", "W2", "M")
-_NAME_BYTES = 12  # "W2" spelt with two \u escapes
-_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-# a string's quote, or a structural character outside a string
-_TOKEN = re.compile(rb'["{}\[\]:,]')
-
-
-def _key(raw: bytearray) -> str | None:
-    """The text of a JSON key from its raw bytes between the quotes, or
-    None when they are too many to spell a matrix name, escapes and all."""
-    if len(raw) > _NAME_BYTES:
-        return None
-    try:
-        return json.loads(b'"' + raw + b'"')
-    except ValueError:
-        return None
-
-
-def _matrix_spans(fh, block: int) -> list[tuple[str, int, int, int]]:
-    """Pass 1 of ``load_checkpoint``: (name, start, stop, byte count) of each
-    top-level W1, W2 or M string value that base64-decodes as it stands,
-    in file order, as file offsets of its content between the quotes.
-
-    Such a string holds only base64 alphabet characters, at most two
-    trailing ``=`` and a multiple of 4 of them. Every other value (escapes,
-    non-ASCII, bad padding, arrays, null) is left in place for ``json``.
-    The file is read in blocks of ``block`` bytes; an open string and a
-    pending escape carry over from one block to the next.
-    """
-    spans = []
-    depth = 0
-    expect = None  # what comes next at depth 1 ("key", "colon", "value"); None deeper
-    key = None  # the last depth-1 key, when its raw text is short enough to be a name
-    in_string = False
-    skip = off = 0  # bytes to skip at the next block's start; chunk[0]'s offset
-    while chunk := fh.read(block):
-        i, n, skip = skip, len(chunk), 0
-        while i < n:
-            if not in_string:
-                m = _TOKEN.search(chunk, i)
-                if m is None:
-                    break
-                i, c = m.end(), m.group()
-                if c == b'"':
-                    in_string, start = True, off + i
-                    stream = expect == "value" and key in _NAMES
-                    text = bytearray() if expect == "key" else None  # a key's raw bytes
-                    eqs, first_eq = 0, -1
-                elif c in b"{[":
-                    depth += 1
-                    expect = "key" if depth == 1 else None
-                elif c in b"}]":
-                    depth -= 1
-                    expect = None
-                elif depth == 1:
-                    expect = "key" if c == b"," else "value" if expect == "colon" else None
-                continue
-            q = chunk.find(b'"', i)
-            end = n if q < 0 else q
-            esc = chunk.find(b"\\", i, end)
-            if esc >= 0:  # the escaped byte may be a quote: skip it
-                end, stream = esc + 2, False
-            elif stream:
-                rest = chunk[i:end].translate(None, _ALPHABET)
-                if rest.strip(b"="):
-                    stream = False
-                elif rest:
-                    first_eq = first_eq if eqs else off + chunk.find(b"=", i, end)
-                    eqs += len(rest)
-            if text is not None and len(text) <= _NAME_BYTES:
-                text += chunk[i : min(end, i + _NAME_BYTES + 1)]
-            if esc >= 0 or q < 0:
-                i, skip = min(end, n), max(end - n, 0)
-                continue
-            in_string, i, stop = False, q + 1, off + q
-            if text is not None:
-                key, expect = _key(text), "colon"
-                continue
-            expect = None
-            if stream and (stop - start) % 4 == 0 and eqs <= 2 and (
-                    not eqs or first_eq == stop - eqs):
-                spans.append((key, start, stop, (stop - start) // 4 * 3 - eqs))
-        off += n
-    return spans
-
-
-def _json_error(exc: json.JSONDecodeError, sites) -> str:
-    """``exc``'s message with its position moved from the skeleton into the
-    file's text: each (site, length) put ``length`` characters back in
-    front of skeleton offset ``site``."""
-    def shift(x: int) -> int:
-        return x + sum(length for site, length in sites if site <= x)
-
-    pos = shift(exc.pos)
-    col = pos - shift(exc.doc.rfind("\n", 0, exc.pos))
-    return f"{exc.msg}: line {exc.lineno} column {col} (char {pos})"
-
-
-def _utf8_error(exc: UnicodeDecodeError, offset: int) -> str:
-    """``exc``'s message for bytes that start at file offset ``offset``."""
-    start = exc.start + offset
-    if exc.end == exc.start + 1:
-        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-    else:
-        where = f"bytes in position {start}-{exc.end + offset - 1}"
-    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
-
-
-def _read_skeleton(fh, spans, path):
-    """The file's JSON value with each span's content cut out, so that a
-    streamed matrix reads as ``""``. The text is decoded as strict UTF-8
-    with universal newlines, as ``open(path, encoding="utf-8")`` reads it,
-    and any error names its place in the whole file."""
-    parts, sites, at = [], [], 0
-    for lo, hi in zip([0] + [stop for _, _, stop, _ in spans],
-                      [start for _, start, _, _ in spans] + [None]):
-        fh.seek(lo)
-        raw = fh.read() if hi is None else fh.read(hi - lo)
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"invalid JSON: {_utf8_error(exc, lo)}", path=path) from exc
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        parts.append(text)
-        at += len(text)
-        if hi is not None:
-            sites.append((at, spans[len(sites)][2] - hi))
-    try:
-        return json.loads("".join(parts))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON: {_json_error(exc, sites)}", path=path) from exc
-    except RecursionError as exc:
-        raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
-
-
-def _check_finite(arr: np.ndarray, name: str, path) -> np.ndarray:
-    # min and max carry any NaN or inf, without a full-size mask
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise DataFormatError(f"{name} contains non-finite values", path=path)
-    return arr
-
-
-def _read_matrix(value, name: str, shape: tuple[int, int], path) -> np.ndarray:
-    """Matrix ``name`` from the base64 of its C-order little-endian float64
-    bytes, held in the JSON value ``value``."""
-    if not isinstance(value, str):
-        raise DataFormatError(f"{name} must be a base64 string", path=path)
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise DataFormatError(f"{name} is not valid base64: {exc}", path=path) from exc
-    _check_size(len(raw), name, shape, path)
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    return _check_finite(arr, name, path)
-
-
-def _check_size(nbytes: int, name: str, shape: tuple[int, int], path) -> None:
-    size = 8 * shape[0] * shape[1]
-    if nbytes != size:
-        raise DataFormatError(
-            f"{name} has {nbytes} bytes, expected {size} for shape {shape}", path=path
-        )
-
-
-def _stream_matrix(fh, span, name: str, shape: tuple[int, int], block: int, path):
-    """Pass 2 of ``load_checkpoint``: matrix ``name`` decoded from the file
-    span of its base64, one block at a time, straight into its array."""
-    _, start, stop, nbytes = span
-    _check_size(nbytes, name, shape, path)
-    arr = np.empty(shape, dtype=np.float64)
-    out = memoryview(arr).cast("B")
-    fh.seek(start)
-    at = 0
-    try:
-        for pos in range(start, stop, block):
-            raw = binascii.a2b_base64(fh.read(min(block, stop - pos)))
-            out[at : at + len(raw)] = raw
-            at += len(raw)
-    except ValueError:  # the bytes no longer decode, or decode to too many
-        at = -1
-    if at != nbytes:
-        raise DataFormatError(f"{name} changed while it was read", path=path)
-    if sys.byteorder == "big":
-        arr.byteswap(inplace=True)
-    return _check_finite(arr, name, path)
+                fh.buffer.write(raw[start : start + block])
 
 
 def load_checkpoint(path) -> PolicyParams:
-    """Read a version-2 checkpoint; any other version, and malformed content
-    of any kind, raises ``DataFormatError``. A ``null`` fingerprint loads as
-    ``embeddings=None``.
+    """Read a checkpoint; malformed content of any kind raises
+    ``DataFormatError``. A ``null`` fingerprint loads as ``embeddings=None``.
 
-    The file is read in blocks of ``CHECKPOINT_BLOCK_BYTES``, twice: pass 1
-    finds each matrix's base64 (``_matrix_spans``), ``json`` parses the rest,
-    and pass 2 decodes each matrix block by block into its array, so a
-    loaded checkpoint costs one copy of its weights plus a few blocks. A
-    matrix string that does not decode as it stands goes through ``json``
-    and ``base64`` whole. Either way every file loads the same bits, or
-    fails with the same message, as a ``json.load`` of the whole file would.
+    A file that starts with ``CHECKPOINT_MAGIC`` is version 3 and is read in
+    one pass: each matrix goes straight into its array in blocks of
+    ``CHECKPOINT_BLOCK_BYTES``, hashed as it is read, so a loaded checkpoint
+    costs one copy of its weights plus a block. Any other file is read whole
+    as version 2.
     """
-    block = max(4, CHECKPOINT_BLOCK_BYTES // 4 * 4)
     try:
         with open(path, "rb") as fh:
-            if not fh.seekable():  # a pipe is read whole, as json.load would read it
-                fh = io.BytesIO(fh.read())
-            spans = _matrix_spans(fh, block)
-            payload = _read_skeleton(fh, spans, path)
-            d, seed, embeddings = _read_header(payload, path)
-            streamed = {span[0]: span for span in spans}  # the last of a repeated key wins
-            mats = {}
-            for name, shape in param_shapes(d).items():
-                value = payload.pop(name)
-                if value == "" and name in streamed:
-                    mats[name] = _stream_matrix(fh, streamed[name], name, shape, block, path)
-                else:
-                    mats[name] = _read_matrix(value, name, shape, path)
+            head = fh.read(len(CHECKPOINT_MAGIC))
+            if head == CHECKPOINT_MAGIC:
+                return _read_v3(fh, path)
+            return _read_v2(fh, head, path)
     except OSError as exc:
         raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
-    return PolicyParams(d, seed, mats["W1"], mats["W2"], mats["M"], embeddings)
 
 
-def _read_header(payload, path) -> tuple[int, int, str | None]:
-    """``d``, ``seed`` and ``embeddings`` of a checkpoint's JSON value, once
-    its version and keys are checked."""
+def _read_v3(fh, path) -> PolicyParams:
+    """The rest of a version-3 checkpoint, after its magic line."""
+    line = fh.readline(_HEADER_BYTES)
+    if not line.endswith(b"\n"):
+        raise DataFormatError(
+            f"checkpoint header is not a line of at most {_HEADER_BYTES} bytes", path=path
+        )
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise DataFormatError(f"invalid checkpoint header: {exc}", path=path) from exc
+    if not isinstance(header, dict):
+        raise DataFormatError("invalid checkpoint header: not a JSON object", path=path)
+    d, seed, embeddings = _read_header(header, ("weights",), path)
+    shapes = param_shapes(d)
+    size = 8 * sum(rows * cols for rows, cols in shapes.values())
+    # a file's length is checked before any array is made for its d
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode) and info.st_size - fh.tell() != size:
+        raise DataFormatError(
+            f"weights hold {info.st_size - fh.tell()} bytes, expected {size} for d={d}",
+            path=path,
+        )
+    block = CHECKPOINT_BLOCK_BYTES
+    digest = hashlib.sha256()
+    mats, at = [], 0
+    for shape in shapes.values():
+        try:  # a stream's length is known only at its end
+            arr = np.empty(shape, dtype="<f8")
+        except (MemoryError, ValueError) as exc:
+            raise DataFormatError(f"weights of d={d} do not fit in memory", path=path) from exc
+        raw = arr.reshape(-1).view(np.uint8)
+        for start in range(0, len(raw), block):
+            chunk = raw[start : start + block]
+            got = fh.readinto(chunk)
+            digest.update(chunk[:got])
+            at += got
+            if got < len(chunk):
+                raise DataFormatError(
+                    f"weights hold {at} bytes, expected {size} for d={d}", path=path
+                )
+        mats.append(arr)
+    if fh.read(1):
+        raise DataFormatError(f"weights hold more than the {size} bytes of d={d}", path=path)
+    if header["weights"] != "sha256:" + digest.hexdigest():
+        raise DataFormatError("weights do not match the sha256 in the header", path=path)
+    for name, arr in zip(shapes, mats):
+        _check_finite(arr, name, path)
+    # native float64: a copy only on a big-endian host
+    return PolicyParams(d, seed, *(m.astype(np.float64, copy=False) for m in mats), embeddings)
+
+
+def _read_v2(fh, head: bytes, path) -> PolicyParams:
+    """A version-2 checkpoint, whose first bytes ``head`` are read from
+    ``fh``: one JSON object {version, d, seed, embeddings, W1, W2, M}, each
+    matrix the base64 of its C-order little-endian float64 bytes.
+
+    The file is read as ``json.load`` reads ``open(path, encoding="utf-8")``
+    (strict UTF-8, universal newlines), so every file written before version
+    3 loads the same bits, or fails with the same message, as it did then.
+    """
+    try:  # only the text outlives this line, as in ``json.load``
+        text = (head + fh.read()).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
+    payload = parse_json(text.replace("\r\n", "\n").replace("\r", "\n"), path)
+    del text  # freed before any matrix is decoded, as ``json.load`` frees it
     version = payload.get("version") if isinstance(payload, dict) else None
-    if type(version) is not int or version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != 2:
         raise DataFormatError(f"unsupported checkpoint version {version!r}", path=path)
-    missing = [key for key in ("d", "seed", "embeddings", "W1", "W2", "M") if key not in payload]
+    d, seed, embeddings = _read_header(payload, ("W1", "W2", "M"), path)
+    mats = [
+        _read_matrix(payload.pop(name), name, shape, path)
+        for name, shape in param_shapes(d).items()
+    ]
+    return PolicyParams(d, seed, *mats, embeddings)
+
+
+def _read_header(payload: dict, keys, path) -> tuple[int, int, str | None]:
+    """``d``, ``seed`` and ``embeddings`` of a checkpoint's JSON object, once
+    it is checked to hold them and ``keys``."""
+    missing = [key for key in ("d", "seed", "embeddings", *keys) if key not in payload]
     if missing:
         raise DataFormatError(f"malformed checkpoint: missing {missing}", path=path)
     d, seed = payload["d"], payload["seed"]
@@ -469,3 +348,28 @@ def _read_header(payload, path) -> tuple[int, int, str | None]:
     if embeddings is not None and not isinstance(embeddings, str):
         raise DataFormatError(f"embeddings must be a string, got {embeddings!r}", path=path)
     return d, seed, embeddings
+
+
+def _read_matrix(value, name: str, shape: tuple[int, int], path) -> np.ndarray:
+    """Matrix ``name`` from the base64 of its C-order little-endian float64
+    bytes, held in the JSON value ``value``."""
+    if not isinstance(value, str):
+        raise DataFormatError(f"{name} must be a base64 string", path=path)
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataFormatError(f"{name} is not valid base64: {exc}", path=path) from exc
+    size = 8 * shape[0] * shape[1]
+    if len(raw) != size:
+        raise DataFormatError(
+            f"{name} has {len(raw)} bytes, expected {size} for shape {shape}", path=path
+        )
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return _check_finite(arr, name, path)
+
+
+def _check_finite(arr: np.ndarray, name: str, path) -> np.ndarray:
+    # min and max carry any NaN or inf, without a full-size mask
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise DataFormatError(f"{name} contains non-finite values", path=path)
+    return arr

@@ -18,7 +18,7 @@ import numpy as np
 
 from r2ag.errors import DataFormatError
 from r2ag.kg_store import KnowledgeGraph, concept_ints
-from r2ag.policy_net import CHECKPOINT_VERSION, PolicyParams, forward, param_shapes
+from r2ag.policy_net import PolicyParams, forward, param_shapes
 
 
 def make_kg(concept_rows, edge_rows) -> KnowledgeGraph:
@@ -236,10 +236,11 @@ def _oracle_matrix(value, name: str, shape: tuple[int, int], path) -> np.ndarray
 
 
 def oracle_load_checkpoint(path) -> PolicyParams:
-    """The checkpoint reader as one ``json.load`` of the whole file, then a
-    whole-string ``b64decode`` of each matrix: the reference that the
-    streaming ``policy_net.load_checkpoint`` must match, bit for bit and
-    message for message."""
+    """The version-2 checkpoint reader as one ``json.load`` of the whole
+    file, then a whole-string ``b64decode`` of each matrix: the reference
+    that ``policy_net.load_checkpoint`` must match, bit for bit and message
+    for message, on every file that does not start with the version-3
+    magic line."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -248,7 +249,7 @@ def oracle_load_checkpoint(path) -> PolicyParams:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
     version = payload.get("version") if isinstance(payload, dict) else None
-    if type(version) is not int or version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != 2:
         raise DataFormatError(f"unsupported checkpoint version {version!r}", path=path)
     missing = [key for key in ("d", "seed", "embeddings", "W1", "W2", "M") if key not in payload]
     if missing:

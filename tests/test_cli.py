@@ -661,18 +661,20 @@ def test_checkpoint_refuses_pseudo_table_of_another_graph(tmp_path, capsys):
 
 
 def test_serve_refuses_checkpoint_that_names_no_table(tmp_path, capsys):
-    # only a version-2 checkpoint with a fingerprint is served: a v1 one (no
-    # fingerprint) and a v2 one whose fingerprint is null exit 2, with or
+    # only a checkpoint with a fingerprint is served: a v1 one (no
+    # fingerprint) and a copy whose fingerprint is null exit 2, with or
     # without an --embeddings file of the right dimension
     data = _synth(tmp_path)
     emb = _embedding_file(tmp_path, data, 8)
     run = _train(tmp_path, data, extra=["--embeddings", str(emb)])
     ckpt = run / "checkpoint.json"
-    unnamed = {**json.loads(ckpt.read_text()), "embeddings": None}
-    v1 = (Path(__file__).parent / "data" / "checkpoint_v1_d2.json").read_text()
-    for text, message in ((v1, "unsupported checkpoint version 1"),
-                          (json.dumps(unnamed), "the checkpoint names no embedding table")):
-        ckpt.write_text(text)
+    unnamed = load_checkpoint(ckpt)
+    unnamed.embeddings = None
+    save_checkpoint(unnamed, tmp_path / "unnamed.json")
+    v1 = Path(__file__).parent / "data" / "checkpoint_v1_d2.json"
+    for copy, message in ((v1, "unsupported checkpoint version 1"),
+                          (tmp_path / "unnamed.json", "the checkpoint names no embedding table")):
+        ckpt.write_bytes(copy.read_bytes())
         for command in ("retrieve", "generate"):
             for extra in ([], ["--embeddings", str(emb)]):
                 capsys.readouterr()
@@ -681,6 +683,21 @@ def test_serve_refuses_checkpoint_that_names_no_table(tmp_path, capsys):
                 assert f"r2ag: data error: {ckpt}: {message}" in err
                 assert "Traceback" not in err
                 assert not (run / "out.jsonl").exists()
+
+
+def test_serve_refuses_checkpoint_with_a_changed_weight_byte(tmp_path, capsys):
+    data = _synth(tmp_path)
+    run = _train(tmp_path, data)
+    ckpt = run / "checkpoint.json"
+    raw = bytearray(ckpt.read_bytes())
+    raw[-100] = ord("A") if raw[-100] != ord("A") else ord("B")  # a byte of M
+    ckpt.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert _serve("retrieve", data, run) == 2
+    err = capsys.readouterr().err
+    assert f"r2ag: data error: {ckpt}: weights do not match the sha256 in the header" in err
+    assert "Traceback" not in err
+    assert not (run / "out.jsonl").exists()
 
 
 def test_retrieval_setup_refuses_table_of_another_row_count(tmp_path, capsys, monkeypatch):
@@ -711,10 +728,9 @@ def test_truncated_checkpoint_exits_2(tmp_path, capsys):
     run = _train(tmp_path, data)
     ckpt = run / "checkpoint.json"
     full = ckpt.read_bytes()
-    assert full.endswith(b"}\n")  # every cut below drops at least the "}"
-    for cut in np.unique(np.linspace(0, len(full) - 2, 30).astype(int)):
-        # a plain cut is invalid JSON; closing it again leaves a short or
-        # broken base64 string, or a missing key, inside valid JSON
+    for cut in np.unique(np.linspace(0, len(full) - 1, 30).astype(int)):
+        # a cut ends inside the magic line, the header line or the weights;
+        # bytes put after it leave the weights short, long or changed
         for content in (full[:cut], full[:cut] + b'"}\n'):
             ckpt.write_bytes(content)
             capsys.readouterr()
@@ -740,13 +756,31 @@ def test_generate_max_paths_truncates_records(tmp_path):
 
 @pytest.mark.parametrize("command", ["retrieve", "generate"])
 def test_serve_max_steps_below_one_is_a_usage_error(tmp_path, capsys, command):
+    # and above COUNT_LIMIT: a huge count failed an allocation with a
+    # traceback in a sampled run, and never ended in a greedy one
     data = _synth(tmp_path)
     run = _train(tmp_path, data)
-    capsys.readouterr()
-    assert _serve(command, data, run, ["--max-steps", "0"]) == 1
-    err = capsys.readouterr().err
-    assert "usage error: max_steps must be >= 1" in err and "Traceback" not in err
-    assert not (run / "out.jsonl").exists()
+    sample = ["--sample"] if command == "retrieve" else []
+    for value, bound in (("0", ">= 1"), ("100000000000000000000", "<= 1000")):
+        capsys.readouterr()
+        assert _serve(command, data, run, ["--max-steps", value] + sample) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: max_steps must be {bound}" in err and "Traceback" not in err
+        assert not (run / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-steps", "--group-size"])
+def test_train_count_above_limit_is_a_usage_error(tmp_path, capsys, flag):
+    # refused before the out dir is made: a huge count used to fail an
+    # allocation with a traceback and leave an empty out dir behind
+    data = _synth(tmp_path)
+    for value in ("1000000000000", "100000000000000000000"):
+        capsys.readouterr()
+        run = _train(tmp_path, data, extra=[flag, value], rc=1)
+        err = capsys.readouterr().err
+        assert f"usage error: {flag[2:].replace('-', '_')} must be <= 1000" in err
+        assert "Traceback" not in err
+        assert not run.exists()
 
 
 def test_generate_negative_max_paths_is_a_usage_error(tmp_path, capsys):

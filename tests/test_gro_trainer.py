@@ -778,3 +778,9 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(**bad).validate()
     TrainConfig().validate()
+    limit = gro_trainer.COUNT_LIMIT
+    TrainConfig(max_steps=limit, group_size=limit).validate()
+    for name in ("max_steps", "group_size"):
+        for value in (limit + 1, 10**20):
+            with pytest.raises(ValueError, match=f"{name} must be <= {limit}$"):
+                TrainConfig(**{name: value}).validate()

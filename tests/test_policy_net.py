@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import base64
+import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -296,11 +299,24 @@ def _json_dump_bytes(p) -> bytes:
     return (buf.getvalue() + "\n").encode("utf-8")
 
 
+def _v3_bytes(p) -> bytes:
+    """The version-3 checkpoint of ``p``, built whole: the magic line, a
+    ``json.dumps`` of the header, then the matrices' raw bytes under their
+    sha256."""
+    raw = b"".join(
+        np.ascontiguousarray(getattr(p, name), dtype="<f8").tobytes() for name in ("W1", "W2", "M")
+    )
+    header = {"d": p.d, "seed": p.seed, "embeddings": p.embeddings,
+              "weights": "sha256:" + hashlib.sha256(raw).hexdigest()}
+    return b"R2AG-CHECKPOINT 3\n" + json.dumps(header).encode("ascii") + b"\n" + raw
+
+
 def test_checkpoint_bytes_equal_json_dump_of_payload(tmp_path):
+    # the version-3 layout: magic line, json.dumps of the header, raw weights
     p = _special_params(2)
     path = tmp_path / "ckpt.json"
     save_checkpoint(p, path)
-    assert path.read_bytes() == _json_dump_bytes(p)
+    assert path.read_bytes() == _v3_bytes(p)
     loaded = load_checkpoint(path)
     assert math.copysign(1.0, loaded.W1[0, 0]) == -1.0
     assert loaded.W1[0, 1] == 5e-324 and loaded.W1[0, 2] == 1e300
@@ -308,10 +324,10 @@ def test_checkpoint_bytes_equal_json_dump_of_payload(tmp_path):
         q = init_params(d, seed=d)
         q.embeddings = "sha256:" + "cd" * 32
         save_checkpoint(q, path)
-        assert path.read_bytes() == _json_dump_bytes(q)
+        assert path.read_bytes() == _v3_bytes(q)
 
 
-@pytest.mark.parametrize("block_bytes", [24, 1000, None])  # one group, not a power of two, default
+@pytest.mark.parametrize("block_bytes", [24, 1000, None])  # 3 floats, not a power of two, default
 @pytest.mark.parametrize("d", [2, 6, 64])
 def test_checkpoint_written_in_blocks_equals_json_dump_of_payload(
         tmp_path, monkeypatch, d, block_bytes):
@@ -321,12 +337,15 @@ def test_checkpoint_written_in_blocks_equals_json_dump_of_payload(
     p.embeddings = "sha256:" + "ef" * 32
     path = tmp_path / "ckpt.json"
     save_checkpoint(p, path)
-    assert path.read_bytes() == _json_dump_bytes(p)
+    assert path.read_bytes() == _v3_bytes(p)
+    # and read back in the same blocks, which split floats when not a multiple of 8
+    assert _outcome(load_checkpoint, path) == ("ok", d, d, p.embeddings, *(
+        getattr(p, name).tobytes() for name in ("W1", "W2", "M")))
 
 
 def test_checkpoint_write_memory_is_a_block_not_a_matrix(tmp_path):
-    # a whole matrix's raw bytes, base64 and text would be about 2x the
-    # parameter bytes above them; blocks keep the writer's own use small
+    # the writer hashes and writes views of the matrices' bytes, so a copy
+    # of a matrix would show above the blocks
     d = 128
     p = init_params(d, seed=0)
     param_bytes = sum(8 * rows * cols for rows, cols in param_shapes(d).values())
@@ -337,7 +356,7 @@ def test_checkpoint_write_memory_is_a_block_not_a_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * param_bytes
-    assert (tmp_path / "ckpt.json").read_bytes() == _json_dump_bytes(p)
+    assert (tmp_path / "ckpt.json").read_bytes() == _v3_bytes(p)
 
 
 def test_two_saves_of_equal_params_are_byte_identical(tmp_path):
@@ -349,14 +368,14 @@ def test_two_saves_of_equal_params_are_byte_identical(tmp_path):
     q.embeddings = p.embeddings
     save_checkpoint(q, b)
     assert a.read_bytes() == b.read_bytes()
-    payload = json.loads(a.read_text())
-    assert payload["version"] == 2 and payload["embeddings"] == p.embeddings
+    magic, header, _ = a.read_bytes().split(b"\n", 2)
+    assert magic == b"R2AG-CHECKPOINT 3" and json.loads(header)["embeddings"] == p.embeddings
     assert load_checkpoint(a).embeddings == p.embeddings
 
 
 def test_v1_checkpoint_is_refused():
     # written by the version-1 writer: matrices as nested JSON lists, no
-    # fingerprint; only version 2 is read
+    # fingerprint; only versions 2 and 3 are read
     path = Path(__file__).parent / "data" / "checkpoint_v1_d2.json"
     assert json.loads(path.read_text())["version"] == 1
     with pytest.raises(DataFormatError, match="unsupported checkpoint version 1$"):
@@ -367,17 +386,24 @@ def test_checkpoint_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "ckpt.json"
     save_checkpoint(init_params(4, seed=1), path)
     before = path.read_bytes()
-    real = base64.b64encode
+    real = r2ag.policy_net.atomic_open
     calls = []
 
-    def b64encode(data):  # fails on the second matrix, after the header
-        calls.append(1)
-        if len(calls) > 1:
-            raise RuntimeError("encoder failed")
-        return real(data)
+    @contextlib.contextmanager
+    def atomic_open(target):  # the real file, whose second block of weights fails
+        with real(target) as fh:
+            def write(data):
+                calls.append(1)
+                if len(calls) > 1:
+                    raise RuntimeError("write failed")
+                return fh.buffer.write(data)
 
-    monkeypatch.setattr(base64, "b64encode", b64encode)
-    with pytest.raises(RuntimeError, match="encoder failed"):
+            yield SimpleNamespace(
+                write=fh.write, flush=fh.flush, buffer=SimpleNamespace(write=write))
+
+    monkeypatch.setattr(r2ag.policy_net, "CHECKPOINT_BLOCK_BYTES", 64)
+    monkeypatch.setattr(r2ag.policy_net, "atomic_open", atomic_open)
+    with pytest.raises(RuntimeError, match="write failed"):
         save_checkpoint(init_params(4, seed=2), path)
     assert len(calls) == 2
     assert path.read_bytes() == before
@@ -574,11 +600,10 @@ def test_checkpoint_reads_as_one_json_load_of_the_file(tmp_path_factory, data, b
     _assert_reads_as_oracle(path, block_bytes)
 
 
-def _saved(tmp_path, d=3) -> bytes:
+def _saved_v2(d=3) -> bytes:
     p = _special_params(d)
     p.embeddings = "sha256:" + "ab" * 32
-    save_checkpoint(p, tmp_path / "ckpt.json")
-    return (tmp_path / "ckpt.json").read_bytes()
+    return _json_dump_bytes(p)
 
 
 @pytest.mark.parametrize("block_bytes", [4, 7, 24, None])
@@ -609,29 +634,12 @@ def _saved(tmp_path, d=3) -> bytes:
 )
 def test_checkpoint_edits_read_as_one_json_load_of_the_file(tmp_path, change, block_bytes):
     path = tmp_path / "edited.json"
-    path.write_bytes(change(_saved(tmp_path)))
+    path.write_bytes(change(_saved_v2()))
     _assert_reads_as_oracle(path, block_bytes)
 
 
-def test_checkpoint_changed_between_passes_is_a_data_error(tmp_path, monkeypatch):
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(init_params(3, seed=1), path)
-    real = r2ag.policy_net._matrix_spans
-
-    def spans_then_overwrite(fh, block):
-        spans = real(fh, block)
-        with open(path, "r+b") as out:  # same length, but "*" decodes to nothing
-            out.seek(spans[0][1])
-            out.write(b"****")
-        return spans
-
-    monkeypatch.setattr(r2ag.policy_net, "_matrix_spans", spans_then_overwrite)
-    with pytest.raises(DataFormatError, match="W1 changed while it was read"):
-        load_checkpoint(path)
-
-
 def test_checkpoint_reads_from_a_pipe(tmp_path):
-    # a pipe cannot seek back for the second pass, so it is read whole
+    # a version-3 file is read in one sequential pass
     path = tmp_path / "ckpt.json"
     save_checkpoint(_special_params(2), path)
     r, w = os.pipe()
@@ -648,8 +656,8 @@ def test_checkpoint_reads_from_a_pipe(tmp_path):
 
 
 def test_checkpoint_read_memory_is_one_copy_of_the_weights(tmp_path):
-    # the file text and each whole base64 string held at once were 2.67x
-    # the parameter bytes; streaming leaves the arrays and a few blocks
+    # a version-2 file's text and each whole base64 string held at once are
+    # 2.67x the parameter bytes; version 3 leaves the arrays and a block
     d = 128
     p = init_params(d, seed=0)
     save_checkpoint(p, tmp_path / "ckpt.json")
@@ -663,3 +671,89 @@ def test_checkpoint_read_memory_is_one_copy_of_the_weights(tmp_path):
     assert peak <= 1.1 * param_bytes + 4 * r2ag.policy_net.CHECKPOINT_BLOCK_BYTES
     for name in ("W1", "W2", "M"):
         assert getattr(loaded, name).tobytes() == getattr(p, name).tobytes()
+
+
+def _load_bytes(tmp_path, data: bytes, pipe: bool = False):
+    """``load_checkpoint`` of ``data``, from a file or from a pipe."""
+    if not pipe:
+        (tmp_path / "ckpt.json").write_bytes(data)
+        return load_checkpoint(tmp_path / "ckpt.json")
+    r, w = os.pipe()
+    try:
+        os.write(w, data)  # a d=2 file fits the pipe's buffer
+        os.close(w)
+        w = None
+        return load_checkpoint(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+
+
+# d=2 weights are 1184 bytes: the first byte of W1, one inside W2, the last of M
+@pytest.mark.parametrize("at", [-1184, -500, -1])
+@pytest.mark.parametrize("pipe", [False, True])
+def test_v3_changed_weight_byte_fails_the_digest(tmp_path, at, pipe):
+    data = bytearray(_v3_bytes(_special_params(2)))
+    data[at] ^= 0xFF
+    with pytest.raises(DataFormatError, match="weights do not match the sha256 in the header$"):
+        _load_bytes(tmp_path, bytes(data), pipe)
+
+
+@pytest.mark.parametrize("pipe", [False, True])
+def test_v3_cut_or_long_weights_are_a_data_error(tmp_path, pipe):
+    good = _v3_bytes(_special_params(2))
+    for cut in (1, 8, 1184):  # a byte, a float, every weight
+        message = f"weights hold {1184 - cut} bytes, expected 1184 for d=2$"
+        with pytest.raises(DataFormatError, match=message):
+            _load_bytes(tmp_path, good[:-cut], pipe)
+    long = "weights hold more than the 1184 bytes of d=2" if pipe else "weights hold 1185 bytes"
+    with pytest.raises(DataFormatError, match=long):
+        _load_bytes(tmp_path, good + b"\0", pipe)
+
+
+def test_v3_header_length_is_bounded(tmp_path):
+    magic, header, weights = _v3_bytes(_special_params(2)).split(b"\n", 2)
+    padded = header[:-1] + b" " * (1 << 16) + b"}"
+    for data in (magic + b"\n" + padded + b"\n" + weights, magic + b"\n" + header[:-1]):
+        with pytest.raises(DataFormatError, match="header is not a line of at most 65536 bytes"):
+            _load_bytes(tmp_path, data)
+    # a header just under the bound reads
+    fits = header[:-1] + b" " * ((1 << 16) - len(header) - 1) + b"}"
+    assert _load_bytes(tmp_path, magic + b"\n" + fits + b"\n" + weights).d == 2
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        (b"[1]", "invalid checkpoint header: not a JSON object"),
+        (b'{"d": 2', "invalid checkpoint header: Expecting"),
+        (b'{"d": "\xff"}', "invalid checkpoint header: 'utf-8' codec"),
+        (b"[" * 5000, "invalid checkpoint header"),
+        (b'{"d": 2, "seed": 5, "embeddings": null}', r"missing \['weights'\]"),
+        (b'{"d": 1, "seed": 5, "embeddings": null, "weights": ""}', "d must be an int >= 2"),
+        (b'{"d": 100000, "seed": 5, "embeddings": null, "weights": ""}',
+         "expected 2960000000000 for d=100000"),  # refused before any array is made
+        (b'{"d": 2, "seed": 5, "embeddings": null, "weights": "sha256:00"}', "sha256"),
+    ],
+)
+def test_v3_bad_header_is_a_data_error(tmp_path, header, match):
+    magic, _, weights = _v3_bytes(_special_params(2)).split(b"\n", 2)
+    with pytest.raises(DataFormatError, match=match):
+        _load_bytes(tmp_path, magic + b"\n" + header + b"\n" + weights)
+
+
+def test_v3_header_d_too_large_for_memory_is_a_data_error(tmp_path):
+    # a pipe's length is unknown until its end, so the arrays are made first
+    magic, _, weights = _v3_bytes(_special_params(2)).split(b"\n", 2)
+    for d in (10**6, 10**10):  # more bytes than any machine has, more than an array can index
+        header = b'{"d": %d, "seed": 5, "embeddings": null, "weights": ""}' % d
+        with pytest.raises(DataFormatError, match=f"weights of d={d} do not fit in memory"):
+            _load_bytes(tmp_path, magic + b"\n" + header + b"\n" + weights, pipe=True)
+
+
+def test_v3_non_finite_weights_under_their_digest_are_a_data_error(tmp_path):
+    p = _special_params(2)
+    p.W2[0, 0] = np.inf
+    with pytest.raises(DataFormatError, match="W2 contains non-finite values"):
+        _load_bytes(tmp_path, _v3_bytes(p))
