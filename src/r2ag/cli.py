@@ -322,17 +322,25 @@ def cmd_train(args) -> int:
         table = pseudo_embeddings(kg, args.embed_dim, args.seed)
     cfg = _from_args(TrainConfig, args, seed=args.seed)
     # a refused command leaves no out dir; one that cannot be made fails
-    # before training starts
+    # before training starts, and a failed run removes the dirs it made
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt = out_dir / "checkpoint.json"
     try:
         result = train(corpus, kg, table, cfg)
-    except TrainingDivergedError as exc:
-        raise UsageError(
-            f"{exc}; try a lower --lr than {cfg.lr:g} (no checkpoint written)"
-        ) from exc
-    ckpt = out_dir / "checkpoint.json"
-    save_checkpoint(result.params, ckpt)
-    _write_jsonl(out_dir / "train_log.jsonl", result.log)
+        save_checkpoint(result.params, ckpt)
+        _write_jsonl(out_dir / "train_log.jsonl", result.log)
+    except BaseException as exc:
+        for d in made:  # deepest first; a dir that holds anything stays
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        if isinstance(exc, TrainingDivergedError):
+            raise UsageError(
+                f"{exc}; try a lower --lr than {cfg.lr:g} (no checkpoint written)"
+            ) from exc
+        raise
     rewards = [e["mean_R"] for e in result.log if not e["skipped"]]
     print(
         f"trained {result.episodes} episodes ({result.skipped} skipped); "

@@ -21,6 +21,11 @@ from .kg_store import KnowledgeGraph
 
 _DIM_RE = re.compile(r"^dim=(\d+)$")
 
+# rows gathered at a time by ``cosines`` (candidate rows) and
+# ``avg_embeddings`` (padded set rows): a batched call holds one chunk of
+# gathered vectors, whatever its number of rows
+GATHER_ROWS = 128
+
 
 @dataclass
 class EmbeddingTable:
@@ -166,16 +171,32 @@ def avg_embeddings(table: EmbeddingTable, sets: list[list[int]]) -> np.ndarray:
     """Row ``p`` is the mean of the vectors of ``sets[p]``, a non-empty list
     of distinct graph ints in ascending order: a ``(len(sets), d)`` array.
 
-    One gather of ``(P, L, d)`` rows, each set padded to the longest with
-    zero rows, and one sum over the set axis. That sum adds the rows of a
-    set one after another in ascending order, as a sum over the rows of one
-    set alone does, and the padding adds exactly nothing (a NumPy sum starts
-    from +0.0, so it is never -0.0), so each row is the same to the bit for
-    any mix of sets.
+    Consecutive sets are gathered together as ``(P, L, d)`` rows, each set
+    padded to the longest with zero rows, at most ``GATHER_ROWS`` padded
+    rows at a time (a longer set alone is one gather), then summed over the
+    set axis. That sum adds the rows of a set one after another in ascending
+    order, as a sum over the rows of one set alone does, and the padding
+    adds exactly nothing (a NumPy sum starts from +0.0, so it is never
+    -0.0), so each row is the same to the bit for any mix of sets.
     """
     counts = [len(s) for s in sets]
     if not all(counts):
         raise ValueError("cannot average an empty concept set")
+    if len(sets) * max(counts) <= GATHER_ROWS:
+        return _padded_mean(table, sets, counts)
+    out = np.empty((len(sets), table.dim))
+    start, longest = 0, 0
+    for end, n in enumerate(counts):
+        if (end - start + 1) * max(longest, n) > GATHER_ROWS and end > start:
+            out[start:end] = _padded_mean(table, sets[start:end], counts[start:end])
+            start, longest = end, 0
+        longest = max(longest, n)
+    out[start:] = _padded_mean(table, sets[start:], counts[start:])
+    return out
+
+
+def _padded_mean(table: EmbeddingTable, sets: list[list[int]], counts: list[int]) -> np.ndarray:
+    """The means of ``sets`` (of ``counts`` members each) from one padded gather."""
     n = np.array(counts)[:, None]
     real = np.arange(max(counts)) < n  # (P, L): which slots hold a set member
     idx = np.zeros(real.shape, dtype=np.int64)
@@ -221,14 +242,24 @@ def cosines(table: EmbeddingTable, rows, V: np.ndarray, lens=None) -> np.ndarray
     With ``lens``, ``V[p]`` serves the next ``lens[p]`` rows, as
     ``np.repeat(V, lens, axis=0)`` would; its norms are taken before the
     repeat, so no squared copy of the repeated block is made.
-    The same clipping and zero-norm rule as ``cosine``. Each entry depends
-    only on its own pair, so it is the same to the bit in any batch.
+    The same clipping and zero-norm rule as ``cosine``. The rows are scored
+    ``GATHER_ROWS`` at a time, each chunk gathering its table rows and its
+    rows of ``V``, so a call holds one chunk of those, not one per row. Each
+    entry depends only on its own pair, so it is the same to the bit in any
+    batch and any chunk.
     """
+    rows = np.asarray(rows)
     norms = np.linalg.norm(V, axis=-1)
-    if lens is not None:
-        V, norms = np.repeat(V, lens, axis=0), np.repeat(norms, lens, axis=0)
-    dots = np.einsum("cd,ckd->ck", table.matrix[rows], V)
-    den = table.norms[rows][:, None] * norms
+    owner = None if lens is None else np.repeat(np.arange(len(V)), lens)
+    served = len(V) if owner is None else len(owner)
+    if served != len(rows):
+        raise ValueError(f"{len(rows)} rows but vectors for {served}")
+    den = table.norms[rows][:, None] * (norms if owner is None else norms[owner])
+    dots = np.empty_like(den)
+    for start in range(0, len(rows), GATHER_ROWS):
+        part = slice(start, start + GATHER_ROWS)
+        vecs = V[part] if owner is None else V[owner[part]]
+        np.einsum("cd,ckd->ck", table.matrix[rows[part]], vecs, out=dots[part])
     out = np.zeros_like(dots)
     np.divide(dots, den, out=out, where=den != 0.0)
     return np.clip(out, -1.0, 1.0, out=out)

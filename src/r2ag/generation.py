@@ -50,12 +50,16 @@ DEFAULT_TEMPLATE = {
 
 _RETRY_BACKOFF_S = 0.05
 
-# the bytes a lockstep block of retrieve_corpus may gather. A block's
-# gathers of explored-concept and path averages hold (patients) x (largest
-# explored set) x d floats, and a patient's explored set holds at most
-# 1 + 2T concepts per initial path (each step adds a leap and a neighbour to
-# each path). A block closes before that bound would pass this budget; a
-# patient whose own bound passes it runs alone, as a one-patient rollout.
+# the budget that sizes retrieve_corpus's lockstep blocks. A block is
+# estimated at (patients) x (largest explored set) x d floats, a patient's
+# explored set holding at most 1 + 2T concepts per initial path (each step
+# adds a leap and a neighbour to each path). A block closes before that
+# estimate would pass this budget; a patient whose own estimate passes it
+# runs alone, as a one-patient rollout. The gathers themselves run in
+# chunks of embeddings.GATHER_ROWS rows, so what this bounds is the number
+# of rollouts in a block, and with it the block's policy forward. The
+# partition is part of the output: a block's forward rounds differently, in
+# the last bits, from one row run alone, which could decide an exact tie.
 SERVE_GATHER_BYTES = 32 << 20
 
 

@@ -8,7 +8,8 @@ log-prob gradients discounted so the final step carries full weight:
 
     grad = (1/G) * sum_i sum_t gamma^(T-t) * rel_i * dlog pi(a_it | s_it)
 
-Updates are plain gradient ascent after every patient. A patient's G
+Updates are plain gradient ascent after every patient, added into the
+weights in place a row block at a time. A patient's G
 rollouts advance in lockstep, one batched environment step at a time; at
 inference, one rollout per patient of a serving block does the same.
 """
@@ -43,6 +44,7 @@ from .policy_net import (
     ForwardCache,
     GradientBundle,
     PolicyParams,
+    block_ascent,
     block_backward,
     forward,
     init_params,
@@ -128,7 +130,7 @@ class PatientContext:
 
 @dataclass
 class PatientUpdate:
-    grad: GradientBundle
+    grad: GradientBundle | None  # None when the update went into the weights
     rewards: list[float]
     relative: list[float]
     records: list[RolloutRecord]
@@ -309,10 +311,11 @@ def train_patient(
     cfg: TrainConfig,
     rng: np.random.Generator,
     gv: np.ndarray,
-    out: GradientBundle | None = None,
+    lr: float | None = None,
 ) -> PatientUpdate:
     """Sample G rollouts for one linked patient (see ``link_patient``) and
-    accumulate the policy gradient, into ``out`` when it is given.
+    accumulate the policy gradient; with ``lr``, add ``lr`` times it into
+    the weights in place instead (see ``accumulate_gradient``).
 
     The G x T uniforms come as one block: the same values, and the same
     generator state after, as G x T single draws taken rollout by rollout.
@@ -324,7 +327,7 @@ def train_patient(
     )
     rewards = rollout_rewards(records, gt, table, cfg.reward_weight)
     relative = relative_rewards(rewards)
-    grad = accumulate_gradient(params, records, relative, cfg.gamma, out)
+    grad = accumulate_gradient(params, records, relative, cfg.gamma, lr)
     return PatientUpdate(
         grad=grad,
         rewards=rewards,
@@ -338,16 +341,17 @@ def accumulate_gradient(
     records: list[RolloutRecord],
     relative: np.ndarray,
     gamma: float,
-    out: GradientBundle | None = None,
-) -> GradientBundle:
+    lr: float | None = None,
+) -> GradientBundle | None:
     """(1/G) sum_i sum_t gamma^(T-t) rel_i dlog pi; final step weight is 1.
 
     Steps are indexed 1..T, so the weight of step index j (0-based) is
     gamma^(T-1-j); with gamma = 0 only the final step contributes (0^0 = 1).
     Steps of weight exactly 0 are dropped. Records are grouped by the block
     list they share (one per ``run_rollouts`` call), each group's rows taken
-    from its blocks at once, and all go to one ``block_backward`` call,
-    which writes into ``out`` when it is given.
+    from its blocks at once, and all go to one ``block_backward`` call. With
+    ``lr`` they go to one ``block_ascent`` call instead, which adds ``lr``
+    times the gradient into the weights, and None is returned.
     """
     scale = 1.0 / len(records)
     parts: dict[int, tuple[list, list, list, list]] = {}  # by id of a block list
@@ -361,7 +365,10 @@ def accumulate_gradient(
             rows.append(j * R + rec.row)
             actions.append(a)
             weights.append(weight * scale)
-    return block_backward(params, list(parts.values()), out)
+    if lr is None:
+        return block_backward(params, list(parts.values()))
+    block_ascent(params, list(parts.values()), lr)
+    return None
 
 
 def train(
@@ -381,8 +388,6 @@ def train(
     rng = np.random.default_rng([cfg.seed, 1])
     gv = group_vectors(kg, table)
     weights = (params.W1, params.W2, params.M)  # updated in place, never rebound
-    # every patient's gradient is built in this one bundle, then applied
-    grad = GradientBundle(*(np.empty_like(m) for m in weights))
 
     linked: list[tuple] = []  # (patient, (ctx, gt) or the reason to skip it)
     for patient in corpus:
@@ -407,12 +412,8 @@ def train(
                 continue
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    upd = train_patient(params, *inputs, kg, table, cfg, rng, gv, grad)
-                    # in place, W1 then W2 then M: dW *= lr; W += dW gives
-                    # the floats of W += lr * dW without a full-size temporary
-                    for W, dW in zip(weights, (upd.grad.dW1, upd.grad.dW2, upd.grad.dM)):
-                        dW *= cfg.lr
-                        W += dW
+                    # each gradient goes into the weights a row block at a time
+                    upd = train_patient(params, *inputs, kg, table, cfg, rng, gv, cfg.lr)
             except FloatingPointError as exc:
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, patient {patient.id!r} ({exc})"

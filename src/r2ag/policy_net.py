@@ -7,7 +7,9 @@ runs on a block of R states at once, one row each, against one action
 matrix shared by every row. The backward pass returns exact gradients of
 log pi(action) with respect to W1, W2 and M, suitable for REINFORCE-style
 updates without an autodiff framework; a weighted sum over many steps is
-one ``dlogits @ A`` product per action matrix A, then one per parameter.
+one ``dlogits @ A`` product per action matrix A, then one per parameter,
+formed in row blocks. ``block_ascent`` adds each block into the weights as
+it is formed, so a training step holds no second copy of the weights.
 
 Shapes for embedding dimension d: the group state is 4d, the projected
 concept state is d, so W1 is (4d, 5d), W2 is (4d, 4d) and M is (d, d);
@@ -33,6 +35,10 @@ from .errors import DataFormatError, parse_json
 CHECKPOINT_MAGIC = b"R2AG-CHECKPOINT 3\n"
 # bytes of a matrix written, or read, at a time by the checkpoint I/O
 CHECKPOINT_BLOCK_BYTES = 24 << 12
+# rows of a parameter's gradient formed at a time by ``block_backward`` and
+# ``block_ascent``: one block, not a second copy of the weights, is held by a
+# training step. Part of the trained weights' bytes (see ``_gradient_blocks``)
+GRADIENT_BLOCK_ROWS = 64
 # longest header line read: far above any the writer makes, whose longest
 # part, the seed, has at most 4300 digits (Python's int-to-text limit)
 _HEADER_BYTES = 1 << 16
@@ -167,19 +173,46 @@ def block_backward(
     cache is one row), and each row's action and weight. A part's dZ is one
     ``dlogits @ A`` product; the K rows are then stacked (dz, h1, x, c_avg),
     so each parameter gradient is one weighted matrix product over them:
-    dW2 = (w dZ)^T A1, dW1 = (w dH1)^T X and dM = (w dX[:, 4d:])^T C.
+    dW2 = (w dZ)^T A1, dW1 = (w dH1)^T X and dM = (w dX[:, 4d:])^T C,
+    formed in blocks of ``GRADIENT_BLOCK_ROWS`` rows (see ``_gradient_blocks``).
     No parts give zeros. The ReLU subgradient at exactly zero is taken as zero.
     The three products are written into ``out``, a bundle of the parameters'
-    shapes, when one is given (a trainer reuses one bundle for every update),
-    else into a new one; either way the bundle is returned.
+    shapes, when one is given, else into a new one; either way the bundle
+    is returned.
     """
-    d = params.d
     if out is None:
         out = GradientBundle(*(np.empty_like(m) for m in (params.W1, params.W2, params.M)))
-    if not parts:
-        for m in (out.dW1, out.dW2, out.dM):
-            m.fill(0.0)
-        return out
+    grads = {"W1": out.dW1, "W2": out.dW2, "M": out.dM}
+    for name, rows, blk in _gradient_blocks(params, parts):
+        grads[name][rows] = blk
+    return out
+
+
+def block_ascent(params: PolicyParams, parts: list[tuple], lr: float) -> None:
+    """One gradient-ascent step in place: W += lr * the ``block_backward``
+    gradient of ``parts``, for W1, W2 then M.
+
+    Each row block of a gradient is scaled and added as it is formed
+    (``blk *= lr; W[rows] += blk``), so a step holds one block, not a second
+    copy of the weights, and gives the floats of ``block_backward`` followed
+    by ``dW *= lr; W += dW``.
+    """
+    for name, rows, blk in _gradient_blocks(params, parts):
+        blk *= lr
+        getattr(params, name)[rows] += blk
+
+
+def _gradient_blocks(params: PolicyParams, parts: list[tuple]):
+    """Yield (name, rows, block): the gradient of parameter ``name`` (W1, W2,
+    then M) at the row slice ``rows``, in blocks of ``GRADIENT_BLOCK_ROWS``.
+
+    Every factor that reads the weights (dH1 reads W2, the M path W1) is
+    formed before the first block is yielded, so a caller may update the
+    weights block by block. A block of a product rounds as BLAS rounds it,
+    which for some shapes differs in the last bits from one product over
+    all rows, so the block size is part of the trained weights' bytes.
+    """
+    d = params.d
     stacks = []  # per part: dZ, x, h1 and c_avg of its rows, and their weights
     for blocks, rows, acts, weights in parts:
         A = blocks[0].actions
@@ -195,13 +228,21 @@ def block_backward(
         dlogits = -dist
         dlogits[np.arange(len(acts)), acts] += 1.0
         stacks.append((dlogits @ A, x, h1, c_avg, weights))
+    if not stacks:  # K = 0 rows: every product is zeros
+        stacks.append(tuple(np.empty((0, n)) for n in (4 * d, 5 * d, 4 * d, d)) + ([],))
     dZ, X, H1, C, w = (np.concatenate(m) for m in zip(*stacks))
     w = w[:, None]
-    np.matmul((w * dZ).T, np.maximum(H1, 0.0), out=out.dW2)
     dH1 = (dZ @ params.W2) * (H1 > 0.0)
-    np.matmul((w * dH1).T, X, out=out.dW1)
-    np.matmul((w * (dH1 @ params.W1[:, 4 * d :])).T, C, out=out.dM)
-    return out
+    factors = {
+        "W1": ((w * dH1).T, X),
+        "W2": ((w * dZ).T, np.maximum(H1, 0.0)),
+        "M": ((w * (dH1 @ params.W1[:, 4 * d :])).T, C),
+    }
+    step = GRADIENT_BLOCK_ROWS
+    for name, (left, right) in factors.items():
+        for start in range(0, len(left), step):
+            rows = slice(start, start + step)
+            yield name, rows, left[rows] @ right
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:

@@ -485,6 +485,44 @@ def test_refused_train_leaves_no_out_dir(tmp_path, capsys):
     assert not run.exists()
 
 
+def test_diverged_train_removes_the_out_dir_it_made(tmp_path, capsys):
+    data = _synth(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = _train(tmp_path, data, extra=["--lr", "1e300"], rc=1)
+    assert "no checkpoint written" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_train_with_every_patient_skipped_removes_the_out_dirs_it_made(tmp_path, capsys):
+    data = _synth(tmp_path)
+    corpus = tmp_path / "no_reference.jsonl"
+    _write_jsonl(corpus, [{"id": p.id, "pre_admission": p.pre_admission}
+                          for p in load_corpus(data / "patients.jsonl")])
+    out = tmp_path / "new" / "nested" / "run"
+    rc = main(["train"] + _kg_args(data)
+              + ["--corpus", str(corpus), "--out-dir", str(out), "--embed-dim", "8"])
+    assert rc == 2
+    assert "all patients were skipped" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_failed_train_leaves_an_existing_out_dir_as_it_was(tmp_path, capsys):
+    data = _synth(tmp_path)
+    run = tmp_path / "run"
+    run.mkdir()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _train(tmp_path, data, extra=["--lr", "1e300"], rc=1)
+    assert run.is_dir() and not any(run.iterdir())
+    (run / "notes.txt").write_text("kept\n")
+    inner = run / "inner"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train"] + _kg_args(data)
+                    + ["--corpus", str(data / "patients.jsonl"), "--out-dir", str(inner),
+                       "--embed-dim", "8", "--lr", "1e300"]) == 1
+    assert sorted(p.name for p in run.iterdir()) == ["notes.txt"]
+    assert (run / "notes.txt").read_text() == "kept\n"
+
+
 def test_refused_eval_leaves_no_out_dir(tmp_path, capsys):
     data = _synth(tmp_path)
     gen = tmp_path / "generated.jsonl"

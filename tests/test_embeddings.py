@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import direct_table
 from helpers import make_kg, oracle_cosine
 
+import r2ag.embeddings
 from r2ag.embeddings import (
     EmbeddingTable,
     avg_embedding,
@@ -355,3 +356,94 @@ def test_cosines_with_lens_equal_the_repeated_block_bit_for_bit(d):
     rows = rng.integers(0, 50, size=lens.sum())
     got = cosines(table, rows, V, lens)
     assert got.tobytes() == cosines(table, rows, np.repeat(V, lens, axis=0)).tobytes()
+
+
+def _one_gather_cosines(table, rows, V, lens=None):
+    """``cosines`` as one gather of every row, before its rows were chunked."""
+    norms = np.linalg.norm(V, axis=-1)
+    if lens is not None:
+        V, norms = np.repeat(V, lens, axis=0), np.repeat(norms, lens, axis=0)
+    dots = np.einsum("cd,ckd->ck", table.matrix[rows], V)
+    den = table.norms[rows][:, None] * norms
+    out = np.zeros_like(dots)
+    np.divide(dots, den, out=out, where=den != 0.0)
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])  # None: the default
+@pytest.mark.parametrize("d", [2, 7, 128])
+def test_chunked_cosines_equal_one_gather_bit_for_bit(monkeypatch, d, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(r2ag.embeddings, "GATHER_ROWS", chunk)
+    chunk = r2ag.embeddings.GATHER_ROWS
+    rng = np.random.default_rng(300 + d)
+    table = EmbeddingTable(d, rng.standard_normal((80, d)) * rng.uniform(0.1, 10.0, (80, 1)))
+    table.matrix[3] = 0.0
+    table.norms[3] = 0.0
+    for c in sorted({1, max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 5}):
+        rows = rng.integers(0, 80, size=c)
+        rows[0] = 3
+        V = rng.standard_normal((c, 2, d))
+        V[-1, 1] = 0.0
+        got = cosines(table, rows, V)
+        assert got.tobytes() == _one_gather_cosines(table, rows, V).tobytes()
+    # runs of rows served by one V[p], several of them across chunk boundaries
+    for _ in range(5):
+        lens = rng.integers(1, 2 * chunk + 2, size=int(rng.integers(1, 9)))
+        V = rng.standard_normal((len(lens), 2, d)) * rng.uniform(0.1, 10.0, (len(lens), 1, 1))
+        V[0, 1] = 0.0
+        rows = rng.integers(0, 80, size=lens.sum())
+        got = cosines(table, rows, V, lens)
+        assert got.tobytes() == _one_gather_cosines(table, rows, V, lens).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])  # None: the default
+@pytest.mark.parametrize("d", [2, 7, 128])
+def test_chunked_avg_embeddings_equal_one_gather_bit_for_bit(monkeypatch, d, chunk):
+    rng = np.random.default_rng(400 + d)
+    matrix = rng.standard_normal((300, d))
+    matrix[rng.random((300, d)) < 0.2] = -0.0
+    table = EmbeddingTable(d, matrix)
+    chunk = chunk or r2ag.embeddings.GATHER_ROWS
+    cases = []
+    for _ in range(10):
+        # set lengths around the chunk, so that gathers split between sets
+        # and a set longer than a chunk is gathered alone
+        lengths = rng.integers(1, min(300, 2 * chunk + 2), size=int(rng.integers(1, 12)))
+        sets = [sorted(rng.choice(300, size=n, replace=False).tolist()) for n in lengths]
+        cases.append((sets, avg_embeddings(table, sets)))  # one gather
+    monkeypatch.setattr(r2ag.embeddings, "GATHER_ROWS", chunk)
+    for sets, whole in cases:
+        got = avg_embeddings(table, sets)
+        assert got.tobytes() == whole.tobytes()
+        for row, s in zip(got, sets):
+            assert row.tobytes() == (matrix[s].sum(axis=0) / len(s)).tobytes()
+
+
+def test_cosines_refuses_vectors_for_another_number_of_rows(monkeypatch):
+    # a chunk reads only its own rows of V, so a count that does not match
+    # is refused up front rather than left unread
+    monkeypatch.setattr(r2ag.embeddings, "GATHER_ROWS", 1)
+    table = EmbeddingTable(2, np.eye(2))
+    with pytest.raises(ValueError, match="2 rows but vectors for 3"):
+        cosines(table, [0, 1], np.ones((3, 1, 2)))
+    with pytest.raises(ValueError, match="2 rows but vectors for 3"):
+        cosines(table, [0, 1], np.ones((2, 1, 2)), [1, 2])
+
+
+def test_chunked_avg_embeddings_gather_at_most_a_chunk_of_rows(monkeypatch):
+    monkeypatch.setattr(r2ag.embeddings, "GATHER_ROWS", 6)
+    gathers = []
+    real = r2ag.embeddings._padded_mean
+
+    def spy(table, sets, counts):
+        gathers.append(len(sets) * max(counts))
+        return real(table, sets, counts)
+
+    monkeypatch.setattr(r2ag.embeddings, "_padded_mean", spy)
+    table = EmbeddingTable(2, np.arange(40.0).reshape(20, 2))
+    sets = [[0], [1, 2], [3], [4, 5, 6, 7, 8, 9, 10], [11], [12, 13, 14], [15]]
+    got = avg_embeddings(table, sets)
+    assert gathers == [6, 7, 6, 1]  # the 7-row set is gathered alone
+    for row, s in zip(got, sets):
+        assert row.tolist() == table.matrix[s].mean(axis=0).tolist()

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import MockEndpoint, make_kg, random_kg
 
+import r2ag.embeddings
 import r2ag.generation
 from r2ag.concept_linker import PatientInput
 from r2ag.embeddings import EmbeddingTable, group_vectors, pseudo_embeddings
@@ -333,6 +336,32 @@ def test_lockstep_serving_equals_one_patient_rollouts(monkeypatch, greedy):
         multi_block += 1 < len(sizes) < sum(sizes)
     assert served > 150 and unlinkable > 20 and multi_block > 5
     assert leaps > 50 and frozen > 50
+
+
+def test_serving_peak_is_the_gather_budget_plus_one_chunk():
+    # a skewed corpus: 300 one-concept notes and one note that names a whole
+    # group of 150 concepts, each with about 90 in-group neighbours. That
+    # note's paths have about 13,500 candidates a step, whose vectors the
+    # budget does not count; scored a chunk at a time, they hold one chunk
+    d, T = 128, 3
+    rng = np.random.default_rng(5)
+    kg = random_kg(rng, 4, 150, p_intra=0.6, p_cross=0.002)
+    table = pseudo_embeddings(kg, d, seed=1)
+    gv = group_vectors(kg, table)
+    params = init_params(d, seed=2)
+    patients = [PatientInput(f"P{i:03d}", kg.names[int(rng.integers(len(kg.ids)))])
+                for i in range(300)]
+    whole = [kg.names[c] for c in range(len(kg.ids)) if kg.group_at[c] == 0]
+    patients.insert(150, PatientInput("WHOLE", " and ".join(whole)))
+    chunk_bytes = r2ag.embeddings.GATHER_ROWS * 3 * d * 8  # table rows + 2 vectors each
+    tracemalloc.start()
+    try:
+        results = retrieve_corpus(params, patients, kg, table, gv, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results[150]) == len(whole)
+    assert peak <= r2ag.generation.SERVE_GATHER_BYTES + chunk_bytes
 
 
 def _bundle():

@@ -52,7 +52,6 @@ from r2ag.gro_trainer import (
     train_patient,
 )
 from r2ag.policy_net import (
-    GradientBundle,
     init_params,
     logprob_backward,
     param_shapes,
@@ -617,16 +616,13 @@ def test_train_stops_at_the_end_of_an_epoch_that_left_a_weight_non_finite(
     # a NaN gradient raises no floating-point error on its way into the
     # weights, so each epoch ends with a check that every weight is finite
     calls = []
+    ascent = gro_trainer.block_ascent
 
-    def nan_update(params, *args):
+    def nan_ascent(params, parts, lr):
         calls.append(1)
-        return gro_trainer.PatientUpdate(
-            GradientBundle(np.full_like(params.W1, np.nan),
-                           np.zeros_like(params.W2), np.zeros_like(params.M)),
-            [1.0, 1.0], [0.5, 0.5], [],
-        )
+        ascent(params, parts, np.nan)  # every gradient entry times NaN
 
-    monkeypatch.setattr(gro_trainer, "train_patient", nan_update)
+    monkeypatch.setattr(gro_trainer, "block_ascent", nan_ascent)
     cfg = TrainConfig(epochs=3, group_size=2, seed=1)
     with pytest.raises(TrainingDivergedError,
                        match=r"diverged in epoch 0 \(non-finite weights\)"):
@@ -682,6 +678,24 @@ def test_train_keeps_one_gradient_alive(trainer_kg, trainer_patient):
         tracemalloc.stop()
     assert result.episodes == 4
     assert peak <= 2.6 * param_bytes
+
+
+def test_train_holds_one_copy_of_the_weights(trainer_kg, trainer_patient):
+    # each gradient goes into the weights a row block at a time, so at
+    # d=384 the traced peak is the weights plus blocks; a full-size gradient
+    # bundle made it 2.1x the parameter bytes
+    d = 384
+    table = pseudo_embeddings(trainer_kg, d, seed=2)
+    cfg = TrainConfig(max_steps=3, group_size=4, lr=0.01, epochs=1, seed=1)
+    param_bytes = sum(8 * rows * cols for rows, cols in param_shapes(d).values())
+    tracemalloc.start()
+    try:
+        result = train([trainer_patient] * 3, trainer_kg, table, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.episodes == 3
+    assert peak <= 1.3 * param_bytes
 
 
 def test_train_logs_skipped_patients(trainer_kg, trainer_table, trainer_patient):

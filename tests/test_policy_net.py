@@ -22,6 +22,7 @@ import r2ag.policy_net
 from r2ag.errors import DataFormatError
 from r2ag.policy_net import (
     GradientBundle,
+    block_ascent,
     block_backward,
     forward,
     greedy_action,
@@ -236,7 +237,7 @@ def test_batch_backward_with_no_steps_is_zeros():
 
 
 def test_block_backward_into_a_used_bundle_equals_a_new_one():
-    # a trainer builds every update in one bundle: its old values must not leak
+    # a caller may build every gradient in one bundle: its old values must not leak
     rng = np.random.default_rng(4)
     p = init_params(3, seed=0)
     _, _, actions = _random_state(rng, 3, 4)
@@ -248,6 +249,67 @@ def test_block_backward_into_a_used_bundle_equals_a_new_one():
         assert block_backward(p, given, used) is used
         for name in ("dW1", "dW2", "dM"):
             assert getattr(used, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def _ascent_parts(rng, p, d):
+    """Two parts of forward blocks: one of two blocks sharing an action
+    matrix, with a row taken twice and a zero weight, and one of its own."""
+    _, _, actions = _random_state(rng, d, 5)
+    blocks = [forward(p, rng.standard_normal((3, 4 * d)), rng.standard_normal((3, d)), actions)
+              for _ in range(2)]
+    other = forward(p, rng.standard_normal((2, 4 * d)), rng.standard_normal((2, d)),
+                    rng.standard_normal((3, 4 * d)))
+    return [(blocks, [0, 4, 5, 4, 2], [1, 0, 4, 4, 2], [0.5, -2.0, 0.25, 1.5, 0.0]),
+            ([other], [1, 0], [2, 0], [0.75, 0.125])]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])  # None: the default
+@pytest.mark.parametrize("d", [2, 5, 24])
+def test_block_ascent_equals_block_backward_then_the_step_bit_for_bit(
+        monkeypatch, d, block_rows):
+    # the trainer's in-place step gives the floats of a whole gradient
+    # followed by dW *= lr; W += dW, at any row block
+    if block_rows is not None:
+        monkeypatch.setattr(r2ag.policy_net, "GRADIENT_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(40 + d)
+    p = init_params(d, seed=d)
+    lr = 0.37
+    for parts in (_ascent_parts(rng, p, d), []):
+        grad = block_backward(p, parts)
+        want = [m.copy() for m in (p.W1, p.W2, p.M)]
+        for W, dW in zip(want, (grad.dW1, grad.dW2, grad.dM)):
+            dW *= lr
+            W += dW
+        block_ascent(p, parts, lr)
+        for W, expected in zip((p.W1, p.W2, p.M), want):
+            assert W.tobytes() == expected.tobytes()
+
+
+def test_gradient_row_blocks_change_only_rounding(monkeypatch):
+    rng = np.random.default_rng(9)
+    p = init_params(24, seed=9)
+    parts = _ascent_parts(rng, p, 24)
+    whole = block_backward(p, parts)
+    for block_rows in (1, 7):
+        monkeypatch.setattr(r2ag.policy_net, "GRADIENT_BLOCK_ROWS", block_rows)
+        got = block_backward(p, parts)
+        for name in ("dW1", "dW2", "dM"):
+            scale = np.abs(getattr(whole, name)).max()
+            assert scale > 0.0
+            np.testing.assert_allclose(getattr(got, name), getattr(whole, name),
+                                       rtol=1e-12, atol=1e-14 * scale)
+
+
+def test_block_ascent_refuses_a_bad_part_before_any_weight_moves():
+    rng = np.random.default_rng(10)
+    p = init_params(3, seed=1)
+    parts = _ascent_parts(rng, p, 3)
+    parts[1][2][1] = 3  # the second part's action matrix has 3 rows
+    before = [m.copy() for m in (p.W1, p.W2, p.M)]
+    with pytest.raises(ValueError, match="out of range"):
+        block_ascent(p, parts, 0.5)
+    for W, old in zip((p.W1, p.W2, p.M), before):
+        assert W.tobytes() == old.tobytes()
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
@@ -592,12 +654,13 @@ def _checkpoint_bytes(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=_checkpoint_bytes(), block_bytes=st.one_of(st.none(), st.integers(4, 48)))
-def test_checkpoint_reads_as_one_json_load_of_the_file(tmp_path_factory, data, block_bytes):
-    # every file gives the bits, or the message, of the whole-file reader
+@given(data=_checkpoint_bytes())
+def test_checkpoint_reads_as_one_json_load_of_the_file(tmp_path_factory, data):
+    # every file gives the bits, or the message, of the whole-file reader;
+    # these files are version 2, which is read whole, so no block size applies
     path = tmp_path_factory.getbasetemp() / "oracle.json"
     path.write_bytes(data)
-    _assert_reads_as_oracle(path, block_bytes)
+    _assert_reads_as_oracle(path)
 
 
 def _saved_v2(d=3) -> bytes:
