@@ -19,7 +19,6 @@ the row [0 || group vector a] (see ``gro_trainer.run_rollouts``).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_file import atomic_open
-from .errors import DataFormatError, parse_json
+from .errors import DataFormatError
 
 # the first line of a version-3 checkpoint; no JSON text starts with "R"
 CHECKPOINT_MAGIC = b"R2AG-CHECKPOINT 3\n"
@@ -163,9 +162,7 @@ def logprob_backward(
     return block_backward(params, [([cache], [0], [action], [1.0])])
 
 
-def block_backward(
-    params: PolicyParams, parts: list[tuple], out: GradientBundle | None = None
-) -> GradientBundle:
+def block_backward(params: PolicyParams, parts: list[tuple]) -> GradientBundle:
     """sum_k w_k * gradient of log pi(a_k | state k) over K cached rows.
 
     Each part is (blocks, rows, actions, weights): forward caches that share
@@ -174,18 +171,14 @@ def block_backward(
     ``dlogits @ A`` product; the K rows are then stacked (dz, h1, x, c_avg),
     so each parameter gradient is one weighted matrix product over them:
     dW2 = (w dZ)^T A1, dW1 = (w dH1)^T X and dM = (w dX[:, 4d:])^T C,
-    formed in blocks of ``GRADIENT_BLOCK_ROWS`` rows (see ``_gradient_blocks``).
-    No parts give zeros. The ReLU subgradient at exactly zero is taken as zero.
-    The three products are written into ``out``, a bundle of the parameters'
-    shapes, when one is given, else into a new one; either way the bundle
-    is returned.
+    formed in blocks of ``GRADIENT_BLOCK_ROWS`` rows (see ``_gradient_blocks``)
+    and written into a new bundle. No parts give zeros. The ReLU subgradient
+    at exactly zero is taken as zero.
     """
-    if out is None:
-        out = GradientBundle(*(np.empty_like(m) for m in (params.W1, params.W2, params.M)))
-    grads = {"W1": out.dW1, "W2": out.dW2, "M": out.dM}
+    grads = {name: np.empty_like(getattr(params, name)) for name in ("W1", "W2", "M")}
     for name, rows, blk in _gradient_blocks(params, parts):
         grads[name][rows] = blk
-    return out
+    return GradientBundle(*grads.values())
 
 
 def block_ascent(params: PolicyParams, parts: list[tuple], lr: float) -> None:
@@ -277,21 +270,24 @@ def save_checkpoint(params: PolicyParams, path) -> None:
 
 
 def load_checkpoint(path) -> PolicyParams:
-    """Read a checkpoint; malformed content of any kind raises
+    """Read a version-3 checkpoint; malformed content of any kind raises
     ``DataFormatError``. A ``null`` fingerprint loads as ``embeddings=None``.
 
-    A file that starts with ``CHECKPOINT_MAGIC`` is version 3 and is read in
-    one pass: each matrix goes straight into its array in blocks of
-    ``CHECKPOINT_BLOCK_BYTES``, hashed as it is read, so a loaded checkpoint
-    costs one copy of its weights plus a block. Any other file is read whole
-    as version 2.
+    The file is read in one pass: each matrix goes straight into its array in
+    blocks of ``CHECKPOINT_BLOCK_BYTES``, hashed as it is read, so a loaded
+    checkpoint costs one copy of its weights plus a block. A file that does
+    not start with ``CHECKPOINT_MAGIC``, such as one of versions 1 and 2, is
+    refused.
     """
     try:
         with open(path, "rb") as fh:
-            head = fh.read(len(CHECKPOINT_MAGIC))
-            if head == CHECKPOINT_MAGIC:
-                return _read_v3(fh, path)
-            return _read_v2(fh, head, path)
+            if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+                raise DataFormatError(
+                    'not a version-3 checkpoint (no "R2AG-CHECKPOINT 3" line); '
+                    "versions 1 and 2 are no longer read",
+                    path=path,
+                )
+            return _read_v3(fh, path)
     except OSError as exc:
         raise DataFormatError(f"cannot read file: {exc}", path=path) from exc
 
@@ -309,7 +305,7 @@ def _read_v3(fh, path) -> PolicyParams:
         raise DataFormatError(f"invalid checkpoint header: {exc}", path=path) from exc
     if not isinstance(header, dict):
         raise DataFormatError("invalid checkpoint header: not a JSON object", path=path)
-    d, seed, embeddings = _read_header(header, ("weights",), path)
+    d, seed, embeddings = _read_header(header, path)
     shapes = param_shapes(d)
     size = 8 * sum(rows * cols for rows, cols in shapes.values())
     # a file's length is checked before any array is made for its d
@@ -348,36 +344,10 @@ def _read_v3(fh, path) -> PolicyParams:
     return PolicyParams(d, seed, *(m.astype(np.float64, copy=False) for m in mats), embeddings)
 
 
-def _read_v2(fh, head: bytes, path) -> PolicyParams:
-    """A version-2 checkpoint, whose first bytes ``head`` are read from
-    ``fh``: one JSON object {version, d, seed, embeddings, W1, W2, M}, each
-    matrix the base64 of its C-order little-endian float64 bytes.
-
-    The file is read as ``json.load`` reads ``open(path, encoding="utf-8")``
-    (strict UTF-8, universal newlines), so every file written before version
-    3 loads the same bits, or fails with the same message, as it did then.
-    """
-    try:  # only the text outlives this line, as in ``json.load``
-        text = (head + fh.read()).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"invalid JSON: {exc}", path=path) from exc
-    payload = parse_json(text.replace("\r\n", "\n").replace("\r", "\n"), path)
-    del text  # freed before any matrix is decoded, as ``json.load`` frees it
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if type(version) is not int or version != 2:
-        raise DataFormatError(f"unsupported checkpoint version {version!r}", path=path)
-    d, seed, embeddings = _read_header(payload, ("W1", "W2", "M"), path)
-    mats = [
-        _read_matrix(payload.pop(name), name, shape, path)
-        for name, shape in param_shapes(d).items()
-    ]
-    return PolicyParams(d, seed, *mats, embeddings)
-
-
-def _read_header(payload: dict, keys, path) -> tuple[int, int, str | None]:
-    """``d``, ``seed`` and ``embeddings`` of a checkpoint's JSON object, once
-    it is checked to hold them and ``keys``."""
-    missing = [key for key in ("d", "seed", "embeddings", *keys) if key not in payload]
+def _read_header(payload: dict, path) -> tuple[int, int, str | None]:
+    """``d``, ``seed`` and ``embeddings`` of a checkpoint's JSON header, once
+    it is checked to hold them and ``weights``."""
+    missing = [key for key in ("d", "seed", "embeddings", "weights") if key not in payload]
     if missing:
         raise DataFormatError(f"malformed checkpoint: missing {missing}", path=path)
     d, seed = payload["d"], payload["seed"]
@@ -391,26 +361,7 @@ def _read_header(payload: dict, keys, path) -> tuple[int, int, str | None]:
     return d, seed, embeddings
 
 
-def _read_matrix(value, name: str, shape: tuple[int, int], path) -> np.ndarray:
-    """Matrix ``name`` from the base64 of its C-order little-endian float64
-    bytes, held in the JSON value ``value``."""
-    if not isinstance(value, str):
-        raise DataFormatError(f"{name} must be a base64 string", path=path)
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise DataFormatError(f"{name} is not valid base64: {exc}", path=path) from exc
-    size = 8 * shape[0] * shape[1]
-    if len(raw) != size:
-        raise DataFormatError(
-            f"{name} has {len(raw)} bytes, expected {size} for shape {shape}", path=path
-        )
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    return _check_finite(arr, name, path)
-
-
-def _check_finite(arr: np.ndarray, name: str, path) -> np.ndarray:
+def _check_finite(arr: np.ndarray, name: str, path) -> None:
     # min and max carry any NaN or inf, without a full-size mask
     if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise DataFormatError(f"{name} contains non-finite values", path=path)
-    return arr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
@@ -699,20 +700,31 @@ def test_checkpoint_refuses_pseudo_table_of_another_graph(tmp_path, capsys):
 
 
 def test_serve_refuses_checkpoint_that_names_no_table(tmp_path, capsys):
-    # only a checkpoint with a fingerprint is served: a v1 one (no
-    # fingerprint) and a copy whose fingerprint is null exit 2, with or
-    # without an --embeddings file of the right dimension
+    # only a version-3 checkpoint with a fingerprint is served: a v1 or v2
+    # one, an empty or cut file and a copy whose fingerprint is null exit 2,
+    # with or without an --embeddings file of the right dimension
     data = _synth(tmp_path)
     emb = _embedding_file(tmp_path, data, 8)
     run = _train(tmp_path, data, extra=["--embeddings", str(emb)])
     ckpt = run / "checkpoint.json"
-    unnamed = load_checkpoint(ckpt)
-    unnamed.embeddings = None
-    save_checkpoint(unnamed, tmp_path / "unnamed.json")
-    v1 = Path(__file__).parent / "data" / "checkpoint_v1_d2.json"
-    for copy, message in ((v1, "unsupported checkpoint version 1"),
-                          (tmp_path / "unnamed.json", "the checkpoint names no embedding table")):
-        ckpt.write_bytes(copy.read_bytes())
+    good = ckpt.read_bytes()
+    params = load_checkpoint(ckpt)
+    # the same weights as the version-2 writer wrote them, table named
+    v2 = {"version": 2, "d": params.d, "seed": params.seed, "embeddings": params.embeddings, **{
+        name: base64.b64encode(getattr(params, name).astype("<f8").tobytes()).decode()
+        for name in ("W1", "W2", "M")}}
+    params.embeddings = None
+    save_checkpoint(params, tmp_path / "unnamed.json")
+    refused = ('not a version-3 checkpoint (no "R2AG-CHECKPOINT 3" line); '
+               "versions 1 and 2 are no longer read")
+    for copy, message in (
+        ((Path(__file__).parent / "data" / "checkpoint_v1_d2.json").read_bytes(), refused),
+        (json.dumps(v2).encode("ascii"), refused),
+        (b"", refused),
+        (good[:10], refused),
+        ((tmp_path / "unnamed.json").read_bytes(), "the checkpoint names no embedding table"),
+    ):
+        ckpt.write_bytes(copy)
         for command in ("retrieve", "generate"):
             for extra in ([], ["--embeddings", str(emb)]):
                 capsys.readouterr()

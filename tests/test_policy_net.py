@@ -3,25 +3,22 @@ from __future__ import annotations
 import base64
 import contextlib
 import hashlib
-import io
 import json
 import math
 import os
+import re
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import fd_logprob_grads, max_rel_err, oracle_load_checkpoint
+from helpers import fd_logprob_grads, max_rel_err
 
 import r2ag.policy_net
 from r2ag.errors import DataFormatError
 from r2ag.policy_net import (
-    GradientBundle,
     block_ascent,
     block_backward,
     forward,
@@ -236,21 +233,6 @@ def test_batch_backward_with_no_steps_is_zeros():
     assert not g.dW1.any() and not g.dW2.any() and not g.dM.any()
 
 
-def test_block_backward_into_a_used_bundle_equals_a_new_one():
-    # a caller may build every gradient in one bundle: its old values must not leak
-    rng = np.random.default_rng(4)
-    p = init_params(3, seed=0)
-    _, _, actions = _random_state(rng, 3, 4)
-    block = forward(p, rng.standard_normal((3, 12)), rng.standard_normal((3, 3)), actions)
-    parts = [([block], [0, 2], [1, 3], [0.5, -2.0])]
-    used = GradientBundle(*(np.full_like(m, np.nan) for m in (p.W1, p.W2, p.M)))
-    for given in (parts, []):
-        fresh = block_backward(p, given)
-        assert block_backward(p, given, used) is used
-        for name in ("dW1", "dW2", "dM"):
-            assert getattr(used, name).tobytes() == getattr(fresh, name).tobytes()
-
-
 def _ascent_parts(rng, p, d):
     """Two parts of forward blocks: one of two blocks sharing an action
     matrix, with a row taken twice and a zero weight, and one of its own."""
@@ -350,17 +332,6 @@ def test_checkpoint_roundtrip_keeps_every_bit(tmp_path, d):
     assert loaded.W1[0, 2] == 1e300 and loaded.W1[0, 3] == -1e300
 
 
-def _json_dump_bytes(p) -> bytes:
-    """The checkpoint as one ``json.dump`` of the whole v2 payload writes it."""
-    payload = {"version": 2, "d": p.d, "seed": p.seed, "embeddings": p.embeddings}
-    for name in ("W1", "W2", "M"):
-        raw = np.ascontiguousarray(getattr(p, name), dtype="<f8").tobytes()
-        payload[name] = base64.b64encode(raw).decode("ascii")
-    buf = io.StringIO()
-    json.dump(payload, buf)
-    return (buf.getvalue() + "\n").encode("utf-8")
-
-
 def _v3_bytes(p) -> bytes:
     """The version-3 checkpoint of ``p``, built whole: the magic line, a
     ``json.dumps`` of the header, then the matrices' raw bytes under their
@@ -373,7 +344,7 @@ def _v3_bytes(p) -> bytes:
     return b"R2AG-CHECKPOINT 3\n" + json.dumps(header).encode("ascii") + b"\n" + raw
 
 
-def test_checkpoint_bytes_equal_json_dump_of_payload(tmp_path):
+def test_checkpoint_bytes_equal_the_v3_layout(tmp_path):
     # the version-3 layout: magic line, json.dumps of the header, raw weights
     p = _special_params(2)
     path = tmp_path / "ckpt.json"
@@ -391,7 +362,7 @@ def test_checkpoint_bytes_equal_json_dump_of_payload(tmp_path):
 
 @pytest.mark.parametrize("block_bytes", [24, 1000, None])  # 3 floats, not a power of two, default
 @pytest.mark.parametrize("d", [2, 6, 64])
-def test_checkpoint_written_in_blocks_equals_json_dump_of_payload(
+def test_checkpoint_written_in_blocks_equals_the_v3_layout(
         tmp_path, monkeypatch, d, block_bytes):
     if block_bytes is not None:
         monkeypatch.setattr(r2ag.policy_net, "CHECKPOINT_BLOCK_BYTES", block_bytes)
@@ -435,12 +406,34 @@ def test_two_saves_of_equal_params_are_byte_identical(tmp_path):
     assert load_checkpoint(a).embeddings == p.embeddings
 
 
-def test_v1_checkpoint_is_refused():
-    # written by the version-1 writer: matrices as nested JSON lists, no
-    # fingerprint; only versions 2 and 3 are read
-    path = Path(__file__).parent / "data" / "checkpoint_v1_d2.json"
-    assert json.loads(path.read_text())["version"] == 1
-    with pytest.raises(DataFormatError, match="unsupported checkpoint version 1$"):
+def _v2_bytes(p) -> bytes:
+    """``p`` as the version-2 writer wrote it: one JSON object, each matrix
+    the base64 of its C-order little-endian float64 bytes."""
+    mats = {name: base64.b64encode(getattr(p, name).astype("<f8").tobytes()).decode()
+            for name in ("W1", "W2", "M")}
+    payload = {"version": 2, "d": p.d, "seed": p.seed, "embeddings": p.embeddings, **mats}
+    return json.dumps(payload).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param((Path(__file__).parent / "data" / "checkpoint_v1_d2.json").read_bytes(),
+                     id="v1"),
+        pytest.param(_v2_bytes(_special_params(2)), id="v2"),
+        pytest.param(b'{"version": 99}', id="other-json"),
+        pytest.param(b"", id="empty"),
+        pytest.param(_v3_bytes(_special_params(2))[:17], id="magic-without-newline"),
+        pytest.param(b"\xef\xbb\xbf" + _v3_bytes(_special_params(2)), id="utf8-bom"),
+    ],
+)
+def test_checkpoint_without_the_v3_magic_line_is_refused(tmp_path, data):
+    # only version 3 is read: any other file, whole or cut, is one data error
+    path = tmp_path / "ckpt.json"
+    path.write_bytes(data)
+    message = (f'{path}: not a version-3 checkpoint (no "R2AG-CHECKPOINT 3" line); '
+               "versions 1 and 2 are no longer read")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
         load_checkpoint(path)
 
 
@@ -475,88 +468,6 @@ def test_checkpoint_write_that_fails_keeps_previous_file(tmp_path, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
 
 
-def test_checkpoint_rejects_bad_version(tmp_path):
-    path = tmp_path / "bad.json"
-    for payload in ({"version": 99}, {"version": "2"}, {"version": True}, [2], 2):
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError, match="version"):
-            load_checkpoint(path)
-
-
-def test_checkpoint_rejects_bad_shape(tmp_path):
-    # a (1, 1) M where d=3 needs (3, 3): the byte count names the shape
-    payload = {**_v2_payload(3), "M": base64.b64encode(np.ones(1, "<f8").tobytes()).decode()}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DataFormatError, match=r"M has 8 bytes, expected 72 for shape \(3, 3\)"):
-        load_checkpoint(path)
-
-
-def _v2_payload(d: int = 2) -> dict:
-    p = init_params(d, seed=0)
-    return {
-        "version": 2, "d": d, "seed": 0, "embeddings": None,
-        **{
-            name: base64.b64encode(getattr(p, name).astype("<f8").tobytes()).decode()
-            for name in ("W1", "W2", "M")
-        },
-    }
-
-
-def _nan_matrix(d: int) -> str:
-    m = np.zeros((d, d))
-    m[0, 0] = np.nan
-    return base64.b64encode(m.astype("<f8").tobytes()).decode()
-
-
-@pytest.mark.parametrize(
-    "change, match",
-    [
-        ({"M": "not*base64"}, "base64"),
-        ({"M": "AAAA"}, "bytes"),  # valid base64, 3 bytes instead of 32
-        ({"M": "ü"}, "base64"),
-        ({"M": "*" + _v2_payload()["M"]}, "base64"),  # lenient decoding skips "*"
-        ({"M": [[0.0, 0.0], [0.0, 0.0]]}, "string"),
-        ({"M": None}, "string"),
-        ({"d": 2.0}, "int"),
-        ({"d": "2"}, "int"),
-        ({"d": 1}, "int"),
-        ({"d": 3}, "bytes"),
-        ({"seed": None}, "int"),
-        ({"embeddings": 7}, "string"),
-        ({"M": _nan_matrix(2)}, "non-finite"),
-        ({"version": 3}, "version"),
-    ],
-)
-def test_malformed_v2_checkpoint_raises_data_format_error(tmp_path, change, match):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_v2_payload() | change), encoding="utf-8")
-    with pytest.raises(DataFormatError, match=match):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("key", ["d", "seed", "embeddings", "W1", "W2", "M"])
-def test_v2_checkpoint_missing_key_raises_data_format_error(tmp_path, key):
-    payload = _v2_payload()
-    del payload[key]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DataFormatError, match="missing"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize(
-    "content",
-    [b'{"version": 2, "d": \xff}', b"[" * 100_000, b'{"version": 2, "W1": ' + b"[" * 100_000],
-)
-def test_undecodable_checkpoint_raises_data_format_error(tmp_path, content):
-    # bytes that are not UTF-8, and nesting too deep for the JSON decoder
-    path = tmp_path / "bad.json"
-    path.write_bytes(content)
-    with pytest.raises(DataFormatError, match="invalid JSON"):
-        load_checkpoint(path)
-
-
 def _outcome(read, path):
     """What ``read(path)`` gives: its error message, or every bit it loads."""
     try:
@@ -568,137 +479,6 @@ def _outcome(read, path):
         assert m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
     mats = (getattr(p, name).tobytes() for name in ("W1", "W2", "M"))
     return "ok", p.d, p.seed, p.embeddings, *mats
-
-
-def _assert_reads_as_oracle(path, block_bytes=None):
-    with pytest.MonkeyPatch.context() as mp:
-        if block_bytes is not None:
-            mp.setattr(r2ag.policy_net, "CHECKPOINT_BLOCK_BYTES", block_bytes)
-        got = _outcome(load_checkpoint, path)
-    assert got == _outcome(oracle_load_checkpoint, path)
-
-
-def _b64(m) -> str:
-    return base64.b64encode(np.asarray(m, dtype="<f8").tobytes()).decode()
-
-
-_WS = st.text(alphabet=" \t\n\r", max_size=2)
-
-
-@st.composite
-def _checkpoint_bytes(draw):
-    """A checkpoint file's bytes: the v2 keys in any order, with any
-    whitespace, extra and repeated keys, matrix strings that decode as they
-    stand and ones that do not, then maybe a cut or an inserted byte."""
-    d = draw(st.sampled_from([2, 3]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def matrix(name):
-        shape = param_shapes(d)[name]
-        m = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-300, 300))
-        kind = draw(st.sampled_from(
-            ["ok"] * 6 + ["slash", "nan", "size", "junk", "raw", "escape", "json"]))
-        if kind == "nan":
-            bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-            m.flat[draw(st.integers(0, m.size - 1))] = bad
-        text = _b64(m[: -1 if kind == "size" else None])
-        if kind == "junk":  # a character put in, or in place of another
-            at = draw(st.integers(0, len(text) - 1))
-            text = (text[:at] + draw(st.sampled_from(list("*=-_ \u00fc\\\"A")))
-                    + text[at + draw(st.integers(0, 1)):])
-        if kind == "json":
-            return draw(st.sampled_from(["null", "[[0.0]]", "7", '""', '"AAAA"', '"AA=="']))
-        value = json.dumps(text, ensure_ascii=kind != "raw")
-        if kind == "slash":
-            value = value.replace("/", "\\/")
-        if kind == "escape":
-            value = '"\\u0041' + value[1:]
-        return value
-
-    def key(name):  # plain, or its first letter as a \u escape
-        escaped = f'"\\u{ord(name[0]):04x}{name[1:]}"'
-        return draw(st.sampled_from([json.dumps(name)] * 3 + [escaped]))
-
-    items = [
-        ('"version"', draw(st.sampled_from(["2"] * 8 + ["3", '"2"']))),
-        ('"d"', str(d)),
-        ('"seed"', str(draw(st.integers(-5, 5)))),
-        ('"embeddings"', draw(st.sampled_from(["null", '"sha256:ab"', '"AAAA"']))),
-        *((key(n), matrix(n)) for n in ("W1", "W2", "M")),
-    ]
-    items = list(draw(st.permutations(items)))
-    for _ in range(draw(st.integers(0, 3))):  # extra and repeated keys
-        extra = draw(st.sampled_from(["W1", "W2", "M", "note", "W1x", "nested"]))
-        if extra in ("note", "W1x"):
-            tail = draw(st.sampled_from(["", "/", "\u00e9"]))
-            value = json.dumps("A" * draw(st.integers(0, 200)) + tail)
-        elif extra == "nested":
-            value = '{"W1": "AAAA", "M": ["W2", {"M": "AA=="}], "W2": "AAAA"}'
-        else:
-            value = matrix(extra)
-        items.insert(draw(st.integers(0, len(items))), (json.dumps(extra), value))
-    text = draw(_WS) + "{" + ",".join(
-        draw(_WS) + k + draw(_WS) + ":" + draw(_WS) + v + draw(_WS) for k, v in items
-    ) + "}" + draw(_WS)
-    data = text.encode("utf-8")
-    change = draw(st.sampled_from(["none"] * 4 + ["cut", "insert", "bom"]))
-    if change == "cut":
-        data = data[: draw(st.integers(0, len(data)))]
-    elif change == "insert":
-        at = draw(st.integers(0, len(data)))
-        byte = draw(st.sampled_from([b"\xff", b"\xc3", b'"', b"\\", b",", b"}", b"\r"]))
-        data = data[:at] + byte + data[at:]
-    elif change == "bom":
-        data = b"\xef\xbb\xbf" + data
-    return data
-
-
-@settings(max_examples=400, deadline=None)
-@given(data=_checkpoint_bytes())
-def test_checkpoint_reads_as_one_json_load_of_the_file(tmp_path_factory, data):
-    # every file gives the bits, or the message, of the whole-file reader;
-    # these files are version 2, which is read whole, so no block size applies
-    path = tmp_path_factory.getbasetemp() / "oracle.json"
-    path.write_bytes(data)
-    _assert_reads_as_oracle(path)
-
-
-def _saved_v2(d=3) -> bytes:
-    p = _special_params(d)
-    p.embeddings = "sha256:" + "ab" * 32
-    return _json_dump_bytes(p)
-
-
-@pytest.mark.parametrize("block_bytes", [4, 7, 24, None])
-@pytest.mark.parametrize(
-    "change",
-    [
-        lambda t: t,
-        lambda t: t.replace(b", ", b",\r\n "),  # CRLF line ends
-        lambda t: t.replace(b'"W2": "', b'"W2": "\\u0041', 1),  # an escape reads W2 inline
-        lambda t: t.replace(b"/", b"\\/"),
-        lambda t: t.replace(b'"M": "', b'"M": null, "M": "', 1),  # the last repeat wins
-        lambda t: t.replace(b'"M": "', b'"M": "AAAA", "M": 5, "x": "', 1),
-        lambda t: t.replace(b'"d": 3', b'"note": "' + b"B" * 300 + b'", "d": 3'),
-        lambda t: t[:-4],  # cut inside M: the string is unterminated
-        lambda t: t[: len(t) // 2],  # cut inside W2
-        lambda t: t[:-2] + b",}\n",  # a JSON error after every matrix
-        lambda t: t[:-2] + b'\r\n\r\n"\xc3\x28"}\n',  # a UTF-8 error after every matrix
-        lambda t: t.replace(b'"W2"', b'"W2" "W2"', 1),
-        lambda t: t.replace(b'", "M"', b'=", "M"', 1),  # W2 padded past its length
-        lambda t: t.replace(b'"W1": "', b'"W1": "\xc3\xa9', 1),
-        lambda t: t.replace(b'"W1": "', b'"W1": "AA=A', 1),  # "=" inside: W1 reads inline
-        lambda t: t.replace(b'", "W2"', b'===", "W2"', 1),  # three "="
-        lambda t: t.replace(b'"W1": "', b'"W1": "AAAA", "x": {"a": [1, {"W1": "', 1),
-        lambda t: t.replace(b'{', b'[{', 1).replace(b'}\n', b'}]\n'),
-        lambda t: t.replace(b'}\n', b', "\\u00572": ""}\n'),  # an escaped key is W2 too
-        lambda t: t.replace(b'"M": "', b'"\\u004d": null, "\\u004d": "', 1),
-    ],
-)
-def test_checkpoint_edits_read_as_one_json_load_of_the_file(tmp_path, change, block_bytes):
-    path = tmp_path / "edited.json"
-    path.write_bytes(change(_saved_v2()))
-    _assert_reads_as_oracle(path, block_bytes)
 
 
 def test_checkpoint_reads_from_a_pipe(tmp_path):
@@ -719,8 +499,8 @@ def test_checkpoint_reads_from_a_pipe(tmp_path):
 
 
 def test_checkpoint_read_memory_is_one_copy_of_the_weights(tmp_path):
-    # a version-2 file's text and each whole base64 string held at once are
-    # 2.67x the parameter bytes; version 3 leaves the arrays and a block
+    # each matrix's bytes are read into its array a block at a time, so the
+    # arrays and a block are all a load holds: no copy of the file's weights
     d = 128
     p = init_params(d, seed=0)
     save_checkpoint(p, tmp_path / "ckpt.json")
@@ -787,22 +567,42 @@ def test_v3_header_length_is_bounded(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "header, match",
+    "header, message",  # the message after the path, as a regex
     [
         (b"[1]", "invalid checkpoint header: not a JSON object"),
-        (b'{"d": 2', "invalid checkpoint header: Expecting"),
-        (b'{"d": "\xff"}', "invalid checkpoint header: 'utf-8' codec"),
-        (b"[" * 5000, "invalid checkpoint header"),
-        (b'{"d": 2, "seed": 5, "embeddings": null}', r"missing \['weights'\]"),
-        (b'{"d": 1, "seed": 5, "embeddings": null, "weights": ""}', "d must be an int >= 2"),
+        (b'{"d": 2',
+         r"invalid checkpoint header: Expecting ',' delimiter: line 2 column 1 \(char 8\)"),
+        (b'{"d": "\xff"}', "invalid checkpoint header: 'utf-8' codec can't decode byte 0xff "
+                         "in position 7: invalid start byte"),
+        (b"[" * 5000, "invalid checkpoint header: maximum recursion depth exceeded.*"),
+        (b'{"seed": 5, "embeddings": null, "weights": ""}',
+         r"malformed checkpoint: missing \['d'\]"),
+        (b'{"d": 2, "embeddings": null, "weights": ""}',
+         r"malformed checkpoint: missing \['seed'\]"),
+        (b'{"d": 2, "seed": 5, "weights": ""}',
+         r"malformed checkpoint: missing \['embeddings'\]"),
+        (b'{"d": 2, "seed": 5, "embeddings": null}',
+         r"malformed checkpoint: missing \['weights'\]"),
+        (b'{"d": 1, "seed": 5, "embeddings": null, "weights": ""}',
+         "d must be an int >= 2 and seed an int, got 1 and 5"),
+        (b'{"d": 2.0, "seed": 5, "embeddings": null, "weights": ""}',
+         r"d must be an int >= 2 and seed an int, got 2\.0 and 5"),
+        (b'{"d": "2", "seed": 5, "embeddings": null, "weights": ""}',
+         "d must be an int >= 2 and seed an int, got '2' and 5"),
+        (b'{"d": 2, "seed": null, "embeddings": null, "weights": ""}',
+         "d must be an int >= 2 and seed an int, got 2 and None"),
+        (b'{"d": 2, "seed": 5, "embeddings": 7, "weights": ""}',
+         "embeddings must be a string, got 7"),
         (b'{"d": 100000, "seed": 5, "embeddings": null, "weights": ""}',
-         "expected 2960000000000 for d=100000"),  # refused before any array is made
-        (b'{"d": 2, "seed": 5, "embeddings": null, "weights": "sha256:00"}', "sha256"),
+         "weights hold 1184 bytes, expected 2960000000000 for d=100000"),  # before any array
+        (b'{"d": 2, "seed": 5, "embeddings": null, "weights": "sha256:00"}',
+         "weights do not match the sha256 in the header"),
     ],
 )
-def test_v3_bad_header_is_a_data_error(tmp_path, header, match):
+def test_v3_bad_header_is_a_data_error(tmp_path, header, message):
     magic, _, weights = _v3_bytes(_special_params(2)).split(b"\n", 2)
-    with pytest.raises(DataFormatError, match=match):
+    path = re.escape(str(tmp_path / "ckpt.json"))
+    with pytest.raises(DataFormatError, match=f"^{path}: {message}$"):
         _load_bytes(tmp_path, magic + b"\n" + header + b"\n" + weights)
 
 
