@@ -19,6 +19,7 @@ from helpers import fd_logprob_grads, max_rel_err
 import r2ag.policy_net
 from r2ag.errors import DataFormatError
 from r2ag.policy_net import (
+    PolicyParams,
     block_ascent,
     block_backward,
     forward,
@@ -479,6 +480,113 @@ def _outcome(read, path):
         assert m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
     mats = (getattr(p, name).tobytes() for name in ("W1", "W2", "M"))
     return "ok", p.d, p.seed, p.embeddings, *mats
+
+
+def _whole_file_load(path) -> PolicyParams:
+    """The version-3 reader as plain whole-file code: the file's bytes read
+    at once, the header one ``json.loads``, each matrix one ``frombuffer``.
+    The reference that ``load_checkpoint``, which streams the weights in
+    blocks, must match on a regular file, bit for bit and message for
+    message."""
+    data = Path(path).read_bytes()
+    magic = b"R2AG-CHECKPOINT 3\n"
+    if not data.startswith(magic):
+        raise DataFormatError('not a version-3 checkpoint (no "R2AG-CHECKPOINT 3" line); '
+                              "versions 1 and 2 are no longer read", path=path)
+    bound = r2ag.policy_net._HEADER_BYTES
+    end = data.find(b"\n", len(magic), len(magic) + bound)
+    if end < 0:
+        raise DataFormatError(f"checkpoint header is not a line of at most {bound} bytes",
+                              path=path)
+    line, weights = data[len(magic) : end + 1], data[end + 1 :]
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"invalid checkpoint header: {exc}", path=path) from exc
+    if not isinstance(header, dict):
+        raise DataFormatError("invalid checkpoint header: not a JSON object", path=path)
+    missing = [key for key in ("d", "seed", "embeddings", "weights") if key not in header]
+    if missing:
+        raise DataFormatError(f"malformed checkpoint: missing {missing}", path=path)
+    d, seed, embeddings = header["d"], header["seed"], header["embeddings"]
+    if type(d) is not int or d < 2 or type(seed) is not int:
+        raise DataFormatError(
+            f"d must be an int >= 2 and seed an int, got {d!r} and {seed!r}", path=path
+        )
+    if embeddings is not None and not isinstance(embeddings, str):
+        raise DataFormatError(f"embeddings must be a string, got {embeddings!r}", path=path)
+    shapes = param_shapes(d)
+    size = 8 * sum(rows * cols for rows, cols in shapes.values())
+    if len(weights) != size:
+        raise DataFormatError(f"weights hold {len(weights)} bytes, expected {size} for d={d}",
+                              path=path)
+    if header["weights"] != "sha256:" + hashlib.sha256(weights).hexdigest():
+        raise DataFormatError("weights do not match the sha256 in the header", path=path)
+    mats, at = {}, 0
+    for name, (rows, cols) in shapes.items():
+        m = np.frombuffer(weights, "<f8", rows * cols, at).reshape(rows, cols)
+        if not np.isfinite(m).all():
+            raise DataFormatError(f"{name} contains non-finite values", path=path)
+        mats[name], at = m.astype(np.float64), at + m.nbytes
+    return PolicyParams(d, seed, mats["W1"], mats["W2"], mats["M"], embeddings)
+
+
+def _header_edit(t: bytes, edit) -> bytes:
+    """``t`` with ``edit`` applied to its header line only: the raw weights
+    after it may hold any byte."""
+    magic, header, weights = t.split(b"\n", 2)
+    return magic + b"\n" + edit(header) + b"\n" + weights
+
+
+def _weights_edit(t: bytes, edit) -> bytes:
+    """``t`` with ``edit`` applied to its weights, under a header sha256 that
+    matches them."""
+    magic, header, weights = t.split(b"\n", 2)
+    weights = edit(weights)
+    fields = json.loads(header) | {"weights": "sha256:" + hashlib.sha256(weights).hexdigest()}
+    return magic + b"\n" + json.dumps(fields).encode("ascii") + b"\n" + weights
+
+
+@pytest.mark.parametrize("block_bytes", [4, 7, 24, None])  # half a float, 7, 3 floats, default
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda t: t,
+        lambda t: _header_edit(t, lambda h: h.replace(b", ", b",\r\n ", 1)),  # CRLF ends it early
+        lambda t: _header_edit(t, lambda h: h.replace(b", ", b",\r ")),  # a CR is JSON whitespace
+        lambda t: _header_edit(t, lambda h: h.replace(b'"seed"', b'"\\u0073eed"')),  # escaped key
+        lambda t: _header_edit(t, lambda h: h.replace(b'"d": 3', b'"d": 2, "d": 3')),  # last wins
+        lambda t: _header_edit(t, lambda h: h.replace(b'"d": 3', b'"d": 3, "d": 4')),
+        lambda t: _header_edit(  # a header past its bound
+            t, lambda h: b'{"note": "' + b"B" * r2ag.policy_net._HEADER_BYTES + b'", ' + h[1:]),
+        lambda t: t[:-4],  # cut inside M
+        lambda t: t[: len(t) // 2],  # cut inside the weights
+        lambda t: t + b"\n",  # one byte past M
+        lambda t: _header_edit(t, lambda h: h[:-1] + b', "x": "\xc3\x28"}'),  # a UTF-8 error
+        lambda t: _header_edit(  # a UTF-8 fingerprint
+            t, lambda h: h.replace(b'"embeddings": "', b'"embeddings": "\xc3\xa9')),
+        lambda t: t[:-1] + bytes([t[-1] ^ 1]),  # a weight bit flipped
+        lambda t: _header_edit(  # a sha256 one digit too long
+            t, lambda h: h.replace(b'"weights": "sha256:', b'"weights": "sha256:0')),
+        lambda t: _header_edit(  # the last repeat wins
+            t, lambda h: h.replace(b'"weights": ', b'"weights": null, "weights": ')),
+        lambda t: _weights_edit(t, lambda w: w[:-8] + np.float64(np.nan).tobytes()),  # NaN in M
+        lambda t: _weights_edit(t, lambda w: np.float64(-np.inf).tobytes() + w[8:]),  # -inf in W1
+        lambda t: b"R2AG-CHECKPOINT 3\r\n" + t.split(b"\n", 1)[1],  # a CRLF magic line
+        lambda t: _header_edit(t, lambda h: b"[" + h + b"]"),
+        lambda t: _header_edit(t, lambda h: h.replace(b'"d": 3', b'"d": 3.0')),
+    ],
+)
+def test_checkpoint_edits_read_as_one_json_load_of_the_file(
+        tmp_path, monkeypatch, change, block_bytes):
+    # the block reader gives the bits, or the message, of the whole-file reader
+    if block_bytes is not None:
+        monkeypatch.setattr(r2ag.policy_net, "CHECKPOINT_BLOCK_BYTES", block_bytes)
+    p = _special_params(3)
+    p.embeddings = "sha256:" + "ab" * 32
+    path = tmp_path / "edited.json"
+    path.write_bytes(change(_v3_bytes(p)))
+    assert _outcome(load_checkpoint, path) == _outcome(_whole_file_load, path)
 
 
 def test_checkpoint_reads_from_a_pipe(tmp_path):
