@@ -201,7 +201,8 @@ def run_rollouts(
     ``step`` over every rollout. ``gv`` is ``group_vectors(kg, table)``;
     action ``a`` is group int ``a``. The records share one list of the
     steps' forward blocks, and rollout ``i`` is row ``i`` of each; without
-    ``keep_caches`` the list stays empty, as only the gradient reads it.
+    ``keep_caches`` the list stays empty, as only the gradient reads it, and
+    each step's block is dead before ``step`` runs.
     """
     states = [
         init_rollout(ctx.keywords, kg, ctx.k_init, ctx.k_scarce, max_steps)
@@ -226,6 +227,9 @@ def run_rollouts(
         if keep_caches:
             blocks.append(block)
         picks = [select(i, t, dist) for i, dist in enumerate(block.dist)]
+        # only the picks outlive the policy: unless kept for the gradient,
+        # the step's forward block and its inputs are freed before ``step``
+        del block, s_k, c_avgs
         for rec, a in zip(records, picks):
             rec.actions.append(a)
         step(states, picks, kg, table, sq_avgs)
@@ -418,12 +422,16 @@ def train(
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch}, patient {patient.id!r} ({exc})"
                 ) from exc
-            mean_r = float(np.mean(upd.rewards))
+            # only the rewards outlive the update: its records, and their
+            # forward blocks, are freed before the next patient's rollouts
+            rewards, relative = upd.rewards, upd.relative
+            del upd
+            mean_r = float(np.mean(rewards))
             epoch_rewards.append(mean_r)
             episodes += 1
             log.append(
                 {"epoch": epoch, "patient": patient.id, "mean_R": mean_r,
-                 "relative_rewards": upd.relative, "skipped": False}
+                 "relative_rewards": relative, "skipped": False}
             )
         # a NaN or inf that raised nothing, such as one from a BLAS worker
         # thread; min and max carry any NaN or inf, with no full-size mask

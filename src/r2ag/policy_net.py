@@ -186,13 +186,14 @@ def block_ascent(params: PolicyParams, parts: list[tuple], lr: float) -> None:
     gradient of ``parts``, for W1, W2 then M.
 
     Each row block of a gradient is scaled and added as it is formed
-    (``blk *= lr; W[rows] += blk``), so a step holds one block, not a second
-    copy of the weights, and gives the floats of ``block_backward`` followed
-    by ``dW *= lr; W += dW``.
+    (``blk *= lr; W[rows] += blk``) and freed before the next is formed, so
+    a step holds one block, not a second copy of the weights, and gives the
+    floats of ``block_backward`` followed by ``dW *= lr; W += dW``.
     """
     for name, rows, blk in _gradient_blocks(params, parts):
         blk *= lr
         getattr(params, name)[rows] += blk
+        del blk
 
 
 def _gradient_blocks(params: PolicyParams, parts: list[tuple]):
@@ -201,26 +202,14 @@ def _gradient_blocks(params: PolicyParams, parts: list[tuple]):
 
     Every factor that reads the weights (dH1 reads W2, the M path W1) is
     formed before the first block is yielded, so a caller may update the
-    weights block by block. A block of a product rounds as BLAS rounds it,
-    which for some shapes differs in the last bits from one product over
-    all rows, so the block size is part of the trained weights' bytes.
+    weights block by block. The stacked rows are freed once the factors are
+    formed, and each parameter's factors once its last block is yielded. A
+    block of a product rounds as BLAS rounds it, which for some shapes
+    differs in the last bits from one product over all rows, so the block
+    size is part of the trained weights' bytes.
     """
     d = params.d
-    stacks = []  # per part: dZ, x, h1 and c_avg of its rows, and their weights
-    for blocks, rows, acts, weights in parts:
-        A = blocks[0].actions
-        if blocks[0].x.shape[-1] != 5 * d or A.shape[1] != 4 * d:
-            raise ValueError("cache does not match parameter shapes")
-        bad = [a for a in acts if not 0 <= a < len(A)]
-        if bad:
-            raise ValueError(f"action index {bad[0]} out of range for {len(A)} actions")
-        dist, x, h1, c_avg = (
-            np.concatenate([getattr(b, name) for b in blocks]).reshape(-1, width)[rows]
-            for name, width in (("dist", len(A)), ("x", 5 * d), ("h1", 4 * d), ("c_avg", d))
-        )
-        dlogits = -dist
-        dlogits[np.arange(len(acts)), acts] += 1.0
-        stacks.append((dlogits @ A, x, h1, c_avg, weights))
+    stacks = [_part_rows(d, *part) for part in parts]
     if not stacks:  # K = 0 rows: every product is zeros
         stacks.append(tuple(np.empty((0, n)) for n in (4 * d, 5 * d, 4 * d, d)) + ([],))
     dZ, X, H1, C, w = (np.concatenate(m) for m in zip(*stacks))
@@ -231,11 +220,31 @@ def _gradient_blocks(params: PolicyParams, parts: list[tuple]):
         "W2": ((w * dZ).T, np.maximum(H1, 0.0)),
         "M": ((w * (dH1 @ params.W1[:, 4 * d :])).T, C),
     }
+    del stacks, dZ, X, H1, C, dH1
     step = GRADIENT_BLOCK_ROWS
-    for name, (left, right) in factors.items():
+    for name in ("W1", "W2", "M"):
+        left, right = factors.pop(name)
         for start in range(0, len(left), step):
             rows = slice(start, start + step)
             yield name, rows, left[rows] @ right
+
+
+def _part_rows(d: int, blocks, rows, acts, weights) -> tuple:
+    """dZ, x, h1 and c_avg of one part's rows (see ``block_backward``), and
+    their weights."""
+    A = blocks[0].actions
+    if blocks[0].x.shape[-1] != 5 * d or A.shape[1] != 4 * d:
+        raise ValueError("cache does not match parameter shapes")
+    bad = [a for a in acts if not 0 <= a < len(A)]
+    if bad:
+        raise ValueError(f"action index {bad[0]} out of range for {len(A)} actions")
+    dist, x, h1, c_avg = (
+        np.concatenate([getattr(b, name) for b in blocks]).reshape(-1, width)[rows]
+        for name, width in (("dist", len(A)), ("x", 5 * d), ("h1", 4 * d), ("c_avg", d))
+    )
+    dlogits = -dist
+    dlogits[np.arange(len(acts)), acts] += 1.0
+    return dlogits @ A, x, h1, c_avg, weights
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:

@@ -11,11 +11,12 @@ Rollouts advance in lockstep: ``step`` applies one step to each of them,
 each with its own keyword average, so a training group (G rollouts of one
 patient) and a serving block (one rollout of each of many patients) are the
 same call. Both moves score every (live path, candidate) pair as one row of
-a single ``cosines`` call and pick each path's winner with one segment
-first-maximum; a row's score depends only on its own pair, so a path ends
-the same in any batch. A single rollout is a batch of one. The policy that
-picks each step's group runs in ``gro_trainer.run_rollouts``, one
-``forward`` over all the rollouts of a step.
+a ``cosines`` call (``retrieve`` makes two, one per half of its score) and
+pick each path's winner with one segment first-maximum; a row's score
+depends only on its own pair, so a path ends the same in any batch. A
+single rollout is a batch of one. The policy that picks each step's group
+runs in ``gro_trainer.run_rollouts``, one ``forward`` over all the rollouts
+of a step.
 """
 
 from __future__ import annotations
@@ -175,9 +176,10 @@ def retrieve(
     score(c) = (cosine(c, keyword average) + cosine(c, path average)) / 2,
     ties -> smallest (label, id). A path whose tail has no neighbors in its
     rollout's current group freezes permanently. ``sq_avgs[i]`` is the
-    keyword average of ``states[i]``. Each live path's [keyword average,
-    path average] is repeated once per candidate neighbour, and every
-    (path, candidate) pair is one row of one ``cosines`` call.
+    keyword average of ``states[i]``. Every (path, candidate) pair is one
+    row of two ``cosines`` calls, one against each live path's keyword
+    average and one against its path average, each repeated once per
+    candidate neighbour.
     """
     if len(states) != len(sq_avgs):
         raise ValueError(f"{len(states)} rollouts but {len(sq_avgs)} keyword averages")
@@ -203,12 +205,13 @@ def retrieve(
         lo, lens = lo[has], lens[has]
     # CSR position of every candidate, path after path
     pos = np.repeat(lo + lens - np.cumsum(lens), lens) + np.arange(lens.sum())
+    rows = kg.indices[pos]
+    sq_cos = cosines(table, rows, np.stack([sq for *_, sq in live])[:, None], lens)[:, 0]
     pavgs = avg_embeddings(table, [rs.paths[k].concepts for rs, k, _ in live])
-    V = np.stack([np.stack([sq for *_, sq in live]), pavgs], axis=1)  # (paths, 2, d)
-    cos = cosines(table, kg.indices[pos], V, lens)
+    path_cos = cosines(table, rows, pavgs[:, None], lens)[:, 0]
     # each slice is in sorted (label, id) order: the first maximum of each
     # segment is its smallest (label, id) among ties
-    best = pos[_first_max(0.5 * (cos[:, 0] + cos[:, 1]), lens)]
+    best = pos[_first_max(0.5 * (sq_cos + path_cos), lens)]
     for (rs, k, _), c, label in zip(live, kg.indices[best].tolist(), kg.labels[best].tolist()):
         rs.paths[k].add(kg.label_names[label], c)
         _insert(rs.explored, c)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import MockEndpoint, make_kg, random_kg
 
 import r2ag.embeddings
 import r2ag.generation
+import r2ag.gro_trainer
 from r2ag.concept_linker import PatientInput
 from r2ag.embeddings import EmbeddingTable, group_vectors, pseudo_embeddings
 from r2ag.errors import (
@@ -362,6 +364,39 @@ def test_serving_peak_is_the_gather_budget_plus_one_chunk():
         tracemalloc.stop()
     assert len(results[150]) == len(whole)
     assert peak <= r2ag.generation.SERVE_GATHER_BYTES + chunk_bytes
+
+
+@pytest.mark.parametrize("greedy", [True, False])
+def test_serving_frees_each_forward_block_before_step(monkeypatch, greedy):
+    # only the picks outlive the policy: no forward block of a serving
+    # step, nor its activations, is alive when the step runs
+    rng = np.random.default_rng(8)
+    kg = random_kg(rng, 4, 20, p_intra=0.3, p_cross=0.05)
+    table = pseudo_embeddings(kg, 8, seed=1)
+    patients = [PatientInput(f"P{i}", " and ".join(kg.names[int(c)] for c in
+                                                   rng.integers(len(kg.ids), size=3)))
+                for i in range(6)]
+    real_forward, real_step = r2ag.gro_trainer.forward, r2ag.gro_trainer.step
+    refs = []  # to every forward block and its activation arrays
+    alive = []  # at each step, how many of them are alive
+
+    def forward(*args):
+        block = real_forward(*args)
+        refs.extend(weakref.ref(a) for a in (block, block.x, block.h1, block.z, block.dist,
+                                             block.c_avg))
+        return block
+
+    def step(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return real_step(*args)
+
+    monkeypatch.setattr(r2ag.gro_trainer, "forward", forward)
+    monkeypatch.setattr(r2ag.gro_trainer, "step", step)
+    results = retrieve_corpus(init_params(8, seed=2), patients, kg, table,
+                              group_vectors(kg, table), 3, greedy=greedy,
+                              rng=np.random.default_rng(3))
+    assert all(isinstance(paths, list) for paths in results)
+    assert len(refs) == 3 * 6 and alive == [0] * 3
 
 
 def _bundle():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from r2ag.gro_trainer import (
     train_patient,
 )
 from r2ag.policy_net import (
+    GRADIENT_BLOCK_ROWS,
     init_params,
     logprob_backward,
     param_shapes,
@@ -662,14 +664,19 @@ def test_train_is_deterministic(trainer_kg, trainer_table, trainer_patient):
     assert r1.log == r2.log
 
 
-def test_train_keeps_one_gradient_alive(trainer_kg, trainer_patient):
-    # the weights plus one gradient are 2x the parameter bytes; a second
-    # gradient, kept from the previous patient, or a full-size lr * dW
-    # temporary would take the traced peak past 2.6x
+def test_train_holds_one_patients_rows_and_one_row_block(trainer_kg, trainer_patient):
+    # beyond the weights, training holds one patient's G x T rows (each
+    # step's forward block, the rows stacked for the gradient and its
+    # factors: under 5 copies of a row's 14d floats of activations) and one
+    # row block of the widest gradient, W1's 5d columns. Keeping the previous
+    # patient's update and the previous row block alive took the traced peak
+    # past that, to 1.34x the parameter bytes
     d = 128
     table = pseudo_embeddings(trainer_kg, d, seed=2)
     cfg = TrainConfig(max_steps=3, group_size=4, lr=0.01, epochs=1, seed=1)
     param_bytes = sum(8 * rows * cols for rows, cols in param_shapes(d).values())
+    patient_rows = cfg.group_size * cfg.max_steps * 5 * 14 * d * 8
+    row_block = GRADIENT_BLOCK_ROWS * 5 * d * 8
     tracemalloc.start()
     try:
         result = train([trainer_patient] * 4, trainer_kg, table, cfg)
@@ -677,7 +684,31 @@ def test_train_keeps_one_gradient_alive(trainer_kg, trainer_patient):
     finally:
         tracemalloc.stop()
     assert result.episodes == 4
-    assert peak <= 2.6 * param_bytes
+    assert peak <= param_bytes + patient_rows + row_block
+
+
+def test_train_frees_each_patients_rollouts_before_the_next(
+    trainer_kg, trainer_table, trainer_patient, monkeypatch
+):
+    # only a patient's rewards outlive its update: its records, and their
+    # forward blocks, are dead when the next patient's rollouts start
+    real = gro_trainer.run_rollouts
+    refs = []  # to every record and forward block made
+    alive = []  # at each call, how many of them are alive
+
+    def watched(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        records = real(*args)
+        refs.extend(weakref.ref(rec) for rec in records)
+        refs.extend(weakref.ref(block) for block in records[0].blocks)
+        return records
+
+    monkeypatch.setattr(gro_trainer, "run_rollouts", watched)
+    cfg = TrainConfig(max_steps=3, group_size=3, lr=0.01, epochs=2, seed=1)
+    result = train([trainer_patient] * 3, trainer_kg, trainer_table, cfg)
+    assert result.episodes == 6
+    assert len(refs) == 6 * (3 + 3)
+    assert alive == [0] * 6
 
 
 def test_train_holds_one_copy_of_the_weights(trainer_kg, trainer_patient):

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -293,6 +294,32 @@ def test_block_ascent_refuses_a_bad_part_before_any_weight_moves():
         block_ascent(p, parts, 0.5)
     for W, old in zip((p.W1, p.W2, p.M), before):
         assert W.tobytes() == old.tobytes()
+
+
+def test_block_ascent_frees_each_row_block_before_the_next(monkeypatch):
+    # a step holds one row block: each is dead when the next is requested
+    real = r2ag.policy_net._gradient_blocks
+    refs = []  # to every block yielded
+    alive = []  # at each request, how many earlier blocks are alive
+
+    def watched(params, parts):
+        blocks = real(params, parts)
+        while True:
+            alive.append(sum(ref() is not None for ref in refs))
+            item = next(blocks, None)
+            if item is None:
+                return
+            refs.append(weakref.ref(item[2]))
+            yield item
+            del item
+
+    monkeypatch.setattr(r2ag.policy_net, "_gradient_blocks", watched)
+    monkeypatch.setattr(r2ag.policy_net, "GRADIENT_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(11)
+    p = init_params(5, seed=3)
+    block_ascent(p, _ascent_parts(rng, p, 5), 0.5)
+    assert len(refs) == 3 + 3 + 1  # 20 rows of W1, 20 of W2 and 5 of M
+    assert alive == [0] * (len(refs) + 1)
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
